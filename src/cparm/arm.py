@@ -59,9 +59,6 @@ class FeatureRanking:
     """Top attributes for one class, scored by their best rule importance."""
 
     entries: tuple[RankedFeature, ...]
-    minsup: float
-    minconf: float
-    limit: int
 
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(e.attribute for e in self.entries)
@@ -77,6 +74,7 @@ class SweepEntry:
 class SweepResult:
     entries: tuple[SweepEntry, ...]
     merged: tuple[tuple[str, float], ...]  # downstream (attribute, importance)
+    rules: tuple[Rule, ...]  # every rule passing the lowest threshold, sorted
 
     def merged_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.merged)
@@ -147,27 +145,21 @@ def generate_rules(
         raise EmptyTransactionsError("cannot mine rules from zero transactions")
     n = len(transactions)
 
-    # Intern items to integers: pair counting then touches only small tuples.
+    # A pair is never more frequent than either of its items (Agrawal &
+    # Srikant, VLDB 1994), so an item with count / n < minsup cannot be in a
+    # passing rule: drop it before pair counting. The survivors are interned
+    # to integers so pair counting touches only small tuples.
+    item_counts = Counter(item for t in transactions for item in t.items)
     item_ids: dict[Item, int] = {}
-    items_by_id: list[Item] = []
-    id_rows: list[tuple[int, ...]] = []
-    for t in transactions:
-        ids = []
-        for item in t.items:
-            iid = item_ids.get(item)
-            if iid is None:
-                iid = len(items_by_id)
-                item_ids[item] = iid
-                items_by_id.append(item)
-            ids.append(iid)
-        id_rows.append(tuple(ids))
+    for item, count in item_counts.items():
+        if count / n >= minsup:
+            item_ids[item] = len(item_ids)
+    items_by_id = list(item_ids)
 
-    item_counts: Counter[int] = Counter()
     pair_counts: Counter[tuple[int, int]] = Counter()
     pair_attacks: Counter[tuple[int, int]] = Counter()
-    for t, ids in zip(transactions, id_rows):
-        item_counts.update(ids)
-        pairs = permutations(ids, 2)
+    for t in transactions:
+        pairs = permutations([item_ids[i] for i in t.items if i in item_ids], 2)
         if t.label == 1:
             pairs = list(pairs)
             pair_attacks.update(pairs)
@@ -178,7 +170,7 @@ def generate_rules(
         sup = both / n
         if sup < minsup:
             continue
-        conf = both / item_counts[a]
+        conf = both / item_counts[items_by_id[a]]
         if conf < minconf:
             continue
         label = 1 if 2 * pair_attacks[(a, c)] >= both else 0
@@ -196,18 +188,8 @@ def generate_rules(
     return rules
 
 
-def select_features(
-    rules: Sequence[Rule],
-    limit: int,
-    label: int,
-    minsup: float = 0.0,
-    minconf: float = 0.0,
-) -> FeatureRanking:
-    """Top attributes for one class by best importance of any rule naming them.
-
-    ``minsup``/``minconf`` are carried through for provenance only; the rules
-    are assumed to be pre-filtered by generate_rules.
-    """
+def select_features(rules: Sequence[Rule], limit: int, label: int) -> FeatureRanking:
+    """Top attributes for one class by best importance of any rule naming them."""
     best: dict[str, tuple[float, Rule]] = {}
     for rule in rules:
         if rule.label != label:
@@ -217,10 +199,9 @@ def select_features(
             if held is None or rule.importance > held[0]:
                 best[attr] = (rule.importance, rule)
     ranked = sorted(best.items(), key=lambda kv: (-kv[1][0], kv[0]))[:limit]
-    entries = tuple(
-        RankedFeature(attr, imp, rule) for attr, (imp, rule) in ranked
+    return FeatureRanking(
+        tuple(RankedFeature(attr, imp, rule) for attr, (imp, rule) in ranked)
     )
-    return FeatureRanking(entries, minsup, minconf, limit)
 
 
 def run_threshold_sweep(
@@ -228,7 +209,11 @@ def run_threshold_sweep(
     limit: int,
     thresholds: Sequence[float] = (0.4, 0.6, 0.8),
 ) -> SweepResult:
-    """Mine and rank at each threshold (minsup = minconf), lowest first.
+    """Rank at each threshold (minsup = minconf), lowest first.
+
+    Rules are mined once, at the lowest threshold. Support and confidence do
+    not depend on the threshold, so each higher threshold's rules are that
+    sorted list filtered, still in rule_sort_key order.
 
     The merged ranking feeding the decision engines is the union of the two
     per-class rankings at the lowest threshold, scored by each attribute's
@@ -236,17 +221,13 @@ def run_threshold_sweep(
     """
     if not transactions:
         raise EmptyTransactionsError("cannot sweep zero transactions")
+    thresholds = sorted(thresholds)
+    lowest_rules = generate_rules(transactions, thresholds[0], thresholds[0])
     entries = []
-    for t in sorted(thresholds):
-        rules = generate_rules(transactions, t, t)
+    for t in thresholds:
+        rules = [r for r in lowest_rules if r.support >= t and r.confidence >= t]
         entries.append(
-            SweepEntry(
-                t,
-                (
-                    select_features(rules, limit, 0, minsup=t, minconf=t),
-                    select_features(rules, limit, 1, minsup=t, minconf=t),
-                ),
-            )
+            SweepEntry(t, (select_features(rules, limit, 0), select_features(rules, limit, 1)))
         )
 
     lowest = entries[0]
@@ -258,4 +239,4 @@ def run_threshold_sweep(
     merged = tuple(
         sorted(pooled.items(), key=lambda kv: (-kv[1], kv[0]))[:limit]
     )
-    return SweepResult(tuple(entries), merged)
+    return SweepResult(tuple(entries), merged, tuple(lowest_rules))

@@ -41,30 +41,38 @@ class LRModel:
         }
 
 
+# A diverging fit overflows to inf/nan; lr_fit turns that into
+# DivergedLossError, so NumPy's floating-point warnings are silenced here.
+_QUIET = dict(over="ignore", invalid="ignore")
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
+    with np.errstate(**_QUIET):
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        e = np.exp(z[~pos])
+        out[~pos] = e / (1.0 + e)
     return out
 
 
 def nll_loss(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float) -> float:
     """Mean negative log-likelihood + (l2/2)*||w||^2, computed without overflow."""
-    z = x @ w + b
-    # log(1 + e^z) - y*z, via logaddexp for stability
-    per_row = np.logaddexp(0.0, z) - y * z
-    return float(per_row.mean() + 0.5 * l2 * np.dot(w, w))
+    with np.errstate(**_QUIET):
+        z = x @ w + b
+        # log(1 + e^z) - y*z, via logaddexp for stability
+        per_row = np.logaddexp(0.0, z) - y * z
+        return float(per_row.mean() + 0.5 * l2 * np.dot(w, w))
 
 
 def nll_gradient(
     w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of nll_loss with respect to (w, b)."""
-    residual = _sigmoid(x @ w + b) - y
-    grad_w = x.T @ residual / x.shape[0] + l2 * w
-    grad_b = float(residual.mean())
+    with np.errstate(**_QUIET):
+        residual = _sigmoid(x @ w + b) - y
+        grad_w = x.T @ residual / x.shape[0] + l2 * w
+        grad_b = float(residual.mean())
     return grad_w, grad_b
 
 

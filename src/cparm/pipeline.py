@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .arm import SweepResult, build_transactions, generate_rules, run_threshold_sweep
+from .arm import SweepResult, build_transactions, run_threshold_sweep
 from .central_points import CentralPointsTable, central_points, make_plan, partition_count
 from .dataset import (
     Dataset,
@@ -138,12 +139,6 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class EngineResult:
-    confusion: dict
-    metrics: dict
-
-
-@dataclass(frozen=True)
 class EvaluationReport:
     config: dict
     partitions: int
@@ -252,8 +247,7 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
     if config.dump_centres:
         _dump_centres(table, config.dump_centres)
     if config.dump_rules:
-        lowest = min(config.thresholds)
-        _dump_rules(generate_rules(transactions, lowest, lowest), config.dump_rules)
+        _dump_rules(sweep.rules, config.dump_rules)
 
     engine_results: dict = {}
     model_dumps: dict = {}
@@ -345,12 +339,32 @@ def dumps_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+@contextmanager
+def _atomic_open(path: str | Path):
+    """A text file that replaces ``path`` only once the block completes.
+
+    It is written as a temp file in the target's directory and moved over
+    ``path`` with os.replace, so a failure leaves neither a partial file nor
+    the temp file behind, and an older file at ``path`` stays as it was.
+    """
+    target = Path(path)
+    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(obj, path: str | Path) -> None:
-    Path(path).write_text(dumps_json(obj) + "\n", encoding="utf-8")
+    with _atomic_open(path) as fh:
+        fh.write(dumps_json(obj) + "\n")
 
 
 def _dump_centres(table: CentralPointsTable, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["attribute", "partition", "value", "frequency"])
         for cp in table.entries:
@@ -358,7 +372,7 @@ def _dump_centres(table: CentralPointsTable, path: str | Path) -> None:
 
 
 def _dump_rules(rules, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             [

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cparm.arm import (
     Item,
     Rule,
+    SweepEntry,
     Transaction,
     build_transactions,
     confidence,
@@ -25,6 +28,41 @@ from oracles import brute_force_rules, random_transactions
 
 def trans(*attr_value_pairs, label=0):
     return Transaction(frozenset(Item(a, v) for a, v in attr_value_pairs), label)
+
+
+# numeric and categorical payloads, mixed even within one attribute
+VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.sampled_from(["tcp", "udp", "icmp"]))
+
+
+@st.composite
+def mining_cases(draw, max_thresholds=1):
+    """(transactions, thresholds in (0, 1]) with an item held by one transaction.
+
+    That item's support is 1/n, so most thresholds prune it. Thresholds are
+    drawn both freely and from the items' exact supports, the boundary where
+    ``count / n >= minsup`` decides.
+    """
+    rows = draw(st.lists(
+        st.tuples(st.dictionaries(st.sampled_from("abcde"), VALUES), st.integers(0, 1)),
+        min_size=2, max_size=30,
+    ))
+    rare_row = draw(st.integers(0, len(rows) - 1))
+    transactions = [
+        Transaction(
+            frozenset([Item(a, v) for a, v in items.items()]
+                      + ([Item("rare", "once")] if k == rare_row else [])),
+            label,
+        )
+        for k, (items, label) in enumerate(rows)
+    ]
+    n = len(transactions)
+    supports = sorted({sum(item in t.items for t in transactions) / n
+                       for t in transactions for item in t.items})
+    threshold = st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True), st.sampled_from(supports)
+    )
+    thresholds = draw(st.lists(threshold, min_size=1, max_size=max_thresholds, unique=True))
+    return transactions, thresholds
 
 
 class TestBuildTransactions:
@@ -190,6 +228,16 @@ class TestGenerateRules:
         rng.shuffle(shuffled)
         assert generate_rules(transactions, 0.3, 0.3) == generate_rules(shuffled, 0.3, 0.3)
 
+    @settings(deadline=None)
+    @given(mining_cases())
+    def test_matches_oracle_with_pruned_items(self, case):
+        transactions, (threshold,) = case
+        got = [
+            (r.antecedent, r.consequent, r.support, r.confidence, r.importance, r.label)
+            for r in generate_rules(transactions, threshold, threshold)
+        ]
+        assert got == brute_force_rules(transactions, threshold, threshold)
+
 
 class TestSelectFeatures:
     def test_forced_scoring(self):
@@ -269,3 +317,18 @@ class TestThresholdSweep:
     def test_empty_transactions(self):
         with pytest.raises(EmptyTransactionsError):
             run_threshold_sweep([], 3)
+
+    @settings(deadline=None)
+    @given(mining_cases(max_thresholds=4), st.integers(1, 6))
+    def test_matches_mining_each_threshold(self, case, limit):
+        transactions, thresholds = case
+        sweep = run_threshold_sweep(transactions, limit, thresholds)
+        expected = []
+        for t in sorted(thresholds):
+            rules = generate_rules(transactions, t, t)
+            expected.append(
+                SweepEntry(t, (select_features(rules, limit, 0), select_features(rules, limit, 1)))
+            )
+        assert sweep.entries == tuple(expected)
+        lowest = min(thresholds)
+        assert sweep.rules == tuple(generate_rules(transactions, lowest, lowest))

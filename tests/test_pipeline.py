@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from cparm.arm import Item, Rule
+from cparm.central_points import CentralPoint, CentralPointsTable
 from cparm.dataset import split, synth_dataset, write_csv, SplitSpec
 from cparm.errors import (
     ConfigError,
@@ -15,6 +17,8 @@ from cparm.pipeline import (
     SourceFiles,
     SourceSplit,
     SourceSynthetic,
+    _dump_centres,
+    _dump_rules,
     dumps_json,
     emit_report,
     format_float,
@@ -219,6 +223,33 @@ class TestSerialization:
             "config", "partitions", "selected_features", "threshold_sweep",
             "engines", "timings_ms", "version",
         ]
+
+    def test_failed_writes_leave_no_file(self, tmp_path):
+        report = EvaluationReport(
+            config={}, partitions=1, selected_features=(), threshold_sweep=(),
+            engines={"nb": object()}, timings_ms={},
+        )
+        rule = Rule(Item("a", 1.0), Item("b", "x"), 0.5, 0.5, 0.5, label=1)
+        centre = CentralPoint("a", 0, 1.0, 3)
+        # each fails while serializing, the dumps after their first row
+        attempts = [
+            (lambda path: emit_report(report, path), TypeError),
+            (lambda path: _dump_rules([rule, None], path), AttributeError),
+            (lambda path: _dump_centres(CentralPointsTable((centre, None), 1, ("a",)), path),
+             AttributeError),
+        ]
+        for write, error in attempts:
+            with pytest.raises(error):
+                write(tmp_path / "out")
+            assert list(tmp_path.iterdir()) == []
+
+        # a failed write also leaves an older file at the target untouched
+        old = tmp_path / "report.json"
+        old.write_text("previous\n", encoding="utf-8")
+        with pytest.raises(TypeError):
+            emit_report(report, old)
+        assert list(tmp_path.iterdir()) == [old]
+        assert old.read_text(encoding="utf-8") == "previous\n"
 
     def test_undefined_metric_serializes_to_null(self):
         text = dumps_json({"precision": None})
