@@ -76,14 +76,9 @@ def mode_of(values: Sequence[Value]) -> tuple[Value, int] | None:
     if not counts:
         return None
     best = max(counts.values())
-    candidates = [v for v, c in counts.items() if c == best]
-    if len(candidates) == 1:
-        return candidates[0], best
-    first_seen: dict[Value, int] = {}
-    for i, v in enumerate(values):
-        if v is not None and v not in first_seen:
-            first_seen[v] = i
-    winner = max(candidates, key=lambda v: first_seen[v])
+    # Counter keeps first-occurrence order, so the last of the most frequent
+    # values is the one whose first occurrence comes latest
+    winner = [v for v, c in counts.items() if c == best][-1]
     return winner, best
 
 

@@ -111,7 +111,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         dump_model=args.dump_model,
         report_path=args.report,
     )
-    config.validate()
     report = run_pipeline(config)
     emit_report(report, args.report)
     return EXIT_OK

@@ -107,23 +107,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Ratio split (seeded shuffle) or two pre-split files."""
+    """Seeded-shuffle ratio split: ``fraction`` of the rows train."""
 
-    mode: Literal["ratio", "separate_files"]
-    fraction: float | None = None
-    train_path: str | None = None
-    test_path: str | None = None
+    fraction: float
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode == "ratio":
-            if self.fraction is None or not (0.0 < self.fraction < 1.0):
-                raise InvalidSpecError(f"split fraction must be in (0,1), got {self.fraction}")
-        elif self.mode == "separate_files":
-            if not self.train_path or not self.test_path:
-                raise InvalidSpecError("separate_files split needs both train and test paths")
-        else:
-            raise InvalidSpecError(f"unknown split mode {self.mode!r}")
+        if not (0.0 < self.fraction < 1.0):
+            raise InvalidSpecError(f"split fraction must be in (0,1), got {self.fraction}")
         _check_seed(self.seed)
 
 
@@ -186,7 +177,7 @@ def _read_raw_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -280,8 +271,6 @@ def project(dataset: Dataset, features: Sequence[str]) -> Dataset:
 
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Seeded-shuffle ratio split. First ceil(n * fraction) shuffled rows train."""
-    if spec.mode != "ratio":
-        raise InvalidSpecError("split() only handles ratio mode; load separate files directly")
     n = dataset.n_records
     if n < 2:
         raise TooFewRecordsError("ratio split needs at least 2 records")

@@ -47,13 +47,9 @@ _QUIET = dict(over="ignore", invalid="ignore")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    with np.errstate(**_QUIET):
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        e = np.exp(z[~pos])
-        out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function that never overflows: exp only sees -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def nll_loss(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float) -> float:
@@ -109,13 +105,12 @@ def lr_fit(matrix: FeatureMatrix, hyper: LRHyperParams = LRHyperParams()) -> LRM
     return LRModel(w, b, iterations, loss, tuple(names))
 
 
-def lr_predict(model: LRModel, row: np.ndarray) -> tuple[int, float]:
-    """(label, class-1 probability); probability exactly 0.5 predicts 1."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != model.weights.shape:
+def lr_predict(model: LRModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, class-1 probabilities) for every row of ``x``; 0.5 predicts 1."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.weights.shape[0]:
         raise SchemaMismatchError(
-            f"row width {row.shape} does not match model width {model.weights.shape}"
+            f"matrix shape {x.shape} does not match model width {model.weights.shape[0]}"
         )
-    z = float(row @ model.weights + model.bias)
-    p = float(_sigmoid(np.array([z]))[0])
-    return (1 if p >= 0.5 else 0), p
+    p = _sigmoid(x @ model.weights + model.bias)
+    return (p >= 0.5).astype(np.int64), p

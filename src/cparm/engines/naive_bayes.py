@@ -12,8 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..dataset import CATEGORICAL, NUMERIC, Dataset, Value
+import numpy as np
+
+from ..dataset import CATEGORICAL, Dataset, Value
 from ..errors import SchemaMismatchError, SingleClassTrainingError, UnknownFeatureError
+from .logistic import _sigmoid
 
 VARIANCE_FLOOR = 1e-9
 LAPLACE_ALPHA = 1.0
@@ -24,12 +27,19 @@ class CategoricalLikelihood:
     vocabulary: tuple[str, ...]
     tables: tuple[dict[str, float], dict[str, float]]  # token -> P(token | class)
 
-    def log_likelihood(self, token: str, label: int) -> float:
-        p = self.tables[label].get(token)
-        if p is None:
-            # unseen token: uniform over the training vocabulary
-            p = 1.0 / len(self.vocabulary) if self.vocabulary else 1.0
-        return math.log(p)
+    def log_likelihoods(self, column: Sequence[Value]) -> np.ndarray:
+        """(2, n) log P(cell | class); a missing cell contributes 0."""
+        bad = next((v for v in column if v is not None and not isinstance(v, str)), None)
+        if bad is not None:
+            raise SchemaMismatchError(f"expected token for categorical feature, got {bad!r}")
+        # unseen token: uniform over the training vocabulary
+        unseen = math.log(1.0 / len(self.vocabulary) if self.vocabulary else 1.0)
+        out = np.empty((2, len(column)))
+        for cls in (0, 1):
+            logs = {tok: math.log(p) for tok, p in self.tables[cls].items()}
+            logs[None] = 0.0
+            out[cls] = [logs.get(v, unseen) for v in column]
+        return out
 
 
 @dataclass(frozen=True)
@@ -37,10 +47,19 @@ class GaussianLikelihood:
     means: tuple[float, float]
     variances: tuple[float, float]
 
-    def log_likelihood(self, x: float, label: int) -> float:
-        mu = self.means[label]
-        var = self.variances[label]
-        return -0.5 * math.log(2.0 * math.pi * var) - (x - mu) ** 2 / (2.0 * var)
+    def log_likelihoods(self, column: Sequence[Value]) -> np.ndarray:
+        """(2, n) log N(cell | class mean, class variance); a missing cell contributes 0."""
+        bad = next((v for v in column if isinstance(v, str)), None)
+        if bad is not None:
+            raise SchemaMismatchError(f"expected number for numeric feature, got {bad!r}")
+        # NaN marks missing cells: parsing never yields a NaN value
+        x = np.array([math.nan if v is None else v for v in column], dtype=np.float64)
+        out = np.empty((2, len(column)))
+        for cls in (0, 1):
+            mu, var = self.means[cls], self.variances[cls]
+            out[cls] = -0.5 * math.log(2.0 * math.pi * var) - (x - mu) ** 2 / (2.0 * var)
+        out[:, np.isnan(x)] = 0.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -119,31 +138,20 @@ def nb_fit(train: Dataset, features: Sequence[str]) -> NBModel:
     return NBModel(tuple(features), tuple(kinds), priors, tuple(likelihoods))
 
 
-def nb_predict(model: NBModel, row: Sequence[Value]) -> tuple[int, float]:
-    """MAP label and the class-1 posterior for one row of raw feature values.
+def nb_predict(
+    model: NBModel, rows: Sequence[Sequence[Value]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """MAP labels and class-1 posteriors for rows of raw feature values.
 
     Missing cells contribute nothing to either class. Exact posterior ties
     predict 1: a false alarm is preferred over a miss.
     """
-    if len(row) != len(model.feature_names):
-        raise SchemaMismatchError(
-            f"row has {len(row)} values, model expects {len(model.feature_names)}"
-        )
-    logs = [math.log(model.priors[0]), math.log(model.priors[1])]
-    for value, kind, lik in zip(row, model.kinds, model.likelihoods):
-        if value is None:
-            continue
-        if kind == CATEGORICAL and not isinstance(value, str):
-            raise SchemaMismatchError(f"expected token for categorical feature, got {value!r}")
-        if kind == NUMERIC and isinstance(value, str):
-            raise SchemaMismatchError(f"expected number for numeric feature, got {value!r}")
-        for cls in (0, 1):
-            logs[cls] += lik.log_likelihood(value, cls)
-    label = 1 if logs[1] >= logs[0] else 0
-    d = logs[0] - logs[1]
-    if d >= 0:  # overflow-safe logistic of -d
-        e = math.exp(-d)
-        posterior_1 = e / (1.0 + e)
-    else:
-        posterior_1 = 1.0 / (1.0 + math.exp(d))
-    return label, posterior_1
+    width = len(model.feature_names)
+    bad = next((row for row in rows if len(row) != width), None)
+    if bad is not None:
+        raise SchemaMismatchError(f"row has {len(bad)} values, model expects {width}")
+    logs = np.empty((2, len(rows)))
+    logs[0], logs[1] = math.log(model.priors[0]), math.log(model.priors[1])
+    for column, lik in zip(zip(*rows), model.likelihoods):
+        logs += lik.log_likelihoods(column)
+    return (logs[1] >= logs[0]).astype(np.int64), _sigmoid(logs[1] - logs[0])

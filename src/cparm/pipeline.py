@@ -183,9 +183,9 @@ def _acquire(config: PipelineConfig) -> tuple[Dataset, Dataset]:
         return train, test
     if isinstance(src, SourceSplit):
         full = load_csv(src.path, config.label_column)
-        return split(full, SplitSpec("ratio", fraction=src.fraction, seed=config.seed))
+        return split(full, SplitSpec(src.fraction, config.seed))
     full, _manifest = synth_dataset(src.n_records, src.n_noise, src.n_signal, config.seed)
-    return split(full, SplitSpec("ratio", fraction=src.fraction, seed=config.seed))
+    return split(full, SplitSpec(src.fraction, config.seed))
 
 
 def _partition_labels(labels: Sequence[int], boundaries) -> list[int]:
@@ -249,17 +249,34 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
     if config.dump_rules:
         _dump_rules(sweep.rules, config.dump_rules)
 
+    requested = [e for e in ENGINE_ORDER if e in config.engines]
+    if "em" in requested or "lr" in requested:
+        with _stage("encode", timings):
+            matrix, encoder = encode(train, selected_names)
+            test_x = encoder.transform(test).rows
+
     engine_results: dict = {}
     model_dumps: dict = {}
-    requested = [e for e in ENGINE_ORDER if e in config.engines]
     for engine in requested:
-        preds, model_dict = _run_engine(engine, train, test, selected_names, config, timings)
-        cm = confusion(preds, list(test.labels))
+        with _stage(f"fit_{engine}", timings):
+            if engine == "nb":
+                model = nb_fit(train, selected_names)
+                predict, test_input = nb_predict, project(test, selected_names).records
+            elif engine == "lr":
+                model = lr_fit(matrix)
+                predict, test_input = lr_predict, test_x
+            else:
+                model = em_fit(matrix.unlabeled(), EMConfig(seed=config.seed))
+                model = model.with_mapping(map_clusters(model, matrix))
+                predict, test_input = em_predict, test_x
+        with _stage(f"predict_{engine}", timings):
+            labels, _ = predict(model, test_input)
+        cm = confusion(labels.tolist(), list(test.labels))
         engine_results[engine] = {
             "confusion": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},
             "metrics": compute_metrics(cm).to_dict(),
         }
-        model_dumps[engine] = model_dict
+        model_dumps[engine] = model.to_dict()
 
     if config.dump_model:
         _write_json(model_dumps, config.dump_model)
@@ -272,39 +289,6 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
         engines=engine_results,
         timings_ms=timings,
     )
-
-
-def _run_engine(
-    engine: str,
-    train: Dataset,
-    test: Dataset,
-    features: list[str],
-    config: PipelineConfig,
-    timings: dict,
-) -> tuple[list[int], dict]:
-    if engine == "nb":
-        with _stage("fit_nb", timings):
-            model = nb_fit(train, features)
-        with _stage("predict_nb", timings):
-            rows = project(test, features).records
-            preds = [nb_predict(model, row)[0] for row in rows]
-        return preds, model.to_dict()
-
-    with _stage(f"fit_{engine}", timings):
-        matrix, encoder = encode(train, features)
-        if engine == "lr":
-            model = lr_fit(matrix)
-        else:
-            model = em_fit(matrix.unlabeled(), EMConfig(seed=config.seed))
-            model = model.with_mapping(map_clusters(model, matrix))
-    with _stage(f"predict_{engine}", timings):
-        test_matrix = encoder.transform(test)
-        if engine == "lr":
-            preds = [lr_predict(model, row)[0] for row in test_matrix.rows]
-        else:
-            labels, _ = em_predict(model, test_matrix.rows)
-            preds = [int(v) for v in labels]
-    return preds, model.to_dict()
 
 
 # --- serialization -------------------------------------------------------------

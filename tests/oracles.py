@@ -54,6 +54,23 @@ def brute_force_rules(transactions, minsup, minconf):
     return rules
 
 
+def latest_first_occurrence_mode(values):
+    """(value, count) of the most frequent non-missing value, or None.
+
+    Ties go to the value whose first occurrence comes latest, found by an
+    explicit scan instead of relying on any container's ordering.
+    """
+    first_index = {}
+    for i, v in enumerate(values):
+        if v is not None and v not in first_index:
+            first_index[v] = i
+    if not first_index:
+        return None
+    counts = {v: sum(1 for u in values if u is not None and u == v) for v in first_index}
+    winner = max(first_index, key=lambda v: (counts[v], first_index[v]))
+    return winner, counts[winner]
+
+
 def random_transactions(rng, max_transactions=25, max_attributes=6, max_values=4):
     """A random transaction list for oracle comparisons."""
     n_trans = rng.randint(1, max_transactions)

@@ -180,7 +180,7 @@ def test_c07_nb_matches_raw_probability_oracle():
             for cls in (0, 1):
                 for value, lik in zip(row, model.likelihoods):
                     joint[cls] *= lik.tables[cls][value]
-            label, posterior_1 = nb_predict(model, row)
+            (label,), (posterior_1,) = nb_predict(model, [row])
             assert label == (1 if joint[1] >= joint[0] else 0)
             assert abs(posterior_1 - joint[1] / (joint[0] + joint[1])) < 1e-12
 

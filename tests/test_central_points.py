@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cparm.central_points import (
     central_points,
@@ -10,6 +12,15 @@ from cparm.central_points import (
 )
 from cparm.dataset import AttributeSchema, Dataset
 from cparm.errors import TooManyPartitionsError
+from oracles import latest_first_occurrence_mode
+
+# small pools make ties common; free floats cover exact numeric equality
+CELLS = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+    st.floats(allow_nan=False),
+    st.sampled_from(["tcp", "udp", "icmp"]),
+)
 
 
 class TestPartitionCount:
@@ -89,6 +100,10 @@ class TestModeOf:
 
     def test_three_way_tie(self):
         assert mode_of(["a", "b", "c"]) == ("c", 1)
+
+    @given(st.lists(CELLS, max_size=30))
+    def test_matches_tie_rule_oracle(self, values):
+        assert mode_of(values) == latest_first_occurrence_mode(values)
 
 
 def dataset_from_columns(columns, labels=None):

@@ -97,6 +97,7 @@ class TestRunCommand:
         code = main(["run", "--input", str(synth_csv), "--minsup-minconf", "0.4,2.0",
                      "--report", str(tmp_path / "r.json")])
         assert code == 2
+        assert not (tmp_path / "r.json").exists()
 
     def test_byte_identical_reports_modulo_timings(self, synth_csv, tmp_path):
         path = tmp_path / "report.json"
@@ -124,6 +125,105 @@ class TestRunCommand:
         assert (tmp_path / "c.csv").exists()
         assert (tmp_path / "rules.csv").exists()
         assert "lr" in json.loads((tmp_path / "m.json").read_text())
+
+
+def _rows(path):
+    # synthetic cells hold no commas or quotes, so splitting on "," is exact
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _write(path, rows, newline="\n", prefix=""):
+    text = prefix + "".join(",".join(row) + newline for row in rows)
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _run(source_args, report):
+    return main(["run", *source_args, "--num-features", "2", "--engines", "nb,lr",
+                 "--report", str(report)])
+
+
+def _report_body(path):
+    """The report minus its timings and the file paths echoed in its config."""
+    report = json.loads(path.read_text())
+    del report["timings_ms"], report["config"]["source"], report["config"]["report"]
+    return report
+
+
+class TestUtf8Bom:
+    def test_bom_file_gives_the_same_report_as_its_plain_twin(self, synth_csv, tmp_path):
+        label_first = [row[-1:] + row[:-1] for row in _rows(synth_csv)]
+        plain = _write(tmp_path / "plain.csv", label_first)
+        bom = _write(tmp_path / "bom.csv", label_first, prefix="\ufeff")
+        assert _run(["--input", str(plain)], tmp_path / "plain.json") == 0
+        assert _run(["--input", str(bom)], tmp_path / "bom.json") == 0
+        assert _report_body(tmp_path / "bom.json") == _report_body(tmp_path / "plain.json")
+
+    def test_bom_train_file_conforms_a_plain_test_file(self, synth_csv, tmp_path):
+        bom = _write(tmp_path / "bom.csv", _rows(synth_csv), prefix="\ufeff")
+        plain = str(synth_csv)
+        assert _run(["--train", plain, "--test", plain], tmp_path / "plain.json") == 0
+        assert _run(["--train", str(bom), "--test", plain], tmp_path / "bom.json") == 0
+        assert _report_body(tmp_path / "bom.json") == _report_body(tmp_path / "plain.json")
+
+
+def _input(edit, newline="\n"):
+    """Source arguments for one CSV: the good rows after ``edit``."""
+    def build(good, work):
+        return ["--input", str(_write(work / "data.csv", edit(_rows(good)), newline))]
+    return build
+
+
+def _files(edit_test):
+    """Source arguments for the good rows as train and edited rows as test."""
+    def build(good, work):
+        test = _write(work / "test.csv", edit_test(_rows(good)))
+        return ["--train", str(good), "--test", str(test)]
+    return build
+
+
+def _ragged(rows):
+    rows[7] = rows[7][:-2] + rows[7][-1:]
+    return rows
+
+
+def _unknown_label(rows):
+    rows[7][-1] = "martian"
+    return rows
+
+
+def _single_class(rows):
+    return [rows[0]] + [row for row in rows[1:] if row[-1] == "0"]
+
+
+def _renamed_columns(rows):
+    rows[0] = [name if name == "label" else f"x{name}" for name in rows[0]]
+    return rows
+
+
+# (case, source arguments built from the good CSV, exit code)
+FAULTS = [
+    ("ragged_row", _input(_ragged), 3),
+    ("header_only", _input(lambda rows: rows[:1]), 3),
+    ("unknown_label", _input(_unknown_label), 3),
+    ("single_class", _input(_single_class), 3),
+    ("renamed_test_columns", _files(_renamed_columns), 3),
+    ("crlf", _input(lambda rows: rows, newline="\r\n"), 0),
+]
+
+
+@pytest.mark.parametrize("build, want", [c[1:] for c in FAULTS], ids=[c[0] for c in FAULTS])
+def test_fault_injection_exit_code_and_no_stray_files(synth_csv, tmp_path, build, want):
+    work = tmp_path / "work"
+    work.mkdir()
+    report = work / "report.json"
+    assert _run(build(synth_csv, work), report) == want
+    assert not list(work.glob("*.tmp"))  # pathlib's * also matches dotfiles
+    if want != 0:
+        assert not report.exists()
+        return
+    assert _run(["--input", str(synth_csv)], tmp_path / "reference.json") == 0
+    assert _report_body(report) == _report_body(tmp_path / "reference.json")
 
 
 def test_module_entrypoint_smoke(tmp_path):

@@ -150,32 +150,32 @@ def make_dataset(n):
 
 class TestSplit:
     def test_ratio_cardinality(self):
-        train, test = split(make_dataset(10), SplitSpec("ratio", fraction=0.8, seed=42))
+        train, test = split(make_dataset(10), SplitSpec(0.8, seed=42))
         assert train.n_records == 8 and test.n_records == 2
         combined = sorted(train.records + test.records)
         assert combined == sorted(make_dataset(10).records)
 
     def test_two_rows_boundary(self):
-        train, test = split(make_dataset(2), SplitSpec("ratio", fraction=0.5, seed=0))
+        train, test = split(make_dataset(2), SplitSpec(0.5, seed=0))
         assert train.n_records == 1 and test.n_records == 1
 
     def test_deterministic(self):
-        spec = SplitSpec("ratio", fraction=0.7, seed=123)
+        spec = SplitSpec(0.7, seed=123)
         a = split(make_dataset(50), spec)
         b = split(make_dataset(50), spec)
         assert a == b
 
     def test_high_fraction_keeps_test_non_empty(self):
-        train, test = split(make_dataset(5), SplitSpec("ratio", fraction=0.99, seed=1))
+        train, test = split(make_dataset(5), SplitSpec(0.99, seed=1))
         assert test.n_records >= 1
 
     def test_too_few_records(self):
         with pytest.raises(TooFewRecordsError):
-            split(make_dataset(1), SplitSpec("ratio", fraction=0.5, seed=0))
+            split(make_dataset(1), SplitSpec(0.5, seed=0))
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(InvalidSpecError):
-            SplitSpec("ratio", fraction=1.0, seed=0)
+            SplitSpec(1.0, seed=0)
 
 
 class TestSynthDataset:
@@ -237,7 +237,7 @@ class TestSplitProperties:
         rng = random.Random(0)
         ds = make_dataset(37)
         for _ in range(20):
-            spec = SplitSpec("ratio", fraction=rng.uniform(0.1, 0.9), seed=rng.getrandbits(32))
+            spec = SplitSpec(rng.uniform(0.1, 0.9), seed=rng.getrandbits(32))
             train, test = split(ds, spec)
             assert sorted(train.records + test.records) == sorted(ds.records)
             assert train.n_records >= 1 and test.n_records >= 1

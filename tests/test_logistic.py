@@ -31,14 +31,17 @@ class TestFit:
     def test_separable_data_reaches_full_training_accuracy(self):
         matrix = separable_matrix()
         model = lr_fit(matrix)
-        preds = [lr_predict(model, row)[0] for row in matrix.rows]
+        preds = [lr_predict(model, row[None])[0][0] for row in matrix.rows]
         assert preds == list(matrix.labels)
+        labels, probs = lr_predict(model, matrix.rows)
+        assert labels.tolist() == preds
+        assert probs.tolist() == [lr_predict(model, row[None])[1][0] for row in matrix.rows]
 
     def test_zero_iterations_is_the_zero_model(self):
         model = lr_fit(separable_matrix(), LRHyperParams(max_iterations=0))
         assert model.weights.tolist() == [0.0]
         assert model.bias == 0.0
-        label, prob = lr_predict(model, np.array([3.0]))
+        (label,), (prob,) = lr_predict(model, np.array([3.0])[None])
         assert prob == 0.5 and label == 1
 
     def test_single_class_rejected(self):
@@ -68,19 +71,20 @@ class TestFit:
 class TestPredict:
     def test_logistic_of_log_three(self):
         model = LRModel(np.zeros(1), math.log(3.0), 0, 0.0, ("x",))
-        label, prob = lr_predict(model, np.array([0.0]))
+        (label,), (prob,) = lr_predict(model, np.array([0.0])[None])
         assert abs(prob - 0.75) < 1e-15
         assert label == 1
 
     def test_saturation(self):
         model = LRModel(np.array([50.0]), 0.0, 0, 0.0, ("x",))
-        _, prob = lr_predict(model, np.array([20.0]))
+        _, (prob,) = lr_predict(model, np.array([20.0])[None])
         assert prob > 1 - 1e-12
 
     def test_width_mismatch(self):
         model = LRModel(np.zeros(2), 0.0, 0, 0.0, ("a", "b"))
-        with pytest.raises(SchemaMismatchError):
-            lr_predict(model, np.array([1.0]))
+        for x in (np.array([1.0])[None], np.zeros(2), np.zeros((3, 3))):
+            with pytest.raises(SchemaMismatchError):
+                lr_predict(model, x)
 
 
 class TestGradient:

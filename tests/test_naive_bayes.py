@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -64,38 +65,44 @@ def hand_model(p_x0=0.9, p_x1=0.1, priors=(0.5, 0.5)):
 
 class TestPredict:
     def test_two_term_bayes_by_hand(self):
-        label, posterior_1 = nb_predict(hand_model(), ["x"])
+        (label,), (posterior_1,) = nb_predict(hand_model(), [["x"]])
         assert label == 0
         assert abs(posterior_1 - 0.1) < 1e-12
 
     def test_prior_decides_when_likelihoods_equal(self):
         model = hand_model(p_x0=0.5, p_x1=0.5, priors=(0.7, 0.3))
-        label, posterior_1 = nb_predict(model, ["x"])
+        (label,), (posterior_1,) = nb_predict(model, [["x"]])
         assert label == 0
         assert abs(posterior_1 - 0.3) < 1e-12
 
     def test_exact_tie_predicts_attack(self):
         model = hand_model(p_x0=0.5, p_x1=0.5, priors=(0.5, 0.5))
-        label, posterior_1 = nb_predict(model, ["x"])
+        (label,), (posterior_1,) = nb_predict(model, [["x"]])
         assert label == 1 and posterior_1 == 0.5
 
     def test_missing_value_skipped(self):
-        label, posterior_1 = nb_predict(hand_model(priors=(0.25, 0.75)), [None])
+        (label,), (posterior_1,) = nb_predict(hand_model(priors=(0.25, 0.75)), [[None]])
         assert label == 1
         assert abs(posterior_1 - 0.75) < 1e-12
 
     def test_unseen_token_uses_uniform_likelihood(self):
-        label, posterior_1 = nb_predict(hand_model(), ["z"])
+        (label,), (posterior_1,) = nb_predict(hand_model(), [["z"]])
         # both classes get 1/|vocab|; priors tie; attack wins
         assert label == 1 and posterior_1 == 0.5
 
     def test_schema_mismatch(self):
-        with pytest.raises(SchemaMismatchError):
-            nb_predict(hand_model(), ["x", "y"])
+        for rows in ([["x", "y"]], [["x"], ["y"], ["x", "y"]]):
+            with pytest.raises(SchemaMismatchError):
+                nb_predict(hand_model(), rows)
 
     def test_wrong_value_type(self):
-        with pytest.raises(SchemaMismatchError):
-            nb_predict(hand_model(), [3.0])
+        for rows in ([[3.0]], [["x"], [None], [3.0]]):
+            with pytest.raises(SchemaMismatchError):
+                nb_predict(hand_model(), rows)
+
+    def test_no_rows(self):
+        labels, posterior_1 = nb_predict(hand_model(), [])
+        assert labels.shape == (0,) and posterior_1.shape == (0,)
 
     def test_matches_raw_probability_oracle(self):
         rng = random.Random(17)
@@ -127,12 +134,51 @@ class TestPredict:
             want_label = 1 if joint[1] >= joint[0] else 0
             want_posterior = joint[1] / (joint[0] + joint[1])
 
-            label, posterior_1 = nb_predict(model, row)
+            (label,), (posterior_1,) = nb_predict(model, [row])
             assert label == want_label
             assert abs(posterior_1 - want_posterior) < 1e-12
 
 
+def per_row_log_posteriors(model, row):
+    """Reference: the unnormalized log posteriors of one row, cell by cell."""
+    logs = [math.log(model.priors[0]), math.log(model.priors[1])]
+    for value, lik in zip(row, model.likelihoods):
+        if value is None:
+            continue
+        for cls in (0, 1):
+            if isinstance(lik, CategoricalLikelihood):
+                logs[cls] += math.log(lik.tables[cls].get(value, 1.0 / len(lik.vocabulary)))
+            else:
+                mu, var = lik.means[cls], lik.variances[cls]
+                logs[cls] += -0.5 * math.log(2.0 * math.pi * var) - (value - mu) ** 2 / (2.0 * var)
+    return logs
+
+
 class TestFitPredictEndToEnd:
+    def test_batch_matches_per_row_reference(self):
+        rng = random.Random(5)
+
+        def cell(kind, label, tokens):
+            if rng.random() < 0.1:
+                return None
+            if kind == "numeric":
+                return rng.gauss(float(label), 1.5)
+            return rng.choice(tokens[: 2 + label])
+
+        kinds = ["numeric", "categorical", "numeric", "categorical"]
+        labels = [i % 2 for i in range(300)]
+        columns = [[cell(k, y, "abc") for y in labels] for k in kinds]
+        model = nb_fit(labeled_dataset(columns, kinds, labels), ["f0", "f1", "f2", "f3"])
+        # "z" never occurs in training
+        rows = [[cell(k, rng.randint(0, 1), "abz") for k in kinds] for _ in range(500)]
+        got_labels, got_posteriors = nb_predict(model, rows)
+        for row, label, posterior_1 in zip(rows, got_labels, got_posteriors):
+            log0, log1 = per_row_log_posteriors(model, row)
+            assert label == (1 if log1 >= log0 else 0)
+            # a tolerance, not equality: numpy squares exactly where libm's
+            # pow(d, 2) can be one ulp off, and np.exp is not math.exp
+            assert abs(posterior_1 - 1.0 / (1.0 + math.exp(log0 - log1))) < 1e-12
+
     def test_gaussian_separation(self):
         rng = random.Random(2)
         values = [rng.gauss(0.0, 1.0) for _ in range(100)] + [
@@ -142,7 +188,7 @@ class TestFitPredictEndToEnd:
         ds = labeled_dataset([values], ["numeric"], labels)
         model = nb_fit(ds, ["f0"])
         correct = sum(
-            nb_predict(model, row)[0] == label
+            nb_predict(model, [row])[0][0] == label
             for row, label in zip(ds.records, ds.labels)
         )
         assert correct / 200 >= 0.99
@@ -155,4 +201,4 @@ class TestFitPredictEndToEnd:
         for token in ("a", "b"):
             joint = [model.priors[c] * model.likelihoods[0].tables[c][token] for c in (0, 1)]
             want = 1 if joint[1] >= joint[0] else 0
-            assert nb_predict(model, [token])[0] == want
+            assert nb_predict(model, [[token]])[0][0] == want

@@ -102,7 +102,7 @@ class TestRunPipeline:
     def test_timing_keys_cover_every_stage(self):
         report = run_pipeline(synthetic_config(engines=("nb", "em")))
         assert list(report.timings_ms) == [
-            "load", "central_points", "arm", "fit_em", "predict_em",
+            "load", "central_points", "arm", "encode", "fit_em", "predict_em",
             "fit_nb", "predict_nb",
         ]
         assert all(v >= 0 for v in report.timings_ms.values())
@@ -110,8 +110,8 @@ class TestRunPipeline:
     def test_selection_ignores_test_set(self, tmp_path):
         # same training file, two different test files: identical selection
         full, _ = synth_dataset(1200, 6, 2, seed=21)
-        train, rest = split(full, SplitSpec("ratio", fraction=0.5, seed=21))
-        test_a, test_b = split(rest, SplitSpec("ratio", fraction=0.5, seed=22))
+        train, rest = split(full, SplitSpec(0.5, seed=21))
+        test_a, test_b = split(rest, SplitSpec(0.5, seed=22))
         for name, ds in [("train", train), ("ta", test_a), ("tb", test_b)]:
             write_csv(ds, tmp_path / f"{name}.csv")
         report_a = run_pipeline(
