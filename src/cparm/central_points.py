@@ -85,10 +85,8 @@ def mode_of(values: Sequence[Value]) -> tuple[Value, int] | None:
 def central_points(dataset: Dataset, p: int) -> CentralPointsTable:
     """Mode of every attribute within every partition of an equal-split plan."""
     plan = make_plan(dataset.n_records, p)
-    columns = list(zip(*dataset.records))
     entries: list[CentralPoint] = []
-    for attr in dataset.schema:
-        col = columns[attr.index]
+    for attr, col in zip(dataset.schema, dataset.columns):
         for k, (start, end) in enumerate(plan.boundaries):
             found = mode_of(col[start:end])
             if found is None:

@@ -1,8 +1,9 @@
 """Loading, typing, splitting, and synthesizing labeled flow datasets.
 
-A dataset is a row-major table of typed cells plus a binary label per row
-(0 = normal traffic, 1 = attack). Cells are plain Python values: ``float``
-for numeric, ``str`` for categorical, ``None`` for missing.
+A dataset is a column-major table of typed cells, one tuple per attribute,
+plus a binary label per row (0 = normal traffic, 1 = attack). Cells are
+plain Python values: ``float`` for numeric, ``str`` for categorical,
+``None`` for missing. Text is transposed once, at the CSV boundary.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -63,36 +65,31 @@ class AttributeSchema:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable labeled table. ``name`` is descriptive metadata only."""
+    """Immutable labeled table, one column per attribute. ``name`` is metadata only."""
 
     schema: tuple[AttributeSchema, ...]
-    records: tuple[tuple[Value, ...], ...]
+    columns: tuple[tuple[Value, ...], ...]
     labels: tuple[int, ...]
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "records", tuple(tuple(r) for r in self.records))
+        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
         object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.records:
+        if not self.labels:
             raise EmptyDatasetError("dataset has no records")
-        if len(self.labels) != len(self.records):
-            raise SchemaMismatchError(
-                f"{len(self.labels)} labels for {len(self.records)} records"
-            )
         names = [a.name for a in self.schema]
         if len(set(names)) != len(names):
             raise SchemaMismatchError("duplicate attribute names in schema")
         if [a.index for a in self.schema] != list(range(len(self.schema))):
             raise SchemaMismatchError("schema indices are not contiguous from 0")
-        width = len(self.schema)
-        for i, row in enumerate(self.records):
-            if len(row) != width:
-                raise SchemaMismatchError(f"row {i} has {len(row)} cells, schema has {width}")
+        n = len(self.labels)
+        if len(self.columns) != len(self.schema) or any(len(c) != n for c in self.columns):
+            raise SchemaMismatchError(f"expected {len(self.schema)} columns of {n} cells each")
 
     @property
     def n_records(self) -> int:
-        return len(self.records)
+        return len(self.labels)
 
     @property
     def n_attributes(self) -> int:
@@ -100,9 +97,6 @@ class Dataset:
 
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.schema)
-
-    def column(self, index: int) -> tuple[Value, ...]:
-        return tuple(row[index] for row in self.records)
 
 
 @dataclass(frozen=True)
@@ -148,32 +142,27 @@ def map_label(token: str) -> int | None:
 
 
 def infer_schema(
-    raw_rows: Sequence[Sequence[str]], names: Sequence[str] | None = None
+    text_columns: Sequence[Sequence[str]], names: Sequence[str] | None = None
 ) -> list[AttributeSchema]:
-    """Infer column kinds from raw text rows.
+    """Infer column kinds from raw text columns.
 
     A column is numeric iff every non-empty cell parses as a number; empty
     cells are ignored for the kind decision. Columns with no non-empty cell
     default to numeric (vacuous).
     """
-    if not raw_rows:
-        raise EmptyDatasetError("cannot infer a schema from zero rows")
-    width = len(raw_rows[0])
+    if not text_columns or not text_columns[0]:
+        raise EmptyDatasetError("cannot infer a schema without columns and rows")
     if names is None:
-        names = [f"c{i}" for i in range(width)]
-    kinds: list[Kind] = []
-    for c in range(width):
-        kind: Kind = NUMERIC
-        for row in raw_rows:
-            cell = row[c]
-            if cell != "" and not is_numeric_token(cell):
-                kind = CATEGORICAL
-                break
-        kinds.append(kind)
-    return [AttributeSchema(names[c], c, kinds[c]) for c in range(width)]
+        names = [f"c{i}" for i in range(len(text_columns))]
+    kinds = [
+        NUMERIC if all(t == "" or is_numeric_token(t) for t in col) else CATEGORICAL
+        for col in text_columns
+    ]
+    return [AttributeSchema(names[c], c, kind) for c, kind in enumerate(kinds)]
 
 
-def _read_raw_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def _read_raw_csv(path: str | Path) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The header and the text of every column, the label column included."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
@@ -190,30 +179,36 @@ def _read_raw_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
             raise MalformedCsvError(i, f"expected {width} fields, got {len(row)}")
     if not rows:
         raise EmptyDatasetError(f"{path} has a header but no data rows")
-    return header, rows
+    return header, list(zip(*rows))
 
 
-def load_csv(path: str | Path, label_column: str) -> Dataset:
-    """Load a headered CSV, pulling ``label_column`` out as the binary label."""
-    header, rows = _read_raw_csv(path)
+def load_csv(
+    path: str | Path, label_column: str, schema: Sequence[AttributeSchema] | None = None
+) -> Dataset:
+    """Load a headered CSV, pulling ``label_column`` out as the binary label.
+
+    Column kinds are inferred from the text unless ``schema`` gives them. A
+    test file is typed from its own text under the training kinds, so a
+    token such as ``0`` stays ``0`` in a categorical column.
+    """
+    header, text = _read_raw_csv(path)
     if label_column not in header:
         raise UnknownLabelColumnError(label_column, header)
     label_idx = header.index(label_column)
 
-    labels = []
-    for i, row in enumerate(rows, start=1):
-        mapped = map_label(row[label_idx])
-        if mapped is None:
-            raise UnmappableLabelError(i, row[label_idx])
-        labels.append(mapped)
+    label_text = text.pop(label_idx)
+    labels = [map_label(token) for token in label_text]
+    if None in labels:
+        i = labels.index(None)
+        raise UnmappableLabelError(i + 1, label_text[i])
 
-    feat_names = [h for j, h in enumerate(header) if j != label_idx]
-    feat_rows = [[cell for j, cell in enumerate(row) if j != label_idx] for row in rows]
-    schema = infer_schema(feat_rows, feat_names)
-    records = [
-        tuple(parse_value(row[a.index], a.kind) for a in schema) for row in feat_rows
-    ]
-    return Dataset(tuple(schema), tuple(records), tuple(labels), name=Path(path).stem)
+    names = [h for j, h in enumerate(header) if j != label_idx]
+    if schema is None:
+        schema = infer_schema(text, names)
+    # every column as text first; conform then parses the numeric ones
+    as_text = [AttributeSchema(a, j, CATEGORICAL) for j, a in enumerate(names)]
+    raw = [tuple(t or None for t in col) for col in text]
+    return conform(Dataset(as_text, raw, labels, name=Path(path).stem), schema)
 
 
 def format_cell(value: Value) -> str:
@@ -230,16 +225,16 @@ def write_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(dataset.attribute_names()) + [label_column])
-        for row, label in zip(dataset.records, dataset.labels):
-            writer.writerow([format_cell(v) for v in row] + [str(label)])
+        for row in zip(*dataset.columns, dataset.labels):
+            writer.writerow([format_cell(v) for v in row])
 
 
 def conform(dataset: Dataset, schema: Sequence[AttributeSchema]) -> Dataset:
     """Re-type a dataset against a reference schema (same column names, in order).
 
-    Used to force a test file onto the training schema so kind inference on
-    the test set can never influence anything. Numeric cells that fail to
-    parse under the reference kind become Missing.
+    Only the columns whose kind differs are rebuilt, each cell through its
+    text: exact for text (categorical) columns, which is how load_csv types
+    a file. Cells that fail to parse under the reference kind become Missing.
     """
     ref = tuple(schema)
     if dataset.attribute_names() != tuple(a.name for a in ref):
@@ -248,11 +243,12 @@ def conform(dataset: Dataset, schema: Sequence[AttributeSchema]) -> Dataset:
         )
     if tuple(a.kind for a in dataset.schema) == tuple(a.kind for a in ref):
         return dataset
-    records = tuple(
-        tuple(parse_value(format_cell(v), a.kind) for v, a in zip(row, ref))
-        for row in dataset.records
+    columns = tuple(
+        col if have.kind == want.kind
+        else tuple(parse_value(format_cell(v), want.kind) for v in col)
+        for col, have, want in zip(dataset.columns, dataset.schema, ref)
     )
-    return Dataset(ref, records, dataset.labels, name=dataset.name)
+    return Dataset(ref, columns, dataset.labels, name=dataset.name)
 
 
 def project(dataset: Dataset, features: Sequence[str]) -> Dataset:
@@ -261,12 +257,18 @@ def project(dataset: Dataset, features: Sequence[str]) -> Dataset:
     missing = [f for f in features if f not in by_name]
     if missing:
         raise SchemaMismatchError(f"unknown attributes: {missing}")
-    cols = [by_name[f].index for f in features]
     schema = tuple(
         AttributeSchema(f, i, by_name[f].kind) for i, f in enumerate(features)
     )
-    records = tuple(tuple(row[c] for c in cols) for row in dataset.records)
-    return Dataset(schema, records, dataset.labels, name=dataset.name)
+    columns = tuple(dataset.columns[by_name[f].index] for f in features)
+    return Dataset(schema, columns, dataset.labels, name=dataset.name)
+
+
+def _take(dataset: Dataset, indices: Sequence[int], name: str) -> Dataset:
+    """The rows at ``indices``, in that order."""
+    pick = operator.itemgetter(*indices)  # gives a bare cell, not a 1-tuple, for one index
+    take = pick if len(indices) > 1 else lambda col: (pick(col),)
+    return Dataset(dataset.schema, map(take, dataset.columns), take(dataset.labels), name=name)
 
 
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -278,28 +280,14 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     random.Random(spec.seed).shuffle(order)
     # clamp keeps both sides non-empty even when ceil(n * f) == n
     k = min(max(1, math.ceil(n * spec.fraction)), n - 1)
-    train_idx, test_idx = order[:k], order[k:]
-
-    def take(indices: list[int], suffix: str) -> Dataset:
-        return Dataset(
-            dataset.schema,
-            tuple(dataset.records[i] for i in indices),
-            tuple(dataset.labels[i] for i in indices),
-            name=f"{dataset.name}{suffix}" if dataset.name else suffix.strip("-"),
-        )
-
-    return take(train_idx, "-train"), take(test_idx, "-test")
+    prefix = f"{dataset.name}-" if dataset.name else ""
+    return _take(dataset, order[:k], f"{prefix}train"), _take(dataset, order[k:], f"{prefix}test")
 
 
 def group_by_label(dataset: Dataset) -> Dataset:
     """Stable-reorder rows so all label-0 rows precede label-1 rows."""
-    order = sorted(range(dataset.n_records), key=lambda i: dataset.labels[i])
-    return Dataset(
-        dataset.schema,
-        tuple(dataset.records[i] for i in order),
-        tuple(dataset.labels[i] for i in order),
-        name=dataset.name,
-    )
+    order = sorted(range(dataset.n_records), key=dataset.labels.__getitem__)
+    return _take(dataset, order, dataset.name)
 
 
 # --- synthetic data -----------------------------------------------------------
@@ -379,24 +367,26 @@ def synth_dataset(
             kinds.append(NUMERIC if noise_rank[i] % 2 == 0 else CATEGORICAL)
 
     labels = tuple(i % 2 for i in range(n_records))
-    records = []
+    # draws stay in row-major order, so every seed keeps its values
+    columns: list = [[] for _ in range(m)]
     for label in labels:
-        row: list[Value] = []
         for i in range(m):
             if i in signal_set:
                 k = sig_rank[i]
                 if kinds[i] == NUMERIC:
-                    row.append(_signal_numeric(r, label, center=10 + 4 * k))
+                    columns[i].append(_signal_numeric(r, label, center=10 + 4 * k))
                 else:
-                    row.append(_signal_categorical(r, label, (f"s{k}a", f"s{k}b")))
+                    columns[i].append(_signal_categorical(r, label, (f"s{k}a", f"s{k}b")))
             else:
                 if kinds[i] == NUMERIC:
-                    row.append(r.random())
+                    columns[i].append(r.random())
                 else:
-                    row.append(f"n{int(r.random() * 4)}")
-        records.append(tuple(row))
+                    columns[i].append(f"n{int(r.random() * 4)}")
+    for i in range(m):
+        # one column at a time, so a list and its tuple copy never all coexist
+        columns[i] = tuple(columns[i])
 
     schema = tuple(AttributeSchema(names[i], i, kinds[i]) for i in range(m))
-    dataset = Dataset(schema, tuple(records), labels, name=f"synth-{seed}")
+    dataset = Dataset(schema, columns, labels, name=f"synth-{seed}")
     manifest = SynthManifest(tuple(names[i] for i in signal_positions), seed)
     return dataset, manifest

@@ -9,6 +9,7 @@ mode before encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -64,30 +65,25 @@ class FeatureEncoder:
         out = np.zeros((n, sum(c.width for c in self.columns)), dtype=np.float64)
         offset = 0
         for spec in self.columns:
-            col_idx = by_name[spec.attribute]
+            column = dataset.columns[by_name[spec.attribute]]
             if spec.kind == NUMERIC:
-                vals = np.array(
-                    [
-                        _fill(row[col_idx], spec.impute)
-                        for row in dataset.records
-                    ],
-                    dtype=np.float64,
-                )
-                out[:, offset] = (vals - spec.mean) / spec.std
+                out[:, offset] = (_filled(column, spec.impute) - spec.mean) / spec.std
             else:
                 lookup = {tok: j for j, tok in enumerate(spec.categories)}
-                for i, row in enumerate(dataset.records):
-                    tok = _fill(row[col_idx], spec.impute)
-                    j = lookup.get(tok)
-                    if j is not None:
-                        out[i, offset + j] = 1.0
+                lookup[None] = lookup.get(spec.impute, -1)
+                codes = np.array([lookup.get(v, -1) for v in column], dtype=np.intp)
+                seen = np.flatnonzero(codes >= 0)
+                out[seen, offset + codes[seen]] = 1.0
             offset += spec.width
         labels = np.asarray(dataset.labels, dtype=np.int64)
         return FeatureMatrix(self.columns, out, labels)
 
 
-def _fill(value: Value, impute: Value) -> Value:
-    return impute if value is None else value
+def _filled(column: Sequence[Value], impute: Value) -> np.ndarray:
+    """A numeric column as float64, missing cells replaced by ``impute``."""
+    x = np.array(column, dtype=np.float64)  # None -> NaN; parsing never yields NaN
+    x[np.isnan(x)] = impute
+    return x
 
 
 def encode(train: Dataset, features: list[str]) -> tuple[FeatureMatrix, FeatureEncoder]:
@@ -98,18 +94,18 @@ def encode(train: Dataset, features: list[str]) -> tuple[FeatureMatrix, FeatureE
         attr = by_name.get(name)
         if attr is None:
             raise UnknownFeatureError(name)
-        column = train.column(attr.index)
+        column = train.columns[attr.index]
         found = mode_of(column)
         impute: Value = found[0] if found is not None else (0.0 if attr.kind == NUMERIC else "")
         if attr.kind == NUMERIC:
-            vals = np.array([_fill(v, impute) for v in column], dtype=np.float64)
+            vals = _filled(column, impute)
             mean = float(vals.mean())
             std = float(vals.std())
             if std == 0.0:
                 std = 1.0  # constant column: center only
             specs.append(ColumnSpec(name, NUMERIC, mean=mean, std=std, impute=impute))
         else:
-            tokens = sorted({_fill(v, impute) for v in column})
+            tokens = sorted({impute if v is None else v for v in column})
             specs.append(ColumnSpec(name, CATEGORICAL, categories=tuple(tokens), impute=impute))
     encoder = FeatureEncoder(tuple(specs))
     return encoder.transform(train), encoder

@@ -52,13 +52,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+# The loss and its gradient given the logits z = x @ w + b, which lr_fit
+# computes once per iteration for both.
+def _loss_at(z: np.ndarray, w: np.ndarray, y: np.ndarray, l2: float) -> float:
+    # log(1 + e^z) - y*z, via logaddexp for stability
+    return float((np.logaddexp(0.0, z) - y * z).mean() + 0.5 * l2 * np.dot(w, w))
+
+
+def _gradient_at(
+    z: np.ndarray, w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float
+) -> tuple[np.ndarray, float]:
+    residual = _sigmoid(z) - y
+    return x.T @ residual / x.shape[0] + l2 * w, float(residual.mean())
+
+
 def nll_loss(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float) -> float:
     """Mean negative log-likelihood + (l2/2)*||w||^2, computed without overflow."""
     with np.errstate(**_QUIET):
-        z = x @ w + b
-        # log(1 + e^z) - y*z, via logaddexp for stability
-        per_row = np.logaddexp(0.0, z) - y * z
-        return float(per_row.mean() + 0.5 * l2 * np.dot(w, w))
+        return _loss_at(x @ w + b, w, y, l2)
 
 
 def nll_gradient(
@@ -66,10 +77,7 @@ def nll_gradient(
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of nll_loss with respect to (w, b)."""
     with np.errstate(**_QUIET):
-        residual = _sigmoid(x @ w + b) - y
-        grad_w = x.T @ residual / x.shape[0] + l2 * w
-        grad_b = float(residual.mean())
-    return grad_w, grad_b
+        return _gradient_at(x @ w + b, w, x, y, l2)
 
 
 def lr_fit(matrix: FeatureMatrix, hyper: LRHyperParams = LRHyperParams()) -> LRModel:
@@ -82,20 +90,23 @@ def lr_fit(matrix: FeatureMatrix, hyper: LRHyperParams = LRHyperParams()) -> LRM
     x = matrix.rows
     w = np.zeros(matrix.width, dtype=np.float64)
     b = 0.0
-    loss = nll_loss(w, b, x, y, hyper.l2)
     iterations = 0
-    for _ in range(hyper.max_iterations):
-        grad_w, grad_b = nll_gradient(w, b, x, y, hyper.l2)
-        w = w - hyper.learning_rate * grad_w
-        b = b - hyper.learning_rate * grad_b
-        new_loss = nll_loss(w, b, x, y, hyper.l2)
-        iterations += 1
-        if not np.isfinite(new_loss) or not np.all(np.isfinite(w)):
-            raise DivergedLossError(f"loss became non-finite at iteration {iterations}")
-        if abs(loss - new_loss) < hyper.tolerance:
+    with np.errstate(**_QUIET):
+        z = x @ w + b
+        loss = _loss_at(z, w, y, hyper.l2)
+        for _ in range(hyper.max_iterations):
+            grad_w, grad_b = _gradient_at(z, w, x, y, hyper.l2)
+            w = w - hyper.learning_rate * grad_w
+            b = b - hyper.learning_rate * grad_b
+            z = x @ w + b
+            new_loss = _loss_at(z, w, y, hyper.l2)
+            iterations += 1
+            if not np.isfinite(new_loss) or not np.all(np.isfinite(w)):
+                raise DivergedLossError(f"loss became non-finite at iteration {iterations}")
+            if abs(loss - new_loss) < hyper.tolerance:
+                loss = new_loss
+                break
             loss = new_loss
-            break
-        loss = new_loss
     names: list[str] = []
     for c in matrix.columns:
         if c.categories:

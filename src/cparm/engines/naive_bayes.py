@@ -52,8 +52,8 @@ class GaussianLikelihood:
         bad = next((v for v in column if isinstance(v, str)), None)
         if bad is not None:
             raise SchemaMismatchError(f"expected number for numeric feature, got {bad!r}")
-        # NaN marks missing cells: parsing never yields a NaN value
-        x = np.array([math.nan if v is None else v for v in column], dtype=np.float64)
+        # None becomes NaN, which marks missing cells: parsing never yields a NaN value
+        x = np.array(column, dtype=np.float64)
         out = np.empty((2, len(column)))
         for cls in (0, 1):
             mu, var = self.means[cls], self.variances[cls]
@@ -104,7 +104,7 @@ def nb_fit(train: Dataset, features: Sequence[str]) -> NBModel:
     for name in features:
         attr = by_name[name]
         kinds.append(attr.kind)
-        column = train.column(attr.index)
+        column = train.columns[attr.index]
         split = ([], [])
         for v, label in zip(column, train.labels):
             if v is not None:
@@ -139,19 +139,20 @@ def nb_fit(train: Dataset, features: Sequence[str]) -> NBModel:
 
 
 def nb_predict(
-    model: NBModel, rows: Sequence[Sequence[Value]]
+    model: NBModel, columns: Sequence[Sequence[Value]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """MAP labels and class-1 posteriors for rows of raw feature values.
+    """MAP labels and class-1 posteriors for raw feature values, one column
+    per model feature in the model's order.
 
     Missing cells contribute nothing to either class. Exact posterior ties
     predict 1: a false alarm is preferred over a miss.
     """
     width = len(model.feature_names)
-    bad = next((row for row in rows if len(row) != width), None)
-    if bad is not None:
-        raise SchemaMismatchError(f"row has {len(bad)} values, model expects {width}")
-    logs = np.empty((2, len(rows)))
+    n = len(columns[0]) if columns else 0
+    if len(columns) != width or any(len(col) != n for col in columns):
+        raise SchemaMismatchError(f"expected {width} columns of equal length")
+    logs = np.empty((2, n))
     logs[0], logs[1] = math.log(model.priors[0]), math.log(model.priors[1])
-    for column, lik in zip(zip(*rows), model.likelihoods):
+    for column, lik in zip(columns, model.likelihoods):
         logs += lik.log_likelihoods(column)
     return (logs[1] >= logs[0]).astype(np.int64), _sigmoid(logs[1] - logs[0])

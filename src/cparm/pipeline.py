@@ -23,7 +23,6 @@ from .central_points import CentralPointsTable, central_points, make_plan, parti
 from .dataset import (
     Dataset,
     SplitSpec,
-    conform,
     format_cell,
     group_by_label,
     load_csv,
@@ -179,8 +178,7 @@ def _acquire(config: PipelineConfig) -> tuple[Dataset, Dataset]:
     src = config.source
     if isinstance(src, SourceFiles):
         train = load_csv(src.train_path, config.label_column)
-        test = conform(load_csv(src.test_path, config.label_column), train.schema)
-        return train, test
+        return train, load_csv(src.test_path, config.label_column, train.schema)
     if isinstance(src, SourceSplit):
         full = load_csv(src.path, config.label_column)
         return split(full, SplitSpec(src.fraction, config.seed))
@@ -233,6 +231,7 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
         plan = make_plan(train_grouped.n_records, p)
         table = central_points(train_grouped, p)
         part_labels = _partition_labels(train_grouped.labels, plan.boundaries)
+        del train_grouped  # a full copy of the training columns
 
     with _stage("arm", timings):
         transactions = build_transactions(table, part_labels)
@@ -261,7 +260,7 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
         with _stage(f"fit_{engine}", timings):
             if engine == "nb":
                 model = nb_fit(train, selected_names)
-                predict, test_input = nb_predict, project(test, selected_names).records
+                predict, test_input = nb_predict, project(test, selected_names).columns
             elif engine == "lr":
                 model = lr_fit(matrix)
                 predict, test_input = lr_predict, test_x

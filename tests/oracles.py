@@ -13,6 +13,11 @@ from collections import Counter
 from cparm.arm import Item, Transaction
 
 
+def transpose(table):
+    """Rows to columns or columns to rows: the Dataset stores columns."""
+    return tuple(zip(*table))
+
+
 def brute_force_rules(transactions, minsup, minconf):
     """Exhaustive ordered-pair rule enumeration with independent counting.
 
@@ -71,6 +76,20 @@ def latest_first_occurrence_mode(values):
     return winner, counts[winner]
 
 
+def typed_text(token, kind):
+    """The cell a CSV token becomes under a column kind, for tokens that are
+    either empty, the repr of a finite float, or start with a letter."""
+    if token == "":
+        return None
+    if kind == "categorical":
+        return token
+    try:
+        x = float(token)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) and repr(x) == token else None
+
+
 def random_transactions(rng, max_transactions=25, max_attributes=6, max_values=4):
     """A random transaction list for oracle comparisons."""
     n_trans = rng.randint(1, max_transactions)
@@ -115,7 +134,7 @@ def mutual_information_ranking(dataset):
     """Features sorted by MI with the label, descending."""
     scored = []
     for attr in dataset.schema:
-        col = [row[attr.index] for row in dataset.records]
+        col = list(dataset.columns[attr.index])
         scored.append((histogram_mutual_information(col, list(dataset.labels)), attr.name))
     scored.sort(key=lambda s: (-s[0], s[1]))
     return [name for _, name in scored]

@@ -23,7 +23,12 @@ from cparm.engines.logistic import nll_gradient, nll_loss
 from cparm.engines.naive_bayes import CategoricalLikelihood, NBModel, nb_predict
 from cparm.metrics import ConfusionMatrix, compute_metrics
 from cparm.pipeline import PipelineConfig, SourceSynthetic, dumps_json, run_pipeline
-from oracles import brute_force_rules, mutual_information_ranking, random_transactions
+from oracles import (
+    brute_force_rules,
+    mutual_information_ranking,
+    random_transactions,
+    transpose,
+)
 
 
 @contextmanager
@@ -180,7 +185,7 @@ def test_c07_nb_matches_raw_probability_oracle():
             for cls in (0, 1):
                 for value, lik in zip(row, model.likelihoods):
                     joint[cls] *= lik.tables[cls][value]
-            (label,), (posterior_1,) = nb_predict(model, [row])
+            (label,), (posterior_1,) = nb_predict(model, transpose([row]))
             assert label == (1 if joint[1] >= joint[0] else 0)
             assert abs(posterior_1 - joint[1] / (joint[0] + joint[1])) < 1e-12
 

@@ -99,9 +99,8 @@ class TestBuildTransactions:
         n, p = 60, 10
         columns = [[float(rng.randint(0, 2)) for _ in range(n)] for _ in range(5)]
         schema = tuple(AttributeSchema(f"a{i}", i, "numeric") for i in range(5))
-        records = tuple(tuple(col[i] for col in columns) for i in range(n))
         labels = tuple(rng.randint(0, 1) for _ in range(n))
-        ds = Dataset(schema, records, labels)
+        ds = Dataset(schema, columns, labels)
 
         part_labels = [rng.randint(0, 1) for _ in range(p)]
         got = build_transactions(central_points(ds, p), part_labels)

@@ -113,10 +113,8 @@ def dataset_from_columns(columns, labels=None):
         for col in columns
     ]
     schema = tuple(AttributeSchema(n, i, k) for i, (n, k) in enumerate(zip(names, kinds)))
-    n = len(columns[0])
-    records = tuple(tuple(col[i] for col in columns) for i in range(n))
-    labels = tuple(labels or [0] * n)
-    return Dataset(schema, records, labels)
+    labels = tuple(labels or [0] * len(columns[0]))
+    return Dataset(schema, columns, labels)
 
 
 class TestCentralPoints:

@@ -167,6 +167,25 @@ class TestUtf8Bom:
         assert _report_body(tmp_path / "bom.json") == _report_body(tmp_path / "plain.json")
 
 
+def test_test_file_keeps_its_text_under_training_kinds(tmp_path):
+    # one "?" makes training column `a` categorical; the test file's "0" and
+    # "1" must stay those tokens, not become the unseen tokens "0.0" and "1.0"
+    def rows(n, missing):
+        out = [["a", "b", "label"]]
+        for i in range(n):
+            out.append(["?" if missing and i == 0 else str(i % 2), f"n{(i // 2) % 4}", str(i % 2)])
+        return out
+
+    train = _write(tmp_path / "train.csv", rows(200, missing=True))
+    test = _write(tmp_path / "test.csv", rows(50, missing=False))
+    report = tmp_path / "report.json"
+    assert main(["run", "--train", str(train), "--test", str(test), "--minsup-minconf", "0.2",
+                 "--num-features", "2", "--engines", "nb,lr", "--report", str(report)]) == 0
+    engines = json.loads(report.read_text())["engines"]
+    assert engines["nb"]["metrics"]["accuracy"] == 1.0
+    assert engines["lr"]["metrics"]["accuracy"] == 1.0
+
+
 def _input(edit, newline="\n"):
     """Source arguments for one CSV: the good rows after ``edit``."""
     def build(good, work):
@@ -205,6 +224,7 @@ def _renamed_columns(rows):
 FAULTS = [
     ("ragged_row", _input(_ragged), 3),
     ("header_only", _input(lambda rows: rows[:1]), 3),
+    ("label_column_only", _input(lambda rows: [row[-1:] for row in rows]), 3),
     ("unknown_label", _input(_unknown_label), 3),
     ("single_class", _input(_single_class), 3),
     ("renamed_test_columns", _files(_renamed_columns), 3),

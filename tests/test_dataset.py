@@ -1,12 +1,18 @@
+import csv
 import json
+import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cparm.dataset import (
     AttributeSchema,
     Dataset,
     SplitSpec,
+    conform,
     infer_schema,
     load_csv,
     split,
@@ -22,7 +28,7 @@ from cparm.errors import (
     UnknownLabelColumnError,
     UnmappableLabelError,
 )
-from oracles import histogram_mutual_information
+from oracles import histogram_mutual_information, transpose, typed_text
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -37,7 +43,7 @@ class TestLoadCsv:
         ds = load_csv(path, "label")
         assert [a.name for a in ds.schema] == ["dur", "proto"]
         assert [a.kind for a in ds.schema] == ["numeric", "categorical"]
-        assert ds.records == ((0.1, "tcp"), (0.2, "udp"))
+        assert transpose(ds.columns) == ((0.1, "tcp"), (0.2, "udp"))
         assert ds.labels == (0, 1)
 
     def test_ragged_row_rejected(self, tmp_path):
@@ -57,7 +63,7 @@ class TestLoadCsv:
         ]
         text = "dur,service,label\n" + "\n".join(",".join(r) for r in rows) + "\n"
         ds = load_csv(write(tmp_path, text), "label")
-        assert ds.records == tuple(
+        assert transpose(ds.columns) == tuple(
             (float(dur), service) for dur, service, _ in rows
         )
         assert ds.labels == tuple(0 if lab == "normal" else 1 for _, _, lab in rows)
@@ -86,7 +92,7 @@ class TestLoadCsv:
     def test_quoted_fields(self, tmp_path):
         path = write(tmp_path, 'a,label\n"tok,with,commas",0\n"say ""hi""",1\n')
         ds = load_csv(path, "label")
-        assert ds.records == (("tok,with,commas",), ('say "hi"',))
+        assert transpose(ds.columns) == (("tok,with,commas",), ('say "hi"',))
 
     def test_roundtrip_identity(self, tmp_path):
         text = "dur,proto,label\n0.1,tcp,0\n,udp,1\n2.5e-3,tcp,1\n"
@@ -98,37 +104,37 @@ class TestLoadCsv:
 
 class TestInferSchema:
     def test_all_numeric(self):
-        schema = infer_schema([["1"], ["2.5"], ["3"]])
+        schema = infer_schema(transpose([["1"], ["2.5"], ["3"]]))
         assert schema[0].kind == "numeric"
 
     def test_one_token_forces_categorical(self):
-        schema = infer_schema([["tcp"], ["2.5"]])
+        schema = infer_schema(transpose([["tcp"], ["2.5"]]))
         assert schema[0].kind == "categorical"
 
     def test_empty_cells_ignored_for_kind(self):
-        schema = infer_schema([[""], ["7"]])
+        schema = infer_schema(transpose([[""], ["7"]]))
         assert schema[0].kind == "numeric"
 
     def test_rejects_float_extras(self):
         # underscores, inf and nan are not numeric cells
         for token in ["1_0", "inf", "nan", " 7"]:
-            assert infer_schema([[token]])[0].kind == "categorical"
+            assert infer_schema(transpose([[token]]))[0].kind == "categorical"
 
     def test_empty_input(self):
         with pytest.raises(EmptyDatasetError):
-            infer_schema([])
+            infer_schema(transpose([]))
 
 
 class TestDatasetInvariants:
     def test_row_width_checked_on_construction(self):
         schema = (AttributeSchema("a", 0, "numeric"), AttributeSchema("b", 1, "numeric"))
         with pytest.raises(SchemaMismatchError):
-            Dataset(schema, ((1.0,),), (0,))
+            Dataset(schema, transpose(((1.0,),)), (0,))
 
     def test_labels_length_checked(self):
         schema = (AttributeSchema("a", 0, "numeric"),)
         with pytest.raises(SchemaMismatchError):
-            Dataset(schema, ((1.0,), (2.0,)), (0,))
+            Dataset(schema, transpose(((1.0,), (2.0,))), (0,))
 
     def test_at_least_one_record(self):
         schema = (AttributeSchema("a", 0, "numeric"),)
@@ -138,22 +144,21 @@ class TestDatasetInvariants:
     def test_duplicate_names_rejected(self):
         schema = (AttributeSchema("a", 0, "numeric"), AttributeSchema("a", 1, "numeric"))
         with pytest.raises(SchemaMismatchError):
-            Dataset(schema, ((1.0, 2.0),), (0,))
+            Dataset(schema, transpose(((1.0, 2.0),)), (0,))
 
 
 def make_dataset(n):
     schema = (AttributeSchema("x", 0, "numeric"),)
-    records = tuple((float(i),) for i in range(n))
     labels = tuple(i % 2 for i in range(n))
-    return Dataset(schema, records, labels)
+    return Dataset(schema, (tuple(float(i) for i in range(n)),), labels)
 
 
 class TestSplit:
     def test_ratio_cardinality(self):
         train, test = split(make_dataset(10), SplitSpec(0.8, seed=42))
         assert train.n_records == 8 and test.n_records == 2
-        combined = sorted(train.records + test.records)
-        assert combined == sorted(make_dataset(10).records)
+        combined = sorted(transpose(train.columns) + transpose(test.columns))
+        assert combined == sorted(transpose(make_dataset(10).columns))
 
     def test_two_rows_boundary(self):
         train, test = split(make_dataset(2), SplitSpec(0.5, seed=0))
@@ -210,7 +215,7 @@ class TestSynthDataset:
         labels = list(ds.labels)
         mi = {
             a.name: histogram_mutual_information(
-                [row[a.index] for row in ds.records], labels
+                list(ds.columns[a.index]), labels
             )
             for a in ds.schema
         }
@@ -239,5 +244,91 @@ class TestSplitProperties:
         for _ in range(20):
             spec = SplitSpec(rng.uniform(0.1, 0.9), seed=rng.getrandbits(32))
             train, test = split(ds, spec)
-            assert sorted(train.records + test.records) == sorted(ds.records)
+            assert sorted(transpose(train.columns) + transpose(test.columns)) == sorted(
+                transpose(ds.columns)
+            )
             assert train.n_records >= 1 and test.n_records >= 1
+
+
+# --- behaviour lock: write/load round trip, split, conform --------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# a token the strict numeric syntax rejects: it starts with a letter
+WORD = st.from_regex(r"[A-Za-z][A-Za-z0-9_ ,\"':.-]{0,6}", fullmatch=True)
+NAMES = st.lists(
+    st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True).filter(lambda s: s != "label"),
+    min_size=1, max_size=4, unique=True,
+)
+
+
+@st.composite
+def loadable_datasets(draw, min_rows=1, max_rows=12):
+    """Datasets that load_csv reads back as they are: every categorical column
+    holds a non-numeric token, and every numeric cell is a finite float."""
+    names = draw(NAMES)
+    n = draw(st.integers(min_rows, max_rows))
+    kinds, columns = [], []
+    for _ in names:
+        if draw(st.booleans()):
+            kinds.append("numeric")
+            columns.append(draw(st.lists(st.none() | FINITE, min_size=n, max_size=n)))
+        else:
+            kinds.append("categorical")
+            col = draw(st.lists(st.none() | WORD | FINITE.map(repr), min_size=n, max_size=n))
+            col[draw(st.integers(0, n - 1))] = draw(WORD)
+            columns.append(col)
+    schema = tuple(AttributeSchema(a, i, k) for i, (a, k) in enumerate(zip(names, kinds)))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return Dataset(schema, columns, tuple(labels))
+
+
+class TestStageProperties:
+    @settings(deadline=None)
+    @given(loadable_datasets())
+    def test_write_then_load_round_trips(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("rt") / "data.csv"
+        write_csv(ds, path)
+        assert load_csv(path, "label") == ds
+
+    @settings(deadline=None)
+    @given(
+        loadable_datasets(min_rows=2, max_rows=30),
+        st.floats(0.01, 0.99),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_split_partitions_rows_with_labels(self, ds, fraction, seed):
+        train, test = split(ds, SplitSpec(fraction, seed))
+
+        def pairs(d):
+            return Counter(zip(transpose(d.columns), d.labels))
+
+        assert pairs(train) + pairs(test) == pairs(ds)
+        assert train.n_records == min(max(1, math.ceil(ds.n_records * fraction)), ds.n_records - 1)
+        assert train.schema == test.schema == ds.schema
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_conform_is_idempotent_and_types_directly(self, tmp_path_factory, data):
+        names = data.draw(NAMES)
+        n = data.draw(st.integers(1, 10))
+        token = st.just("") | FINITE.map(repr) | WORD
+        text = [data.draw(st.lists(token, min_size=n, max_size=n)) for _ in names]
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        path = tmp_path_factory.mktemp("cf") / "test.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(names + ["label"])
+            writer.writerows([col[i] for col in text] + [str(labels[i])] for i in range(n))
+        kinds = data.draw(
+            st.lists(st.sampled_from(["numeric", "categorical"]), min_size=len(names),
+                     max_size=len(names))
+        )
+        ref = tuple(AttributeSchema(a, i, k) for i, (a, k) in enumerate(zip(names, kinds)))
+
+        once = conform(load_csv(path, "label"), ref)
+        direct = Dataset(
+            ref, [[typed_text(t, k) for t in col] for col, k in zip(text, kinds)], tuple(labels)
+        )
+        assert once == direct
+        assert conform(once, ref) == once
+        assert load_csv(path, "label", ref) == direct

@@ -11,8 +11,7 @@ def two_column_dataset(numeric, categorical, labels):
         AttributeSchema("num", 0, "numeric"),
         AttributeSchema("cat", 1, "categorical"),
     )
-    records = tuple((n, c) for n, c in zip(numeric, categorical))
-    return Dataset(schema, records, tuple(labels))
+    return Dataset(schema, (numeric, categorical), tuple(labels))
 
 
 def test_two_point_standardization():

@@ -61,6 +61,29 @@ class TestFit:
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-12
 
+    def test_equals_gradient_descent_on_the_reference_functions(self):
+        # lr_fit shares one x @ w + b between a loss and the next gradient;
+        # the result must be bit-identical to calling nll_gradient and nll_loss
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(200, 4))
+        y = (x @ np.array([1.0, -2.0, 0.5, 0.0]) + rng.normal(size=200) > 0).astype(int)
+        columns = tuple(ColumnSpec(f"x{i}", "numeric") for i in range(4))
+        hyper = LRHyperParams(max_iterations=1000, tolerance=1e-5)
+        model = lr_fit(FeatureMatrix(columns, x, y), hyper)
+
+        yf = y.astype(float)
+        w, b = np.zeros(4), 0.0
+        loss = nll_loss(w, b, x, yf, hyper.l2)
+        for iterations in range(1, hyper.max_iterations + 1):
+            grad_w, grad_b = nll_gradient(w, b, x, yf, hyper.l2)
+            w, b = w - hyper.learning_rate * grad_w, b - hyper.learning_rate * grad_b
+            loss, previous = nll_loss(w, b, x, yf, hyper.l2), loss
+            if abs(previous - loss) < hyper.tolerance:
+                break
+        assert 0 < model.iterations == iterations < hyper.max_iterations
+        assert model.weights.tolist() == w.tolist()
+        assert model.bias == b and model.final_loss == loss
+
     def test_deterministic(self):
         a = lr_fit(separable_matrix())
         b = lr_fit(separable_matrix())
