@@ -26,7 +26,6 @@ from .central_points import (
     PartitionPlan,
     central_points,
     make_plan,
-    mode_of,
     partition_count,
 )
 from .arm import (
@@ -68,7 +67,6 @@ __all__ = [
     "PartitionPlan",
     "central_points",
     "make_plan",
-    "mode_of",
     "partition_count",
     "FeatureRanking",
     "Item",

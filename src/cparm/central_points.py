@@ -3,16 +3,18 @@
 The central point of an attribute within a partition is its mode: the most
 frequent non-missing value in that contiguous row slice. Numeric and
 categorical attributes go through the same frequency count; numeric equality
-is exact value equality, never epsilon bucketing.
+is exact value equality, never epsilon bucketing. Among equally frequent
+values the one whose first occurrence in the slice comes latest wins, so
+['tcp', 'udp', 'tcp', 'udp'] resolves to ('udp', 2).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
-from .dataset import Dataset, Value
+import numpy as np
+
+from .dataset import CATEGORICAL, Dataset, Value, is_missing
 from .errors import TooManyPartitionsError
 
 
@@ -64,33 +66,53 @@ def make_plan(n_records: int, p: int) -> PartitionPlan:
     return PartitionPlan(p, tuple(boundaries))
 
 
-def mode_of(values: Sequence[Value]) -> tuple[Value, int] | None:
-    """Most frequent non-missing value and its count, or None if no such value.
+def partition_modes(
+    column: np.ndarray, partition: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mode of ``column`` within each partition that has a non-missing cell.
 
-    Tie rule: among equally frequent values, take the one whose first
-    occurrence in the slice comes latest (the most recently introduced
-    value). So ['tcp', 'udp', 'tcp', 'udp'] resolves to ('udp', 2).
+    ``partition`` gives every row's partition index. Returns three arrays in
+    increasing partition order: the partition, the row where its mode first
+    occurs (so the value kept is the first one seen: 0.0 and -0.0 are one
+    value), and the mode's count.
     """
-    counts = Counter(values)
-    counts.pop(None, None)
-    if not counts:
-        return None
-    best = max(counts.values())
-    # Counter keeps first-occurrence order, so the last of the most frequent
-    # values is the one whose first occurrence comes latest
-    winner = [v for v, c in counts.items() if c == best][-1]
-    return winner, best
+    rows = np.flatnonzero(~is_missing(column))
+    if not rows.size:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty, empty
+    if column.dtype == np.float64:
+        _, codes = np.unique(column[rows], return_inverse=True)
+    else:
+        codes = column[rows]
+    part = partition[rows]
+    key = part * (int(codes.max()) + 1) + codes
+    # stable: every (partition, value) run lists its rows in row order
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    counts = np.diff(np.r_[starts, key.size])
+    firsts = rows[order[starts]]
+    groups = part[order[starts]]
+    # per partition, the largest count and then the latest first occurrence
+    # sort last: keep the last run of each partition
+    best = np.lexsort((firsts, counts, groups))
+    ranked = groups[best]
+    win = best[np.r_[ranked[1:] != ranked[:-1], True]]
+    return groups[win], firsts[win], counts[win]
 
 
 def central_points(dataset: Dataset, p: int) -> CentralPointsTable:
     """Mode of every attribute within every partition of an equal-split plan."""
     plan = make_plan(dataset.n_records, p)
+    partition = np.repeat(np.arange(p), [end - start for start, end in plan.boundaries])
     entries: list[CentralPoint] = []
-    for attr, col in zip(dataset.schema, dataset.columns):
-        for k, (start, end) in enumerate(plan.boundaries):
-            found = mode_of(col[start:end])
-            if found is None:
-                continue
-            value, freq = found
-            entries.append(CentralPoint(attr.name, k, value, freq))
+    for attr, column, vocab in zip(dataset.schema, dataset.columns, dataset.vocabularies):
+        groups, firsts, counts = partition_modes(column, partition)
+        values = column[firsts].tolist()
+        if attr.kind == CATEGORICAL:
+            values = [vocab[code] for code in values]
+        entries.extend(
+            CentralPoint(attr.name, k, value, freq)
+            for k, value, freq in zip(groups.tolist(), values, counts.tolist())
+        )
     return CentralPointsTable(tuple(entries), p, dataset.attribute_names())

@@ -1,9 +1,12 @@
 """Loading, typing, splitting, and synthesizing labeled flow datasets.
 
-A dataset is a column-major table of typed cells, one tuple per attribute,
-plus a binary label per row (0 = normal traffic, 1 = attack). Cells are
-plain Python values: ``float`` for numeric, ``str`` for categorical,
-``None`` for missing. Text is transposed once, at the CSV boundary.
+A dataset is a column-major table, one typed numpy array per attribute,
+plus a binary label per row (0 = normal traffic, 1 = attack). A numeric
+column is float64 with NaN for a missing cell; the strict numeric syntax
+rejects ``nan``, so NaN never is a value. A categorical column is int32
+codes into the column's vocabulary, a sorted tuple of distinct tokens, with
+-1 for a missing cell. Cells become Python values (``float``, ``str`` or
+``None``) only at the edges: CSV text, dumps and reports.
 """
 
 from __future__ import annotations
@@ -11,12 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyDatasetError,
@@ -63,33 +67,52 @@ class AttributeSchema:
     kind: Kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable labeled table, one column per attribute. ``name`` is metadata only."""
+    """Immutable labeled table, one typed array per attribute.
+
+    ``vocabularies`` holds one tuple per column: the sorted tokens a
+    categorical column's codes index (it may hold tokens no cell uses, as
+    after a split), and ``()`` for a numeric column.
+    """
 
     schema: tuple[AttributeSchema, ...]
-    columns: tuple[tuple[Value, ...], ...]
-    labels: tuple[int, ...]
-    name: str = field(default="", compare=False)
+    columns: tuple[np.ndarray, ...]
+    vocabularies: tuple[tuple[str, ...], ...]
+    labels: np.ndarray
+    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels:
+        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "vocabularies", tuple(map(tuple, self.vocabularies)))
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        if not self.labels.size:
             raise EmptyDatasetError("dataset has no records")
         names = [a.name for a in self.schema]
         if len(set(names)) != len(names):
             raise SchemaMismatchError("duplicate attribute names in schema")
         if [a.index for a in self.schema] != list(range(len(self.schema))):
             raise SchemaMismatchError("schema indices are not contiguous from 0")
-        n = len(self.labels)
-        if len(self.columns) != len(self.schema) or any(len(c) != n for c in self.columns):
-            raise SchemaMismatchError(f"expected {len(self.schema)} columns of {n} cells each")
+        n = self.labels.shape[0]
+        m = len(self.schema)
+        if len(self.columns) != m or any(c.shape != (n,) for c in self.columns):
+            raise SchemaMismatchError(f"expected {m} columns of {n} cells each")
+        if len(self.vocabularies) != m:
+            raise SchemaMismatchError(f"expected {m} vocabularies")
+        for attr, col, vocab in zip(self.schema, self.columns, self.vocabularies):
+            if attr.kind == NUMERIC and (col.dtype != np.float64 or vocab):
+                raise SchemaMismatchError(f"numeric column {attr.name!r} must be float64")
+            if attr.kind == CATEGORICAL and (
+                col.dtype != np.int32 or not -1 <= col.min() <= col.max() < len(vocab)
+            ):
+                raise SchemaMismatchError(
+                    f"categorical column {attr.name!r} must be int32 codes into its vocabulary"
+                )
 
     @property
     def n_records(self) -> int:
-        return len(self.labels)
+        return self.labels.shape[0]
 
     @property
     def n_attributes(self) -> int:
@@ -112,24 +135,14 @@ class SplitSpec:
         _check_seed(self.seed)
 
 
+def is_missing(column: np.ndarray) -> np.ndarray:
+    """Mask of the missing cells: NaN in a numeric column, -1 in a categorical one."""
+    return np.isnan(column) if column.dtype == np.float64 else column < 0
+
+
 def _check_seed(seed: int) -> None:
     if not (0 <= seed < 2**64):
         raise InvalidSpecError(f"seed must be an unsigned 64-bit integer, got {seed}")
-
-
-def is_numeric_token(token: str) -> bool:
-    return bool(_NUMERIC_RE.match(token))
-
-
-def parse_value(token: str, kind: Kind) -> Value:
-    """Parse one CSV cell under a known column kind. Empty cell -> Missing."""
-    if token == "":
-        return None
-    if kind == NUMERIC:
-        if not is_numeric_token(token):
-            return None  # coercion path for test files conformed to a train schema
-        return float(token)
-    return token
 
 
 def map_label(token: str) -> int | None:
@@ -144,21 +157,16 @@ def map_label(token: str) -> int | None:
 def infer_schema(
     text_columns: Sequence[Sequence[str]], names: Sequence[str] | None = None
 ) -> list[AttributeSchema]:
-    """Infer column kinds from raw text columns.
-
-    A column is numeric iff every non-empty cell parses as a number; empty
-    cells are ignored for the kind decision. Columns with no non-empty cell
-    default to numeric (vacuous).
-    """
+    """Infer column kinds from raw text columns, by load_csv's rule (see
+    ``_type_column``)."""
     if not text_columns or not text_columns[0]:
         raise EmptyDatasetError("cannot infer a schema without columns and rows")
     if names is None:
         names = [f"c{i}" for i in range(len(text_columns))]
-    kinds = [
-        NUMERIC if all(t == "" or is_numeric_token(t) for t in col) else CATEGORICAL
-        for col in text_columns
+    return [
+        AttributeSchema(names[c], c, _type_column(col, None)[2])
+        for c, col in enumerate(text_columns)
     ]
-    return [AttributeSchema(names[c], c, kind) for c, kind in enumerate(kinds)]
 
 
 def _read_raw_csv(path: str | Path) -> tuple[list[str], list[tuple[str, ...]]]:
@@ -189,7 +197,8 @@ def load_csv(
 
     Column kinds are inferred from the text unless ``schema`` gives them. A
     test file is typed from its own text under the training kinds, so a
-    token such as ``0`` stays ``0`` in a categorical column.
+    token such as ``0`` stays ``0`` in a categorical column. Each column is
+    coded once; a numeric column then parses each distinct token once.
     """
     header, text = _read_raw_csv(path)
     if label_column not in header:
@@ -203,16 +212,64 @@ def load_csv(
         raise UnmappableLabelError(i + 1, label_text[i])
 
     names = [h for j, h in enumerate(header) if j != label_idx]
+    if not names:
+        raise EmptyDatasetError(f"{path} has no column besides {label_column!r}")
     if schema is None:
-        schema = infer_schema(text, names)
-    # every column as text first; conform then parses the numeric ones
-    as_text = [AttributeSchema(a, j, CATEGORICAL) for j, a in enumerate(names)]
-    raw = [tuple(t or None for t in col) for col in text]
-    return conform(Dataset(as_text, raw, labels, name=Path(path).stem), schema)
+        kinds = [None] * len(names)
+    else:
+        kinds = [a.kind for a in _reference(tuple(names), schema)]
+    columns, vocabularies, kinds = zip(*map(_type_column, text, kinds))
+    ref = tuple(AttributeSchema(a, j, kind) for j, (a, kind) in enumerate(zip(names, kinds)))
+    return Dataset(ref, columns, vocabularies, labels, Path(path).stem)
+
+
+def _type_column(
+    text: Sequence[str], kind: Kind | None
+) -> tuple[np.ndarray, tuple[str, ...], Kind]:
+    """A text column's array, vocabulary and kind.
+
+    With ``kind`` None the column is numeric iff every non-empty token
+    follows the strict numeric syntax (vacuously so when there is none).
+    Under a numeric kind a token that does not parse becomes missing. Each
+    distinct token is parsed once.
+    """
+    codes, tokens = _code_tokens(text)
+    numbers = None if kind == CATEGORICAL else _numbers(tokens)
+    if kind is None:
+        kind = CATEGORICAL if np.isnan(numbers[:-1]).any() else NUMERIC
+    if kind == NUMERIC:
+        return numbers[codes], (), kind
+    return *_sorted_codes(codes, tokens), kind
+
+
+def _code_tokens(tokens: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """Codes into the distinct non-empty tokens, in first-seen order; "" is -1."""
+    distinct = dict.fromkeys(tokens)
+    distinct.pop("", None)
+    index = {tok: j for j, tok in enumerate(distinct)}
+    index[""] = -1
+    codes = np.fromiter(map(index.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+    return codes, list(distinct)
+
+
+def _numbers(tokens: list[str]) -> np.ndarray:
+    """Each token's number, NaN where the strict syntax rejects the token,
+    and a last NaN for code -1 (missing) to index."""
+    matches = map(_NUMERIC_RE.match, tokens)
+    return np.array([float(t) if m else math.nan for t, m in zip(tokens, matches)] + [math.nan])
+
+
+def _sorted_codes(codes: np.ndarray, tokens: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Codes into distinct ``tokens`` (any order) renumbered into them sorted."""
+    order = sorted(range(len(tokens)), key=tokens.__getitem__)
+    renumber = np.empty(len(tokens) + 1, dtype=np.int32)
+    renumber[order] = np.arange(len(tokens), dtype=np.int32)
+    renumber[-1] = -1
+    return renumber[codes], tuple(tokens[j] for j in order)
 
 
 def format_cell(value: Value) -> str:
-    """Inverse of parse_value: repr round-trips floats exactly."""
+    """A cell's CSV text: repr round-trips floats exactly."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -220,35 +277,59 @@ def format_cell(value: Value) -> str:
     return str(value)
 
 
+_WRITE_ROWS = 8192  # rows turned into text at a time
+
+
 def write_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -> None:
-    """Serialize so that load_csv reads back an identical dataset."""
+    """Serialize so that load_csv reads back an identical dataset.
+
+    Rows are written a block at a time, so the text of the whole table never
+    exists at once.
+    """
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(dataset.attribute_names()) + [label_column])
-        for row in zip(*dataset.columns, dataset.labels):
-            writer.writerow([format_cell(v) for v in row])
+        for start in range(0, dataset.n_records, _WRITE_ROWS):
+            block = slice(start, start + _WRITE_ROWS)
+            text = [
+                _column_text(col[block], vocab)
+                for col, vocab in zip(dataset.columns, dataset.vocabularies)
+            ]
+            writer.writerows(zip(*text, dataset.labels[block].tolist()))
+
+
+def _column_text(column: np.ndarray, vocabulary: tuple[str, ...]) -> list[str]:
+    if column.dtype == np.float64:
+        return [repr(x) if x == x else "" for x in column.tolist()]  # NaN != NaN
+    return list(map((*vocabulary, "").__getitem__, column.tolist()))
 
 
 def conform(dataset: Dataset, schema: Sequence[AttributeSchema]) -> Dataset:
     """Re-type a dataset against a reference schema (same column names, in order).
 
-    Only the columns whose kind differs are rebuilt, each cell through its
-    text: exact for text (categorical) columns, which is how load_csv types
-    a file. Cells that fail to parse under the reference kind become Missing.
+    Only the columns whose kind differs are rebuilt: each is written as its
+    CSV text and typed as load_csv types that text, so cells that fail to
+    parse under the reference kind become missing.
     """
-    ref = tuple(schema)
-    if dataset.attribute_names() != tuple(a.name for a in ref):
-        raise SchemaMismatchError(
-            f"column names differ: {dataset.attribute_names()} vs {tuple(a.name for a in ref)}"
-        )
+    ref = _reference(dataset.attribute_names(), schema)
     if tuple(a.kind for a in dataset.schema) == tuple(a.kind for a in ref):
         return dataset
-    columns = tuple(
-        col if have.kind == want.kind
-        else tuple(parse_value(format_cell(v), want.kind) for v in col)
-        for col, have, want in zip(dataset.columns, dataset.schema, ref)
-    )
-    return Dataset(ref, columns, dataset.labels, name=dataset.name)
+    columns, vocabularies = zip(*(
+        (col, vocab) if have.kind == want.kind
+        else _type_column(_column_text(col, vocab), want.kind)[:2]
+        for col, vocab, have, want in zip(dataset.columns, dataset.vocabularies, dataset.schema, ref)
+    ))
+    return Dataset(ref, columns, vocabularies, dataset.labels, dataset.name)
+
+
+def _reference(
+    names: tuple[str, ...], schema: Sequence[AttributeSchema]
+) -> tuple[AttributeSchema, ...]:
+    """``schema`` as a tuple, once its names are checked against ``names``."""
+    ref = tuple(schema)
+    if names != tuple(a.name for a in ref):
+        raise SchemaMismatchError(f"column names differ: {names} vs {tuple(a.name for a in ref)}")
+    return ref
 
 
 def project(dataset: Dataset, features: Sequence[str]) -> Dataset:
@@ -260,15 +341,25 @@ def project(dataset: Dataset, features: Sequence[str]) -> Dataset:
     schema = tuple(
         AttributeSchema(f, i, by_name[f].kind) for i, f in enumerate(features)
     )
-    columns = tuple(dataset.columns[by_name[f].index] for f in features)
-    return Dataset(schema, columns, dataset.labels, name=dataset.name)
+    picked = [by_name[f].index for f in features]
+    return Dataset(
+        schema,
+        [dataset.columns[j] for j in picked],
+        [dataset.vocabularies[j] for j in picked],
+        dataset.labels,
+        dataset.name,
+    )
 
 
-def _take(dataset: Dataset, indices: Sequence[int], name: str) -> Dataset:
-    """The rows at ``indices``, in that order."""
-    pick = operator.itemgetter(*indices)  # gives a bare cell, not a 1-tuple, for one index
-    take = pick if len(indices) > 1 else lambda col: (pick(col),)
-    return Dataset(dataset.schema, map(take, dataset.columns), take(dataset.labels), name=name)
+def _take(dataset: Dataset, rows: np.ndarray, name: str) -> Dataset:
+    """The rows at ``rows``, in that order."""
+    return Dataset(
+        dataset.schema,
+        [col[rows] for col in dataset.columns],
+        dataset.vocabularies,
+        dataset.labels[rows],
+        name,
+    )
 
 
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -278,16 +369,16 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         raise TooFewRecordsError("ratio split needs at least 2 records")
     order = list(range(n))
     random.Random(spec.seed).shuffle(order)
+    rows = np.array(order, dtype=np.intp)
     # clamp keeps both sides non-empty even when ceil(n * f) == n
     k = min(max(1, math.ceil(n * spec.fraction)), n - 1)
     prefix = f"{dataset.name}-" if dataset.name else ""
-    return _take(dataset, order[:k], f"{prefix}train"), _take(dataset, order[k:], f"{prefix}test")
+    return _take(dataset, rows[:k], f"{prefix}train"), _take(dataset, rows[k:], f"{prefix}test")
 
 
 def group_by_label(dataset: Dataset) -> Dataset:
     """Stable-reorder rows so all label-0 rows precede label-1 rows."""
-    order = sorted(range(dataset.n_records), key=dataset.labels.__getitem__)
-    return _take(dataset, order, dataset.name)
+    return _take(dataset, np.argsort(dataset.labels, kind="stable"), dataset.name)
 
 
 # --- synthetic data -----------------------------------------------------------
@@ -303,25 +394,6 @@ class SynthManifest:
         return json.dumps(
             {"signal_features": list(self.signal_features), "seed": self.seed}
         )
-
-
-def _signal_numeric(r: random.Random, label: int, center: int) -> float:
-    # Discrete triangular around an integer center; class 1 center sits one
-    # step (= 3 pooled standard deviations, sd ~ 1/3) above class 0. Integer
-    # values keep per-partition modes repeatable for the rule miner.
-    c = center + label
-    u = r.random()
-    if u < 0.05:
-        return float(c - 1)
-    if u >= 0.95:
-        return float(c + 1)
-    return float(c)
-
-
-def _signal_categorical(r: random.Random, label: int, tokens: tuple[str, str]) -> str:
-    # 80/20 token skew for class 0, mirrored 20/80 for class 1.
-    p_first = 0.8 if label == 0 else 0.2
-    return tokens[0] if r.random() < p_first else tokens[1]
 
 
 def synth_dataset(
@@ -366,27 +438,41 @@ def synth_dataset(
             noise_rank[i] = len(noise_rank)
             kinds.append(NUMERIC if noise_rank[i] % 2 == 0 else CATEGORICAL)
 
-    labels = tuple(i % 2 for i in range(n_records))
-    # draws stay in row-major order, so every seed keeps its values
-    columns: list = [[] for _ in range(m)]
-    for label in labels:
-        for i in range(m):
-            if i in signal_set:
-                k = sig_rank[i]
-                if kinds[i] == NUMERIC:
-                    columns[i].append(_signal_numeric(r, label, center=10 + 4 * k))
-                else:
-                    columns[i].append(_signal_categorical(r, label, (f"s{k}a", f"s{k}b")))
-            else:
-                if kinds[i] == NUMERIC:
-                    columns[i].append(r.random())
-                else:
-                    columns[i].append(f"n{int(r.random() * 4)}")
+    # Every cell consumes one random() of r, in row-major order. numpy's
+    # legacy generator is the same MT19937 with the same double recipe, so
+    # it continues r's stream: one (n, m) block holds every cell's draw.
+    _version, state, _gauss = r.getstate()
+    stream = np.random.RandomState()
+    stream.set_state(("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1]))
+    draws = stream.random_sample((n_records, m))
+
+    labels = np.arange(n_records) % 2
+    columns: list[np.ndarray] = []
+    vocabularies: list[tuple[str, ...]] = []
     for i in range(m):
-        # one column at a time, so a list and its tuple copy never all coexist
-        columns[i] = tuple(columns[i])
+        u = draws[:, i]
+        if i in signal_set:
+            k = sig_rank[i]
+            if kinds[i] == NUMERIC:
+                # discrete triangular around an integer center; class 1 sits
+                # one step (3 pooled standard deviations, sd ~ 1/3) above
+                # class 0, and integer values keep partition modes repeatable
+                c = 10 + 4 * k + labels
+                columns.append(np.where(u < 0.05, c - 1, np.where(u >= 0.95, c + 1, c)).astype(np.float64))
+                vocabularies.append(())
+            else:
+                # 80/20 token skew for class 0, mirrored 20/80 for class 1
+                columns.append((u >= np.where(labels == 0, 0.8, 0.2)).astype(np.int32))
+                vocabularies.append((f"s{k}a", f"s{k}b"))
+        elif kinds[i] == NUMERIC:
+            columns.append(u.copy())
+            vocabularies.append(())
+        else:
+            columns.append((u * 4).astype(np.int32))
+            vocabularies.append(("n0", "n1", "n2", "n3"))
+    del draws
 
     schema = tuple(AttributeSchema(names[i], i, kinds[i]) for i in range(m))
-    dataset = Dataset(schema, columns, labels, name=f"synth-{seed}")
+    dataset = Dataset(schema, columns, vocabularies, labels, f"synth-{seed}")
     manifest = SynthManifest(tuple(names[i] for i in signal_positions), seed)
     return dataset, manifest

@@ -9,13 +9,12 @@ mode before encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ..central_points import mode_of
+from ..central_points import partition_modes
 from ..dataset import CATEGORICAL, NUMERIC, Dataset, Value
-from ..errors import UnknownFeatureError
+from ..errors import SchemaMismatchError, UnknownFeatureError
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class FeatureEncoder:
         self.columns = columns
 
     def transform(self, dataset: Dataset) -> FeatureMatrix:
-        by_name = {a.name: a.index for a in dataset.schema}
+        by_name = {a.name: a for a in dataset.schema}
         missing = [c.attribute for c in self.columns if c.attribute not in by_name]
         if missing:
             raise UnknownFeatureError(missing[0])
@@ -65,23 +64,31 @@ class FeatureEncoder:
         out = np.zeros((n, sum(c.width for c in self.columns)), dtype=np.float64)
         offset = 0
         for spec in self.columns:
-            column = dataset.columns[by_name[spec.attribute]]
+            attr = by_name[spec.attribute]
+            if attr.kind != spec.kind:
+                raise SchemaMismatchError(f"{spec.attribute!r} is {attr.kind}, not {spec.kind}")
+            column = dataset.columns[attr.index]
             if spec.kind == NUMERIC:
                 out[:, offset] = (_filled(column, spec.impute) - spec.mean) / spec.std
             else:
-                lookup = {tok: j for j, tok in enumerate(spec.categories)}
-                lookup[None] = lookup.get(spec.impute, -1)
-                codes = np.array([lookup.get(v, -1) for v in column], dtype=np.intp)
-                seen = np.flatnonzero(codes >= 0)
-                out[seen, offset + codes[seen]] = 1.0
+                position = {tok: j for j, tok in enumerate(spec.categories)}
+                # each code's one-hot position; the last entry serves code -1
+                # (missing), and -1 marks a token without a position (unseen)
+                lookup = np.array(
+                    [position.get(tok, -1) for tok in dataset.vocabularies[attr.index]]
+                    + [position.get(spec.impute, -1)],
+                    dtype=np.intp,
+                )
+                hot = lookup[column]
+                seen = np.flatnonzero(hot >= 0)
+                out[seen, offset + hot[seen]] = 1.0
             offset += spec.width
-        labels = np.asarray(dataset.labels, dtype=np.int64)
-        return FeatureMatrix(self.columns, out, labels)
+        return FeatureMatrix(self.columns, out, dataset.labels)
 
 
-def _filled(column: Sequence[Value], impute: Value) -> np.ndarray:
-    """A numeric column as float64, missing cells replaced by ``impute``."""
-    x = np.array(column, dtype=np.float64)  # None -> NaN; parsing never yields NaN
+def _filled(column: np.ndarray, impute: float) -> np.ndarray:
+    """A numeric column with its missing (NaN) cells replaced by ``impute``."""
+    x = column.copy()
     x[np.isnan(x)] = impute
     return x
 
@@ -95,9 +102,10 @@ def encode(train: Dataset, features: list[str]) -> tuple[FeatureMatrix, FeatureE
         if attr is None:
             raise UnknownFeatureError(name)
         column = train.columns[attr.index]
-        found = mode_of(column)
-        impute: Value = found[0] if found is not None else (0.0 if attr.kind == NUMERIC else "")
+        # the column's mode, with the central points' tie rule
+        _, first, _ = partition_modes(column, np.zeros(column.shape, dtype=np.intp))
         if attr.kind == NUMERIC:
+            impute = column[first[0]].item() if first.size else 0.0
             vals = _filled(column, impute)
             mean = float(vals.mean())
             std = float(vals.std())
@@ -105,7 +113,12 @@ def encode(train: Dataset, features: list[str]) -> tuple[FeatureMatrix, FeatureE
                 std = 1.0  # constant column: center only
             specs.append(ColumnSpec(name, NUMERIC, mean=mean, std=std, impute=impute))
         else:
-            tokens = sorted({impute if v is None else v for v in column})
-            specs.append(ColumnSpec(name, CATEGORICAL, categories=tuple(tokens), impute=impute))
+            vocab = train.vocabularies[attr.index]
+            # the tokens the column holds; missing cells take the mode, one of
+            # them, or "" when every cell is missing
+            used = np.flatnonzero(np.bincount(column[column >= 0], minlength=len(vocab)))
+            tokens = tuple(vocab[j] for j in used.tolist()) or ("",)
+            impute = vocab[column[first[0]]] if first.size else ""
+            specs.append(ColumnSpec(name, CATEGORICAL, categories=tokens, impute=impute))
     encoder = FeatureEncoder(tuple(specs))
     return encoder.transform(train), encoder

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..dataset import CATEGORICAL, Dataset, Value
+from ..dataset import CATEGORICAL, Dataset
 from ..errors import SchemaMismatchError, SingleClassTrainingError, UnknownFeatureError
 from .logistic import _sigmoid
 
@@ -27,19 +27,16 @@ class CategoricalLikelihood:
     vocabulary: tuple[str, ...]
     tables: tuple[dict[str, float], dict[str, float]]  # token -> P(token | class)
 
-    def log_likelihoods(self, column: Sequence[Value]) -> np.ndarray:
-        """(2, n) log P(cell | class); a missing cell contributes 0."""
-        bad = next((v for v in column if v is not None and not isinstance(v, str)), None)
-        if bad is not None:
-            raise SchemaMismatchError(f"expected token for categorical feature, got {bad!r}")
+    def log_likelihoods(self, codes: np.ndarray, vocabulary: Sequence[str]) -> np.ndarray:
+        """(2, n) log P(cell | class) for codes into ``vocabulary``; a missing
+        cell (code -1) contributes 0."""
         # unseen token: uniform over the training vocabulary
         unseen = math.log(1.0 / len(self.vocabulary) if self.vocabulary else 1.0)
-        out = np.empty((2, len(column)))
+        table = np.empty((2, len(vocabulary) + 1))
         for cls in (0, 1):
             logs = {tok: math.log(p) for tok, p in self.tables[cls].items()}
-            logs[None] = 0.0
-            out[cls] = [logs.get(v, unseen) for v in column]
-        return out
+            table[cls] = [logs.get(tok, unseen) for tok in vocabulary] + [0.0]
+        return table[:, codes]
 
 
 @dataclass(frozen=True)
@@ -47,14 +44,10 @@ class GaussianLikelihood:
     means: tuple[float, float]
     variances: tuple[float, float]
 
-    def log_likelihoods(self, column: Sequence[Value]) -> np.ndarray:
-        """(2, n) log N(cell | class mean, class variance); a missing cell contributes 0."""
-        bad = next((v for v in column if isinstance(v, str)), None)
-        if bad is not None:
-            raise SchemaMismatchError(f"expected number for numeric feature, got {bad!r}")
-        # None becomes NaN, which marks missing cells: parsing never yields a NaN value
-        x = np.array(column, dtype=np.float64)
-        out = np.empty((2, len(column)))
+    def log_likelihoods(self, x: np.ndarray) -> np.ndarray:
+        """(2, n) log N(cell | class mean, class variance); a missing cell
+        (NaN) contributes 0."""
+        out = np.empty((2, x.shape[0]))
         for cls in (0, 1):
             mu, var = self.means[cls], self.variances[cls]
             out[cls] = -0.5 * math.log(2.0 * math.pi * var) - (x - mu) ** 2 / (2.0 * var)
@@ -92,8 +85,9 @@ def nb_fit(train: Dataset, features: Sequence[str]) -> NBModel:
     for name in features:
         if name not in by_name:
             raise UnknownFeatureError(name)
+    labels = train.labels
     n = train.n_records
-    n1 = sum(train.labels)
+    n1 = int(labels.sum())
     n0 = n - n1
     if n0 == 0 or n1 == 0:
         raise SingleClassTrainingError()
@@ -105,54 +99,76 @@ def nb_fit(train: Dataset, features: Sequence[str]) -> NBModel:
         attr = by_name[name]
         kinds.append(attr.kind)
         column = train.columns[attr.index]
-        split = ([], [])
-        for v, label in zip(column, train.labels):
-            if v is not None:
-                split[label].append(v)
         if attr.kind == CATEGORICAL:
-            vocab = tuple(sorted(set(split[0]) | set(split[1])))
-            tables = []
-            for cls in (0, 1):
-                total = len(split[cls]) + LAPLACE_ALPHA * len(vocab)
-                counts = {tok: 0 for tok in vocab}
-                for tok in split[cls]:
-                    counts[tok] += 1
-                tables.append(
-                    {tok: (c + LAPLACE_ALPHA) / total for tok, c in counts.items()}
-                )
-            likelihoods.append(CategoricalLikelihood(vocab, (tables[0], tables[1])))
+            likelihoods.append(_fit_tokens(column, train.vocabularies[attr.index], labels))
         else:
-            means = []
-            variances = []
-            for cls in (0, 1):
-                vals = split[cls]
-                if vals:
-                    mu = sum(vals) / len(vals)
-                    var = sum((x - mu) ** 2 for x in vals) / len(vals)
-                else:
-                    mu, var = 0.0, 0.0
-                means.append(mu)
-                variances.append(max(var, VARIANCE_FLOOR))
-            likelihoods.append(GaussianLikelihood((means[0], means[1]), (variances[0], variances[1])))
+            likelihoods.append(_fit_gaussian(column, labels))
 
     return NBModel(tuple(features), tuple(kinds), priors, tuple(likelihoods))
 
 
+def _fit_tokens(codes: np.ndarray, vocab: tuple[str, ...], labels: np.ndarray) -> CategoricalLikelihood:
+    """Laplace-smoothed token tables over the tokens the column holds."""
+    valid = codes >= 0
+    k = len(vocab)
+    counts = np.bincount(labels[valid] * k + codes[valid], minlength=2 * k).reshape(2, k)
+    used = np.flatnonzero(counts.sum(axis=0))
+    tokens = tuple(vocab[j] for j in used.tolist())
+    tables = []
+    for cls in (0, 1):
+        total = int(counts[cls].sum()) + LAPLACE_ALPHA * len(tokens)
+        tables.append(
+            {tok: (c + LAPLACE_ALPHA) / total for tok, c in zip(tokens, counts[cls, used].tolist())}
+        )
+    return CategoricalLikelihood(tokens, (tables[0], tables[1]))
+
+
+def _fit_gaussian(x: np.ndarray, labels: np.ndarray) -> GaussianLikelihood:
+    """Per-class mean and floored variance of the non-missing cells.
+
+    The sums run left to right over Python floats, squaring with ``**``:
+    numpy's pairwise sum and exact square can differ in the last bit, and the
+    model dump is compared byte for byte.
+    """
+    means = []
+    variances = []
+    valid = ~np.isnan(x)
+    for cls in (0, 1):
+        vals = x[valid & (labels == cls)].tolist()
+        if vals:
+            mu = sum(vals) / len(vals)
+            var = sum((v - mu) ** 2 for v in vals) / len(vals)
+        else:
+            mu, var = 0.0, 0.0
+        means.append(mu)
+        variances.append(max(var, VARIANCE_FLOOR))
+    return GaussianLikelihood((means[0], means[1]), (variances[0], variances[1]))
+
+
 def nb_predict(
-    model: NBModel, columns: Sequence[Sequence[Value]]
+    model: NBModel, columns: Sequence[np.ndarray], vocabularies: Sequence[Sequence[str]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """MAP labels and class-1 posteriors for raw feature values, one column
-    per model feature in the model's order.
+    """MAP labels and class-1 posteriors, given one dataset column per model
+    feature in the model's order, each with its vocabulary.
 
     Missing cells contribute nothing to either class. Exact posterior ties
     predict 1: a false alarm is preferred over a miss.
     """
     width = len(model.feature_names)
-    n = len(columns[0]) if columns else 0
-    if len(columns) != width or any(len(col) != n for col in columns):
+    n = columns[0].shape[0] if len(columns) else 0
+    if len(columns) != width or len(vocabularies) != width or any(
+        col.shape != (n,) for col in columns
+    ):
         raise SchemaMismatchError(f"expected {width} columns of equal length")
     logs = np.empty((2, n))
     logs[0], logs[1] = math.log(model.priors[0]), math.log(model.priors[1])
-    for column, lik in zip(columns, model.likelihoods):
-        logs += lik.log_likelihoods(column)
+    for name, column, vocab, lik in zip(model.feature_names, columns, vocabularies, model.likelihoods):
+        if isinstance(lik, CategoricalLikelihood):
+            if column.dtype != np.int32:
+                raise SchemaMismatchError(f"expected token codes for categorical feature {name!r}")
+            logs += lik.log_likelihoods(column, vocab)
+        else:
+            if column.dtype != np.float64:
+                raise SchemaMismatchError(f"expected numbers for numeric feature {name!r}")
+            logs += lik.log_likelihoods(column)
     return (logs[1] >= logs[0]).astype(np.int64), _sigmoid(logs[1] - logs[0])

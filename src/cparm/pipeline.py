@@ -15,7 +15,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .arm import SweepResult, build_transactions, run_threshold_sweep
@@ -186,13 +187,11 @@ def _acquire(config: PipelineConfig) -> tuple[Dataset, Dataset]:
     return split(full, SplitSpec(src.fraction, config.seed))
 
 
-def _partition_labels(labels: Sequence[int], boundaries) -> list[int]:
+def _partition_labels(labels: np.ndarray, boundaries) -> list[int]:
     # majority label per row range, exact ties counted as attack
-    out = []
-    for start, end in boundaries:
-        ones = sum(labels[start:end])
-        out.append(1 if 2 * ones >= end - start else 0)
-    return out
+    starts, ends = np.array(boundaries).T
+    ones = np.add.reduceat(labels, starts)
+    return (2 * ones >= ends - starts).astype(int).tolist()
 
 
 def _sweep_echo(sweep: SweepResult) -> tuple:
@@ -220,7 +219,7 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
 
     with _stage("load", timings):
         train, test = _acquire(config)
-        if len(set(train.labels)) < 2:
+        if train.labels.min() == train.labels.max():
             raise SingleClassTrainingError()
 
     with _stage("central_points", timings):
@@ -260,17 +259,18 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
         with _stage(f"fit_{engine}", timings):
             if engine == "nb":
                 model = nb_fit(train, selected_names)
-                predict, test_input = nb_predict, project(test, selected_names).columns
+                shown = project(test, selected_names)
+                predict, test_input = nb_predict, (shown.columns, shown.vocabularies)
             elif engine == "lr":
                 model = lr_fit(matrix)
-                predict, test_input = lr_predict, test_x
+                predict, test_input = lr_predict, (test_x,)
             else:
                 model = em_fit(matrix.unlabeled(), EMConfig(seed=config.seed))
                 model = model.with_mapping(map_clusters(model, matrix))
-                predict, test_input = em_predict, test_x
+                predict, test_input = em_predict, (test_x,)
         with _stage(f"predict_{engine}", timings):
-            labels, _ = predict(model, test_input)
-        cm = confusion(labels.tolist(), list(test.labels))
+            labels, _ = predict(model, *test_input)
+        cm = confusion(labels.tolist(), test.labels.tolist())
         engine_results[engine] = {
             "confusion": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},
             "metrics": compute_metrics(cm).to_dict(),

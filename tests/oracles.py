@@ -8,14 +8,105 @@ only agree by computing the same thing.
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 
+import numpy as np
+
 from cparm.arm import Item, Transaction
+from cparm.dataset import AttributeSchema, Dataset
 
 
 def transpose(table):
     """Rows to columns or columns to rows: the Dataset stores columns."""
     return tuple(zip(*table))
+
+
+def typed_column(cells, kind):
+    """(array, vocabulary) for plain cells: float or None for a numeric
+    column, str or None for a categorical one."""
+    if kind == "numeric":
+        return np.array([math.nan if v is None else v for v in cells], dtype=np.float64), ()
+    vocab = tuple(sorted({v for v in cells if v is not None}))
+    index = {tok: j for j, tok in enumerate(vocab)}
+    return np.array([-1 if v is None else index[v] for v in cells], dtype=np.int32), vocab
+
+
+def dataset(schema, columns, labels):
+    """A Dataset from plain cells, one sequence per column, typed by the
+    schema's kinds (a column beyond the schema is typed numeric)."""
+    kinds = [a.kind for a in schema] + ["numeric"] * len(columns)
+    typed = [typed_column(col, kind) for col, kind in zip(columns, kinds)]
+    return Dataset(schema, [c for c, _ in typed], [v for _, v in typed], labels)
+
+
+def nb_input(model, columns):
+    """nb_predict's columns and vocabularies for plain-cell columns, typed by
+    the model's kinds; a column beyond the model's holds tokens."""
+    kinds = list(model.kinds) + ["categorical"] * len(columns)
+    typed = [typed_column(col, kind) for col, kind in zip(columns, kinds)]
+    return [c for c, _ in typed], [v for _, v in typed]
+
+
+def cells(ds):
+    """A Dataset's columns as tuples of plain cells (float, str or None)."""
+    out = []
+    for col, vocab in zip(ds.columns, ds.vocabularies):
+        if col.dtype == np.float64:
+            out.append(tuple(None if math.isnan(x) else x for x in col.tolist()))
+        else:
+            out.append(tuple(None if c < 0 else vocab[c] for c in col.tolist()))
+    return tuple(out)
+
+
+def table(ds):
+    """A Dataset's schema, plain cells and labels: two datasets hold the same
+    table when these are equal (the name is metadata)."""
+    return ds.schema, cells(ds), tuple(ds.labels.tolist())
+
+
+def row_major_synth(n_records, n_noise, n_signal, seed):
+    """The synthetic generator's draws made one cell at a time, row by row.
+
+    Returns (schema, columns of plain cells, labels, signal feature names).
+    Every cell consumes exactly one random() from one random.Random(seed),
+    after the shuffle that places the signal columns.
+    """
+    r = random.Random(seed)
+    m = n_noise + n_signal
+    positions = list(range(m))
+    r.shuffle(positions)
+    signal = set(positions[:n_signal])
+    roles, n_sig, n_noi = [], 0, 0
+    for i in range(m):  # (is_signal, rank among its role)
+        if i in signal:
+            roles.append((True, n_sig))
+            n_sig += 1
+        else:
+            roles.append((False, n_noi))
+            n_noi += 1
+    kinds = ["numeric" if rank % 2 == 0 else "categorical" for _, rank in roles]
+
+    labels = [i % 2 for i in range(n_records)]
+    columns = [[] for _ in range(m)]
+    for label in labels:
+        for i, (is_signal, rank) in enumerate(roles):
+            u = r.random()
+            if is_signal and kinds[i] == "numeric":
+                c = 10 + 4 * rank + label
+                cell = float(c - 1 if u < 0.05 else c + 1 if u >= 0.95 else c)
+            elif is_signal:
+                cell = f"s{rank}a" if u < (0.8 if label == 0 else 0.2) else f"s{rank}b"
+            elif kinds[i] == "numeric":
+                cell = u
+            else:
+                cell = f"n{int(u * 4)}"
+            columns[i].append(cell)
+    names = [f"f{i:02d}" for i in range(m)]
+    schema = tuple(AttributeSchema(names[i], i, kinds[i]) for i in range(m))
+    return schema, [tuple(c) for c in columns], tuple(labels), tuple(
+        names[i] for i in sorted(signal)
+    )
 
 
 def brute_force_rules(transactions, minsup, minconf):
@@ -57,6 +148,25 @@ def brute_force_rules(transactions, minsup, minconf):
                        value_key(r[0].value), value_key(r[1].value))
     )
     return rules
+
+
+def mode_of(values):
+    """Most frequent non-missing value and its count, or None if no such value.
+
+    The documented tie rule: among equally frequent values, take the one
+    whose first occurrence comes latest (the most recently introduced
+    value). So ['tcp', 'udp', 'tcp', 'udp'] resolves to ('udp', 2). Values
+    that compare equal are one value, spelled as first seen.
+    """
+    counts = Counter(values)
+    counts.pop(None, None)
+    if not counts:
+        return None
+    best = max(counts.values())
+    # Counter keeps first-occurrence order, so the last of the most frequent
+    # values is the one whose first occurrence comes latest
+    winner = [v for v, c in counts.items() if c == best][-1]
+    return winner, best
 
 
 def latest_first_occurrence_mode(values):

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from cparm.arm import generate_rules
-from cparm.central_points import mode_of, partition_count
+from cparm.central_points import central_points, partition_count
 from cparm.cli import main
-from cparm.dataset import synth_dataset
+from cparm.dataset import AttributeSchema, synth_dataset
 from cparm.engines.em import EMConfig, em_fit, em_predict, map_clusters, responsibilities
 from cparm.engines.encoding import ColumnSpec, FeatureMatrix
 from cparm.engines.logistic import nll_gradient, nll_loss
@@ -25,7 +25,10 @@ from cparm.metrics import ConfusionMatrix, compute_metrics
 from cparm.pipeline import PipelineConfig, SourceSynthetic, dumps_json, run_pipeline
 from oracles import (
     brute_force_rules,
+    dataset,
+    mode_of,
     mutual_information_ranking,
+    nb_input,
     random_transactions,
     transpose,
 )
@@ -52,8 +55,15 @@ def test_c01_partition_count_cross_check():
 
 def test_c02_mode_fixtures():
     with criterion(2, "mode fixtures: numeric (1, count 4) and tied categorical 'udp'"):
-        assert mode_of([1, 2, 1, 1, 3.2, 1]) == (1, 4)
-        assert mode_of(["tcp", "udp", "tcp", "udp"]) == ("udp", 2)
+        for values, kind, want in (
+            ([1, 2, 1, 1, 3.2, 1], "numeric", (1, 4)),
+            (["tcp", "udp", "tcp", "udp"], "categorical", ("udp", 2)),
+        ):
+            assert mode_of(values) == want
+            # the same fixture through cparm: one column, one partition
+            ds = dataset((AttributeSchema("a", 0, kind),), [values], (0,) * len(values))
+            (entry,) = central_points(ds, 1).entries
+            assert (entry.value, entry.frequency) == want
 
 
 def test_c03_rule_miner_matches_oracle():
@@ -185,7 +195,7 @@ def test_c07_nb_matches_raw_probability_oracle():
             for cls in (0, 1):
                 for value, lik in zip(row, model.likelihoods):
                     joint[cls] *= lik.tables[cls][value]
-            (label,), (posterior_1,) = nb_predict(model, transpose([row]))
+            (label,), (posterior_1,) = nb_predict(model, *nb_input(model, transpose([row])))
             assert label == (1 if joint[1] >= joint[0] else 0)
             assert abs(posterior_1 - joint[1] / (joint[0] + joint[1])) < 1e-12
 

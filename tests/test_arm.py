@@ -17,13 +17,13 @@ from cparm.arm import (
     support,
 )
 from cparm.central_points import CentralPoint, CentralPointsTable, central_points
-from cparm.dataset import AttributeSchema, Dataset
+from cparm.dataset import AttributeSchema
 from cparm.errors import (
     AntecedentAbsentError,
     EmptyTransactionsError,
     LengthMismatchError,
 )
-from oracles import brute_force_rules, random_transactions
+from oracles import brute_force_rules, dataset, random_transactions
 
 
 def trans(*attr_value_pairs, label=0):
@@ -100,7 +100,7 @@ class TestBuildTransactions:
         columns = [[float(rng.randint(0, 2)) for _ in range(n)] for _ in range(5)]
         schema = tuple(AttributeSchema(f"a{i}", i, "numeric") for i in range(5))
         labels = tuple(rng.randint(0, 1) for _ in range(n))
-        ds = Dataset(schema, columns, labels)
+        ds = dataset(schema, columns, labels)
 
         part_labels = [rng.randint(0, 1) for _ in range(p)]
         got = build_transactions(central_points(ds, p), part_labels)

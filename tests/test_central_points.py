@@ -1,18 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cparm.central_points import (
     central_points,
     make_plan,
-    mode_of,
     partition_count,
 )
 from cparm.dataset import AttributeSchema, Dataset
 from cparm.errors import TooManyPartitionsError
-from oracles import latest_first_occurrence_mode
+from oracles import dataset, latest_first_occurrence_mode, mode_of
 
 # small pools make ties common; free floats cover exact numeric equality
 CELLS = st.one_of(
@@ -21,6 +20,13 @@ CELLS = st.one_of(
     st.floats(allow_nan=False),
     st.sampled_from(["tcp", "udp", "icmp"]),
 )
+
+# per-kind pools: few values make ties and all-missing slices common, and
+# 0.0 and -0.0 are one value whose first-seen spelling must be kept
+NUMERIC_CELLS = st.one_of(
+    st.none(), st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(allow_nan=False)
+)
+TOKEN_CELLS = st.one_of(st.none(), st.sampled_from(["tcp", "udp", "icmp"]))
 
 
 class TestPartitionCount:
@@ -79,31 +85,56 @@ class TestMakePlan:
             assert len(sizes) <= 1  # all but the last share one length
 
 
+def column_mode(values):
+    """cparm's mode of one column: its central point over one partition, as
+    (value, frequency), or None when every cell is missing."""
+    kind = "categorical" if any(isinstance(v, str) for v in values) else "numeric"
+    ds = dataset((AttributeSchema("a", 0, kind),), [values], (0,) * len(values))
+    entries = central_points(ds, 1).entries
+    return (entries[0].value, entries[0].frequency) if entries else None
+
+
 class TestModeOf:
+    """The documented tie rule, held by the oracle and by cparm's central points."""
+
     def test_numeric_fixture(self):
-        assert mode_of([1, 2, 1, 1, 3.2, 1]) == (1, 4)
+        for mode in (mode_of, column_mode):
+            assert mode([1, 2, 1, 1, 3.2, 1]) == (1, 4)
 
     def test_categorical_tie_takes_latest_introduced(self):
-        assert mode_of(["tcp", "udp", "tcp", "udp"]) == ("udp", 2)
+        for mode in (mode_of, column_mode):
+            assert mode(["tcp", "udp", "tcp", "udp"]) == ("udp", 2)
 
     def test_all_missing(self):
-        assert mode_of([None, None]) is None
+        for mode in (mode_of, column_mode):
+            assert mode([None, None]) is None
 
     def test_empty(self):
         assert mode_of([]) is None
 
     def test_missing_excluded_from_counts(self):
-        assert mode_of([None, 5.0, None, 5.0, 7.0]) == (5.0, 2)
+        for mode in (mode_of, column_mode):
+            assert mode([None, 5.0, None, 5.0, 7.0]) == (5.0, 2)
 
     def test_zero_mode_is_kept(self):
-        assert mode_of([0.0, 0.0, 1.0]) == (0.0, 2)
+        for mode in (mode_of, column_mode):
+            assert mode([0.0, 0.0, 1.0]) == (0.0, 2)
 
     def test_three_way_tie(self):
-        assert mode_of(["a", "b", "c"]) == ("c", 1)
+        for mode in (mode_of, column_mode):
+            assert mode(["a", "b", "c"]) == ("c", 1)
 
-    @given(st.lists(CELLS, max_size=30))
+    @given(
+        st.lists(CELLS, max_size=30)
+        | st.lists(NUMERIC_CELLS, max_size=30)
+        | st.lists(TOKEN_CELLS, max_size=30)
+    )
     def test_matches_tie_rule_oracle(self, values):
-        assert mode_of(values) == latest_first_occurrence_mode(values)
+        want = latest_first_occurrence_mode(values)
+        assert mode_of(values) == want
+        if values and len({type(v) for v in values if v is not None}) <= 1:
+            # a column holds one kind; the value kept is the first spelling seen
+            assert repr(column_mode(values)) == repr(want)
 
 
 def dataset_from_columns(columns, labels=None):
@@ -114,10 +145,40 @@ def dataset_from_columns(columns, labels=None):
     ]
     schema = tuple(AttributeSchema(n, i, k) for i, (n, k) in enumerate(zip(names, kinds)))
     labels = tuple(labels or [0] * len(columns[0]))
-    return Dataset(schema, columns, labels)
+    return dataset(schema, columns, labels)
+
+
+@st.composite
+def partitioned_datasets(draw):
+    n = draw(st.integers(1, 30))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]), min_size=1, max_size=4))
+    columns = [
+        draw(st.lists(NUMERIC_CELLS if k == "numeric" else TOKEN_CELLS, min_size=n, max_size=n))
+        for k in kinds
+    ]
+    schema = tuple(AttributeSchema(f"a{i}", i, k) for i, k in enumerate(kinds))
+    # p == n gives one-row partitions; p == 1 one partition of every row
+    p = draw(st.integers(1, n))
+    return dataset(schema, columns, (0,) * n), columns, p
 
 
 class TestCentralPoints:
+    @settings(deadline=None, max_examples=300)
+    @given(partitioned_datasets())
+    def test_matches_mode_oracle_for_every_partition(self, drawn):
+        ds, columns, p = drawn
+        want = []
+        for attr, col in zip(ds.schema, columns):
+            for k, (start, end) in enumerate(make_plan(ds.n_records, p).boundaries):
+                found = mode_of(col[start:end])
+                if found is not None:
+                    want.append((attr.name, k, repr(found[0]), found[1]))
+        got = [
+            (e.attribute, e.partition_index, repr(e.value), e.frequency)
+            for e in central_points(ds, p).entries
+        ]
+        assert got == want
+
     def test_constant_majority_partitions(self):
         ds = dataset_from_columns([[1.0, 1.0, 2.0, 2.0]])
         table = central_points(ds, 2)

@@ -246,6 +246,84 @@ def test_fault_injection_exit_code_and_no_stray_files(synth_csv, tmp_path, build
     assert _report_body(report) == _report_body(tmp_path / "reference.json")
 
 
+def _blank(names):
+    """Empty every cell of the named columns, header kept."""
+    def edit(rows):
+        cols = [rows[0].index(name) for name in names]
+        return [rows[0]] + [["" if j in cols else c for j, c in enumerate(row)] for row in rows[1:]]
+    return edit
+
+
+def _unseen_tokens(rows):
+    # every categorical cell of the synthetic file starts with a letter
+    return [rows[0]] + [
+        [c if j == len(row) - 1 or not c[:1].isalpha() else f"unseen_{c}" for j, c in enumerate(row)]
+        for row in rows[1:]
+    ]
+
+
+def _identical_features(rows):
+    return [rows[0]] + [rows[1][:-1] + row[-1:] for row in rows[1:]]
+
+
+# In the synth_csv fixture f00 (numeric) and f05 (categorical) carry the
+# signal and are the two selected features; f01 (numeric) and f02
+# (categorical) are noise.
+NOISE = ("f01", "f02")
+SIGNAL = ("f00", "f05")
+
+
+def _check_no_report(report, engines):
+    assert report is None
+
+
+def _check_signal_selected(report, engines):
+    # a column with no value has no central point, so no rule names it
+    assert [f["name"] for f in report["selected_features"]] == list(SIGNAL)
+
+
+def _check_engines_ran(report, engines):
+    assert list(report["engines"]) == engines
+
+
+def _check_one_em_label(report, engines):
+    # every test row is the same point, so EM gives every row one label
+    cm = report["engines"]["em"]["confusion"]
+    assert cm["tp"] + cm["fp"] == 0 or cm["tn"] + cm["fn"] == 0
+
+
+# (case, source arguments built from the good CSV, engines, exit code, check)
+DEGENERATE = [
+    ("all_missing_noise_columns", _input(_blank(NOISE)), ["em", "nb", "lr"], 0,
+     _check_signal_selected),
+    ("all_missing_signal_column", _input(_blank(SIGNAL[:1])), ["em", "nb", "lr"], 3,
+     _check_no_report),
+    ("all_missing_test_columns", _files(_blank(SIGNAL)), ["em", "nb", "lr"], 0,
+     _check_engines_ran),
+    ("all_test_tokens_unseen", _files(_unseen_tokens), ["em", "nb", "lr"], 0,
+     _check_engines_ran),
+    ("identical_feature_rows_em", _input(_identical_features), ["em"], 0,
+     _check_one_em_label),
+]
+
+
+@pytest.mark.parametrize(
+    "build, engines, want, check", [c[1:] for c in DEGENERATE], ids=[c[0] for c in DEGENERATE]
+)
+def test_degenerate_input_exit_code_and_no_stray_files(
+    synth_csv, tmp_path, build, engines, want, check
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    report = work / "report.json"
+    argv = ["run", *build(synth_csv, work), "--engines", ",".join(engines),
+            "--report", str(report), "--dump-centres", str(work / "centres.csv"),
+            "--dump-rules", str(work / "rules.csv"), "--dump-model", str(work / "model.json")]
+    assert main(argv) == want
+    assert not list(work.glob("*.tmp"))
+    check(json.loads(report.read_text()) if report.exists() else None, engines)
+
+
 def test_module_entrypoint_smoke(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "cparm", "--version"],

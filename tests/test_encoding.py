@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cparm.dataset import AttributeSchema, Dataset
+from cparm.dataset import AttributeSchema
 from cparm.engines import encode
 from cparm.errors import UnknownFeatureError
+from oracles import dataset
 
 
 def two_column_dataset(numeric, categorical, labels):
@@ -11,7 +12,7 @@ def two_column_dataset(numeric, categorical, labels):
         AttributeSchema("num", 0, "numeric"),
         AttributeSchema("cat", 1, "categorical"),
     )
-    return Dataset(schema, (numeric, categorical), tuple(labels))
+    return dataset(schema, (numeric, categorical), tuple(labels))
 
 
 def test_two_point_standardization():

@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from cparm.dataset import AttributeSchema, Dataset
+from cparm.dataset import AttributeSchema
 from cparm.engines.naive_bayes import (
     CategoricalLikelihood,
     NBModel,
@@ -12,14 +13,14 @@ from cparm.engines.naive_bayes import (
     nb_predict,
 )
 from cparm.errors import SchemaMismatchError, SingleClassTrainingError
-from oracles import transpose
+from oracles import cells, dataset, nb_input, transpose
 
 
 def labeled_dataset(columns, kinds, labels):
     schema = tuple(
         AttributeSchema(f"f{i}", i, kind) for i, kind in enumerate(kinds)
     )
-    return Dataset(schema, columns, tuple(labels))
+    return dataset(schema, columns, tuple(labels))
 
 
 class TestFit:
@@ -46,11 +47,38 @@ class TestFit:
         with pytest.raises(SingleClassTrainingError):
             nb_fit(ds, ["f0"])
 
+    def test_gaussian_fit_is_the_sequential_sum(self):
+        # mean and variance are the left-to-right float sums of the cells,
+        # bit for bit; a pairwise sum or an exact square can differ in the
+        # last bit
+        rng = random.Random(3)
+        labels = [rng.randint(0, 1) for _ in range(2000)]
+        values = [None if rng.random() < 0.05 else rng.uniform(-1e3, 1e3) * rng.random()
+                  for _ in labels]
+        model = nb_fit(labeled_dataset([values], ["numeric"], labels), ["f0"])
+        lik = model.likelihoods[0]
+        for cls in (0, 1):
+            vals = [v for v, y in zip(values, labels) if y == cls and v is not None]
+            mu = 0
+            for v in vals:
+                mu += v
+            mu /= len(vals)
+            var = 0
+            for v in vals:
+                var += (v - mu) ** 2
+            var /= len(vals)
+            assert (lik.means[cls], lik.variances[cls]) == (mu, var)
+
     def test_missing_cells_excluded(self):
         ds = labeled_dataset([["a", None, "b", None]], ["categorical"], [0, 0, 1, 1])
         model = nb_fit(ds, ["f0"])
         # class 0 saw one 'a'; vocabulary is {a, b}
         assert model.likelihoods[0].tables[0]["a"] == (1 + 1) / (1 + 2)
+
+
+def predict(model, columns):
+    """nb_predict on plain-cell columns."""
+    return nb_predict(model, *nb_input(model, columns))
 
 
 def hand_model(p_x0=0.9, p_x1=0.1, priors=(0.5, 0.5)):
@@ -63,28 +91,28 @@ def hand_model(p_x0=0.9, p_x1=0.1, priors=(0.5, 0.5)):
 
 class TestPredict:
     def test_two_term_bayes_by_hand(self):
-        (label,), (posterior_1,) = nb_predict(hand_model(), transpose([["x"]]))
+        (label,), (posterior_1,) = predict(hand_model(), transpose([["x"]]))
         assert label == 0
         assert abs(posterior_1 - 0.1) < 1e-12
 
     def test_prior_decides_when_likelihoods_equal(self):
         model = hand_model(p_x0=0.5, p_x1=0.5, priors=(0.7, 0.3))
-        (label,), (posterior_1,) = nb_predict(model, transpose([["x"]]))
+        (label,), (posterior_1,) = predict(model, transpose([["x"]]))
         assert label == 0
         assert abs(posterior_1 - 0.3) < 1e-12
 
     def test_exact_tie_predicts_attack(self):
         model = hand_model(p_x0=0.5, p_x1=0.5, priors=(0.5, 0.5))
-        (label,), (posterior_1,) = nb_predict(model, transpose([["x"]]))
+        (label,), (posterior_1,) = predict(model, transpose([["x"]]))
         assert label == 1 and posterior_1 == 0.5
 
     def test_missing_value_skipped(self):
-        (label,), (posterior_1,) = nb_predict(hand_model(priors=(0.25, 0.75)), transpose([[None]]))
+        (label,), (posterior_1,) = predict(hand_model(priors=(0.25, 0.75)), transpose([[None]]))
         assert label == 1
         assert abs(posterior_1 - 0.75) < 1e-12
 
     def test_unseen_token_uses_uniform_likelihood(self):
-        (label,), (posterior_1,) = nb_predict(hand_model(), transpose([["z"]]))
+        (label,), (posterior_1,) = predict(hand_model(), transpose([["z"]]))
         # both classes get 1/|vocab|; priors tie; attack wins
         assert label == 1 and posterior_1 == 0.5
 
@@ -92,20 +120,22 @@ class TestPredict:
         # one row of two values; three rows of two values each
         for columns in ([["x"], ["y"]], [["x", "y", "x"], ["y", "x", "y"]]):
             with pytest.raises(SchemaMismatchError):
-                nb_predict(hand_model(), columns)
+                predict(hand_model(), columns)
 
     def test_ragged_columns(self):
         model = NBModel(("f0", "f1"), ("categorical",) * 2, (0.5, 0.5), hand_model().likelihoods * 2)
         with pytest.raises(SchemaMismatchError):
-            nb_predict(model, [["x", "y", "x"], ["y", "x"]])
+            predict(model, [["x", "y", "x"], ["y", "x"]])
 
     def test_wrong_value_type(self):
-        for rows in ([[3.0]], [["x"], [None], [3.0]]):
+        # numbers for the categorical feature: one row, and three rows whose
+        # last holds the number
+        for column in ([3.0], [np.nan, np.nan, 3.0]):
             with pytest.raises(SchemaMismatchError):
-                nb_predict(hand_model(), transpose(rows))
+                nb_predict(hand_model(), [np.array(column)], [()])
 
     def test_no_rows(self):
-        labels, posterior_1 = nb_predict(hand_model(), [[]])
+        labels, posterior_1 = predict(hand_model(), [[]])
         assert labels.shape == (0,) and posterior_1.shape == (0,)
 
     def test_matches_raw_probability_oracle(self):
@@ -138,7 +168,7 @@ class TestPredict:
             want_label = 1 if joint[1] >= joint[0] else 0
             want_posterior = joint[1] / (joint[0] + joint[1])
 
-            (label,), (posterior_1,) = nb_predict(model, transpose([row]))
+            (label,), (posterior_1,) = predict(model, transpose([row]))
             assert label == want_label
             assert abs(posterior_1 - want_posterior) < 1e-12
 
@@ -175,7 +205,7 @@ class TestFitPredictEndToEnd:
         model = nb_fit(labeled_dataset(columns, kinds, labels), ["f0", "f1", "f2", "f3"])
         # "z" never occurs in training
         rows = [[cell(k, rng.randint(0, 1), "abz") for k in kinds] for _ in range(500)]
-        got_labels, got_posteriors = nb_predict(model, transpose(rows))
+        got_labels, got_posteriors = predict(model, transpose(rows))
         for row, label, posterior_1 in zip(rows, got_labels, got_posteriors):
             log0, log1 = per_row_log_posteriors(model, row)
             assert label == (1 if log1 >= log0 else 0)
@@ -192,8 +222,8 @@ class TestFitPredictEndToEnd:
         ds = labeled_dataset([values], ["numeric"], labels)
         model = nb_fit(ds, ["f0"])
         correct = sum(
-            nb_predict(model, transpose([row]))[0][0] == label
-            for row, label in zip(transpose(ds.columns), ds.labels)
+            predict(model, transpose([row]))[0][0] == label
+            for row, label in zip(transpose(cells(ds)), ds.labels)
         )
         assert correct / 200 >= 0.99
 
@@ -205,4 +235,4 @@ class TestFitPredictEndToEnd:
         for token in ("a", "b"):
             joint = [model.priors[c] * model.likelihoods[0].tables[c][token] for c in (0, 1)]
             want = 1 if joint[1] >= joint[0] else 0
-            assert nb_predict(model, transpose([[token]]))[0][0] == want
+            assert predict(model, transpose([[token]]))[0][0] == want
