@@ -3,6 +3,12 @@
 Fits K=2 components to the encoded feature matrix without labels, then maps
 each cluster to the majority training label of the rows it claims. The
 log-likelihood trace is kept per iteration; EM guarantees it never decreases.
+
+The E-step's per-row terms (component log-densities, responsibilities and
+log-likelihoods) are evaluated once per distinct encoded row and gathered
+back to the rows. The M-step's sums, the log-likelihood total and the seeded
+choice of starting means still run over all rows in row order, so the
+fitted model is bit-identical to evaluating every row.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import SchemaMismatchError, TooFewRowsError, UnfittedModelError
-from .encoding import FeatureMatrix
+from .encoding import FeatureMatrix, distinct_rows
 
 VARIANCE_FLOOR = 1e-9
 
@@ -62,14 +68,12 @@ def _log_densities(x: np.ndarray, weights, means, variances) -> np.ndarray:
     return out
 
 
-def _normalize_log(scores: np.ndarray) -> tuple[np.ndarray, float]:
-    """Row-normalize in log space; returns (responsibilities, total log-likelihood)."""
+def _normalize_log(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalize in log space; returns (responsibilities, per-row log-likelihoods)."""
     m = scores.max(axis=1, keepdims=True)
     shifted = np.exp(scores - m)
     norm = shifted.sum(axis=1, keepdims=True)
-    resp = shifted / norm
-    ll = float((m[:, 0] + np.log(norm[:, 0])).sum())
-    return resp, ll
+    return shifted / norm, m[:, 0] + np.log(norm[:, 0])
 
 
 def responsibilities(model: EMModel, x: np.ndarray) -> np.ndarray:
@@ -94,8 +98,13 @@ def _init_means(x: np.ndarray, rng: np.random.Generator, k: int) -> np.ndarray:
     return x[chosen].copy()
 
 
-def _fit_once(x: np.ndarray, config: EMConfig, restart: int) -> EMModel:
+def _fit_once(
+    x: np.ndarray, first: np.ndarray | slice, inverse: np.ndarray | slice, config: EMConfig,
+    restart: int,
+) -> EMModel:
+    """One seeded EM run; the E-step sees only the rows ``x[first]``."""
     n, width = x.shape
+    distinct = x[first]
     k = config.k
     rng = np.random.default_rng([config.seed, restart])
     means = _init_means(x, rng, k)
@@ -104,8 +113,9 @@ def _fit_once(x: np.ndarray, config: EMConfig, restart: int) -> EMModel:
 
     trace: list[float] = []
     for _ in range(config.max_iterations):
-        resp, ll = _normalize_log(_log_densities(x, weights, means, variances))
-        trace.append(ll)
+        resp, row_ll = _normalize_log(_log_densities(distinct, weights, means, variances))
+        resp = resp[inverse]
+        trace.append(float(row_ll[inverse].sum()))
         if len(trace) >= 2 and trace[-1] - trace[-2] < config.tolerance:
             break
         nk = np.maximum(resp.sum(axis=0), 1e-12)
@@ -122,9 +132,12 @@ def em_fit(matrix: FeatureMatrix, config: EMConfig = EMConfig()) -> EMModel:
     x = matrix.rows
     if x.shape[0] < 2 * config.k:
         raise TooFewRowsError(f"EM with k={config.k} needs at least {2 * config.k} rows")
+    first, inverse = distinct_rows(x)
+    if first.size == x.shape[0]:
+        first = inverse = slice(None)  # every row distinct: no copy, no gather
     best: EMModel | None = None
     for r in range(config.restarts):
-        candidate = _fit_once(x, config, r)
+        candidate = _fit_once(x, first, inverse, config, r)
         if best is None or candidate.ll_trace[-1] > best.ll_trace[-1]:
             best = candidate
     assert best is not None

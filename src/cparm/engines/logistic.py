@@ -3,6 +3,11 @@
 Loss is the mean negative log-likelihood plus an L2 penalty on the weights
 (bias unpenalized). Weights start at zero, so a zero-iteration fit predicts
 0.5 everywhere.
+
+The per-row terms of each iteration (logit, residual, loss) are evaluated
+once per distinct (encoded row, label) pair and gathered back to the rows;
+the gradient's ``x.T @ residual`` and the means still run over all rows in
+row order, so the fitted model is bit-identical to evaluating every row.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DivergedLossError, SchemaMismatchError, SingleClassTrainingError
-from .encoding import FeatureMatrix
+from .encoding import FeatureMatrix, distinct_rows
 
 
 @dataclass(frozen=True)
@@ -52,24 +57,27 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-# The loss and its gradient given the logits z = x @ w + b, which lr_fit
-# computes once per iteration for both.
-def _loss_at(z: np.ndarray, w: np.ndarray, y: np.ndarray, l2: float) -> float:
-    # log(1 + e^z) - y*z, via logaddexp for stability
-    return float((np.logaddexp(0.0, z) - y * z).mean() + 0.5 * l2 * np.dot(w, w))
+# The loss and its gradient from per-row terms, which lr_fit evaluates once
+# per distinct row and gathers back to the rows.
+def _row_losses(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log(1 + e^z) - y*z for the logits z, via logaddexp for stability."""
+    return np.logaddexp(0.0, z) - y * z
 
 
-def _gradient_at(
-    z: np.ndarray, w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float
+def _loss(row_losses: np.ndarray, w: np.ndarray, l2: float) -> float:
+    return float(row_losses.mean() + 0.5 * l2 * np.dot(w, w))
+
+
+def _gradient(
+    residual: np.ndarray, w: np.ndarray, x: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
-    residual = _sigmoid(z) - y
     return x.T @ residual / x.shape[0] + l2 * w, float(residual.mean())
 
 
 def nll_loss(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float) -> float:
     """Mean negative log-likelihood + (l2/2)*||w||^2, computed without overflow."""
     with np.errstate(**_QUIET):
-        return _loss_at(x @ w + b, w, y, l2)
+        return _loss(_row_losses(x @ w + b, y), w, l2)
 
 
 def nll_gradient(
@@ -77,7 +85,7 @@ def nll_gradient(
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of nll_loss with respect to (w, b)."""
     with np.errstate(**_QUIET):
-        return _gradient_at(x @ w + b, w, x, y, l2)
+        return _gradient(_sigmoid(x @ w + b) - y, w, x, l2)
 
 
 def lr_fit(matrix: FeatureMatrix, hyper: LRHyperParams = LRHyperParams()) -> LRModel:
@@ -88,18 +96,22 @@ def lr_fit(matrix: FeatureMatrix, hyper: LRHyperParams = LRHyperParams()) -> LRM
     if y.min() == y.max():
         raise SingleClassTrainingError()
     x = matrix.rows
+    first, inverse = distinct_rows(x, matrix.labels)
+    if first.size == x.shape[0]:
+        first = inverse = slice(None)  # every row distinct: no copy, no gather
+    xg, yg = x[first], y[first]
     w = np.zeros(matrix.width, dtype=np.float64)
     b = 0.0
     iterations = 0
     with np.errstate(**_QUIET):
-        z = x @ w + b
-        loss = _loss_at(z, w, y, hyper.l2)
+        z = xg @ w + b
+        loss = _loss(_row_losses(z, yg)[inverse], w, hyper.l2)
         for _ in range(hyper.max_iterations):
-            grad_w, grad_b = _gradient_at(z, w, x, y, hyper.l2)
+            grad_w, grad_b = _gradient((_sigmoid(z) - yg)[inverse], w, x, hyper.l2)
             w = w - hyper.learning_rate * grad_w
             b = b - hyper.learning_rate * grad_b
-            z = x @ w + b
-            new_loss = _loss_at(z, w, y, hyper.l2)
+            z = xg @ w + b
+            new_loss = _loss(_row_losses(z, yg)[inverse], w, hyper.l2)
             iterations += 1
             if not np.isfinite(new_loss) or not np.all(np.isfinite(w)):
                 raise DivergedLossError(f"loss became non-finite at iteration {iterations}")

@@ -114,6 +114,10 @@ class EmptyInputError(DataError):
     pass
 
 
+class NonBinaryLabelError(DataError):
+    """A prediction or truth label handed to the metrics is not 0 or 1."""
+
+
 class StageError(CparmError):
     """Wraps a failure so the CLI can report which pipeline stage died."""
 

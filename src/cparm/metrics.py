@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyInputError, LengthMismatchError
+import numpy as np
+
+from .errors import EmptyInputError, LengthMismatchError, NonBinaryLabelError
 
 
 @dataclass(frozen=True)
@@ -46,24 +48,22 @@ class MetricsReport:
         }
 
 
-def confusion(predictions: Sequence[int], truth: Sequence[int]) -> ConfusionMatrix:
-    if len(predictions) != len(truth):
-        raise LengthMismatchError(
-            f"{len(predictions)} predictions for {len(truth)} truth labels"
-        )
-    if not predictions:
+def confusion(
+    predictions: Sequence[int] | np.ndarray, truth: Sequence[int] | np.ndarray
+) -> ConfusionMatrix:
+    """Counts of the four (prediction, truth) cells; both must hold only 0 and 1."""
+    pred, true = np.asarray(predictions), np.asarray(truth)
+    if pred.shape != true.shape or pred.ndim != 1:
+        raise LengthMismatchError(f"{pred.size} predictions for {true.size} truth labels")
+    if not pred.size:
         raise EmptyInputError("cannot evaluate zero predictions")
-    tp = tn = fp = fn = 0
-    for p, t in zip(predictions, truth):
-        if p == 1 and t == 1:
-            tp += 1
-        elif p == 0 and t == 0:
-            tn += 1
-        elif p == 1 and t == 0:
-            fp += 1
-        else:
-            fn += 1
-    return ConfusionMatrix(tp, tn, fp, fn)
+    for name, values in (("prediction", pred), ("truth label", true)):
+        outside = (values != 0) & (values != 1)
+        if outside.any():
+            raise NonBinaryLabelError(f"{name} {values[outside][0].item()!r} is not 0 or 1")
+    # cell 2*truth + prediction: 0 = tn, 1 = fp, 2 = fn, 3 = tp
+    tn, fp, fn, tp = np.bincount(2 * true.astype(np.int64) + pred.astype(np.int64), minlength=4)
+    return ConfusionMatrix(int(tp), int(tn), int(fp), int(fn))
 
 
 def _ratio(num: int, den: int) -> float | None:

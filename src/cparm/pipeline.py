@@ -270,7 +270,7 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
                 predict, test_input = em_predict, (test_x,)
         with _stage(f"predict_{engine}", timings):
             labels, _ = predict(model, *test_input)
-        cm = confusion(labels.tolist(), test.labels.tolist())
+        cm = confusion(labels, test.labels)
         engine_results[engine] = {
             "confusion": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},
             "metrics": compute_metrics(cm).to_dict(),

@@ -248,3 +248,56 @@ def mutual_information_ranking(dataset):
         scored.append((histogram_mutual_information(col, list(dataset.labels)), attr.name))
     scored.sort(key=lambda s: (-s[0], s[1]))
     return [name for _, name in scored]
+
+
+def em_fit_reference(x, config):
+    """EM evaluated on every row, restart by restart: ((weights, means,
+    variances, ll_trace) of the best restart, its index).
+
+    The E-step, the M-step and the seeded choice of starting means are
+    written out with the same NumPy operations in the same order as
+    ``cparm.engines.em``, so a fit that evaluates each distinct row once
+    must agree with this one bit for bit.
+    """
+    n, width = x.shape
+    k = config.k
+    best = None
+    for restart in range(config.restarts):
+        rng = np.random.default_rng([config.seed, restart])
+        chosen = [int(rng.integers(n))]
+        for _ in range(k - 1):
+            d2 = np.min([((x - x[i]) ** 2).sum(axis=1) for i in chosen], axis=0)
+            total = d2.sum()
+            if total == 0.0:
+                chosen.append((chosen[-1] + 1) % n)
+            else:
+                chosen.append(int(rng.choice(n, p=d2 / total)))
+        means = x[chosen].copy()
+        variances = np.ones((k, width), dtype=np.float64)
+        weights = np.full(k, 1.0 / k, dtype=np.float64)
+        trace = []
+        for _ in range(config.max_iterations):
+            scores = np.empty((n, k), dtype=np.float64)
+            for j in range(k):
+                diff2 = (x - means[j]) ** 2 / variances[j]
+                scores[:, j] = (
+                    np.log(weights[j])
+                    - 0.5 * (width * np.log(2.0 * np.pi) + np.log(variances[j]).sum())
+                    - 0.5 * diff2.sum(axis=1)
+                )
+            m = scores.max(axis=1, keepdims=True)
+            shifted = np.exp(scores - m)
+            norm = shifted.sum(axis=1, keepdims=True)
+            resp = shifted / norm
+            trace.append(float((m[:, 0] + np.log(norm[:, 0])).sum()))
+            if len(trace) >= 2 and trace[-1] - trace[-2] < config.tolerance:
+                break
+            nk = np.maximum(resp.sum(axis=0), 1e-12)
+            weights = nk / nk.sum()
+            means = (resp.T @ x) / nk[:, None]
+            for j in range(k):
+                variances[j] = resp[:, j] @ (x - means[j]) ** 2 / nk[j]
+            variances = np.maximum(variances, 1e-9)
+        if best is None or trace[-1] > best[0][3][-1]:
+            best = ((weights, means, variances, tuple(trace)), restart)
+    return best

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cparm.engines.em import (
     EMConfig,
@@ -12,6 +16,7 @@ from cparm.engines.em import (
 )
 from cparm.engines.encoding import ColumnSpec, FeatureMatrix
 from cparm.errors import SchemaMismatchError, TooFewRowsError, UnfittedModelError
+from oracles import em_fit_reference
 
 
 def matrix_from(x, labels=None):
@@ -76,6 +81,53 @@ class TestFit:
         b = em_fit(matrix_from(x), EMConfig(seed=11))
         assert a.ll_trace == b.ll_trace
         assert np.array_equal(a.means, b.means)
+
+
+@st.composite
+def em_cases(draw):
+    """(matrix, config): rows drawn with duplicates, all distinct or all
+    identical, and optionally a first column that holds both 0.0 and -0.0."""
+    n = draw(st.integers(4, 40))
+    width = draw(st.integers(1, 4))
+    cell = st.integers(-3, 3).map(float)
+    layout = draw(st.sampled_from(["duplicated", "distinct", "identical"]))
+    if layout == "duplicated":
+        pool = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=2, max_size=5))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        x = np.array([pool[i] for i in picks])
+    elif layout == "distinct":
+        x = np.array(draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                                   min_size=n, max_size=n)))
+        x[:, 0] = draw(st.permutations(range(n)))
+    else:
+        x = np.tile(draw(st.lists(cell, min_size=width, max_size=width)), (n, 1))
+    if draw(st.booleans()):
+        signs = draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+        x[:, 0] = [0.0, -0.0] + [-0.0 if s else 0.0 for s in signs]
+    config = EMConfig(
+        max_iterations=draw(st.integers(1, 30)),
+        seed=draw(st.integers(0, 3)),
+        restarts=draw(st.integers(1, 4)),
+    )
+    return matrix_from(x), config
+
+
+class TestReference:
+    @settings(deadline=None, max_examples=150)
+    @given(em_cases())
+    def test_equals_the_fit_on_every_row(self, case):
+        matrix, config = case
+        model = em_fit(matrix, config)
+        (weights, means, variances, trace), restart = em_fit_reference(matrix.rows, config)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.means.tobytes() == means.tobytes()
+        assert model.variances.tobytes() == variances.tobytes()
+        assert np.array(model.ll_trace).tobytes() == np.array(trace).tobytes()
+        # the restart chosen: em_fit picks restart `restart` of the reference,
+        # so it beats every earlier restart and no later one replaces it
+        assert em_fit(matrix, replace(config, restarts=restart + 1)).ll_trace == model.ll_trace
+        if restart:
+            assert em_fit(matrix, replace(config, restarts=restart)).ll_trace[-1] < trace[-1]
 
 
 class TestClusterMapping:

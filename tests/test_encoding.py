@@ -3,6 +3,7 @@ import pytest
 
 from cparm.dataset import AttributeSchema
 from cparm.engines import encode
+from cparm.engines.encoding import distinct_rows
 from cparm.errors import UnknownFeatureError
 from oracles import dataset
 
@@ -72,3 +73,47 @@ def test_column_order_follows_request():
     matrix, _ = encode(ds, ["cat", "num"])
     assert [c.attribute for c in matrix.columns] == ["cat", "num"]
     assert matrix.width == 3  # 2 one-hot + 1 numeric
+
+
+class TestDistinctRows:
+    def test_gathers_back_to_the_rows_bitwise(self):
+        rng = np.random.default_rng(4)
+        rows = rng.integers(-2, 3, size=(500, 3)).astype(float) / 2
+        rows[rng.random(500) < 0.3, 1] = -0.0
+        first, inverse = distinct_rows(rows)
+        assert rows[first][inverse].tobytes() == rows.tobytes()
+        assert len(first) == len({r.tobytes() for r in rows})
+
+    def test_groups_in_first_occurrence_order(self):
+        rows = np.array([[2.0], [1.0], [2.0], [3.0], [1.0]])
+        first, inverse = distinct_rows(rows)
+        assert first.tolist() == [0, 1, 3]
+        assert inverse.tolist() == [0, 1, 0, 2, 1]
+
+    def test_all_distinct_is_the_identity(self):
+        # told apart by one column, and only by the columns together
+        for rows in ([[3.0, 0.0], [1.0, 0.0], [2.0, 5.0]], [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]):
+            first, inverse = distinct_rows(np.array(rows))
+            assert first.tolist() == inverse.tolist() == [0, 1, 2]
+
+    def test_signed_zeros_are_separate_groups(self):
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        first, inverse = distinct_rows(rows)
+        assert first.tolist() == [0, 1]
+        assert inverse.tolist() == [0, 1, 0]
+
+    def test_labels_split_groups(self):
+        rows = np.ones((4, 2))
+        first, inverse = distinct_rows(rows, np.array([1, 0, 1, 0]))
+        assert first.tolist() == [0, 1]
+        assert inverse.tolist() == [0, 1, 0, 1]
+        assert distinct_rows(rows)[0].tolist() == [0]
+
+    def test_wide_keys_are_renumbered_before_they_overflow(self):
+        # 70 columns of 2 values each span 2**70 keys
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 2, size=(300, 70)).astype(float)
+        rows[150:] = rows[:150]
+        first, inverse = distinct_rows(rows)
+        assert rows[first][inverse].tobytes() == rows.tobytes()
+        assert len(first) == len({r.tobytes() for r in rows}) == 150

@@ -62,27 +62,44 @@ class TestFit:
             assert later <= earlier + 1e-12
 
     def test_equals_gradient_descent_on_the_reference_functions(self):
-        # lr_fit shares one x @ w + b between a loss and the next gradient;
-        # the result must be bit-identical to calling nll_gradient and nll_loss
+        # lr_fit evaluates its per-row terms once per distinct (row, label)
+        # and shares one x @ w + b between a loss and the next gradient; the
+        # result must be bit-identical to calling nll_gradient and nll_loss,
+        # on rows that repeat as much as encoded synthetic features do and
+        # on rows that never repeat
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(200, 4))
-        y = (x @ np.array([1.0, -2.0, 0.5, 0.0]) + rng.normal(size=200) > 0).astype(int)
-        columns = tuple(ColumnSpec(f"x{i}", "numeric") for i in range(4))
-        hyper = LRHyperParams(max_iterations=1000, tolerance=1e-5)
-        model = lr_fit(FeatureMatrix(columns, x, y), hyper)
+        n = 200
 
-        yf = y.astype(float)
-        w, b = np.zeros(4), 0.0
-        loss = nll_loss(w, b, x, yf, hyper.l2)
-        for iterations in range(1, hyper.max_iterations + 1):
-            grad_w, grad_b = nll_gradient(w, b, x, yf, hyper.l2)
-            w, b = w - hyper.learning_rate * grad_w, b - hyper.learning_rate * grad_b
-            loss, previous = nll_loss(w, b, x, yf, hyper.l2), loss
-            if abs(previous - loss) < hyper.tolerance:
-                break
-        assert 0 < model.iterations == iterations < hyper.max_iterations
-        assert model.weights.tolist() == w.tolist()
-        assert model.bias == b and model.final_loss == loss
+        def one_hot_and_count(count):
+            # a one-hot block and a standardized integer-valued numeric
+            # column, as the encoder lays out the synthetic signal features
+            numeric = (count - count.mean()) / count.std()
+            return np.column_stack([np.eye(3)[rng.integers(0, 3, size=n)], numeric])
+
+        for x, distinct in (
+            (rng.normal(size=(n, 4)), n),
+            (one_hot_and_count(rng.integers(0, 4, size=n)), 12),
+            (one_hot_and_count(rng.permutation(n)), n),
+        ):
+            assert len(np.unique(x, axis=0)) == distinct
+            y = (x @ np.array([1.0, -2.0, 0.5, 1.5]) + rng.normal(size=n) > 0).astype(int)
+            columns = tuple(ColumnSpec(f"x{i}", "numeric") for i in range(4))
+            hyper = LRHyperParams(max_iterations=2000, tolerance=1e-5)
+            model = lr_fit(FeatureMatrix(columns, x, y), hyper)
+
+            yf = y.astype(float)
+            assert model.final_loss == nll_loss(model.weights, model.bias, x, yf, hyper.l2)
+            w, b = np.zeros(4), 0.0
+            loss = nll_loss(w, b, x, yf, hyper.l2)
+            for iterations in range(1, hyper.max_iterations + 1):
+                grad_w, grad_b = nll_gradient(w, b, x, yf, hyper.l2)
+                w, b = w - hyper.learning_rate * grad_w, b - hyper.learning_rate * grad_b
+                loss, previous = nll_loss(w, b, x, yf, hyper.l2), loss
+                if abs(previous - loss) < hyper.tolerance:
+                    break
+            assert 0 < model.iterations == iterations < hyper.max_iterations
+            assert model.weights.tobytes() == w.tobytes()
+            assert model.bias == b and model.final_loss == loss
 
     def test_deterministic(self):
         a = lr_fit(separable_matrix())

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cparm.errors import EmptyInputError, LengthMismatchError
+from cparm.errors import DataError, EmptyInputError, LengthMismatchError, NonBinaryLabelError
 from cparm.metrics import ConfusionMatrix, compute_metrics, confusion
 
 
@@ -35,6 +35,19 @@ class TestConfusion:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             confusion([], [])
+
+    def test_value_outside_zero_one_rejected(self):
+        # a 2 predicted for a normal record used to count as a false negative
+        for predictions, truth in (([1, 2, 0], [1, 0, 0]), ([1, 0], [1, -1])):
+            with pytest.raises(NonBinaryLabelError) as error:
+                confusion(predictions, truth)
+            assert isinstance(error.value, DataError)
+
+    def test_arrays_and_lists_count_alike(self):
+        preds, truth = [1, 0, 1, 1, 0], [1, 1, 0, 1, 0]
+        from_arrays = confusion(np.array(preds, dtype=np.int64), np.array(truth))
+        assert from_arrays == confusion(preds, truth) == ConfusionMatrix(tp=2, tn=1, fp=1, fn=1)
+        assert all(type(v) is int for v in (from_arrays.tp, from_arrays.tn, from_arrays.fp, from_arrays.fn))
 
 
 class TestComputeMetrics:
