@@ -14,7 +14,6 @@ from .dataset import (
     Dataset,
     SplitSpec,
     SynthManifest,
-    infer_schema,
     load_csv,
     split,
     synth_dataset,
@@ -23,22 +22,18 @@ from .dataset import (
 from .central_points import (
     CentralPoint,
     CentralPointsTable,
-    PartitionPlan,
     central_points,
-    make_plan,
     partition_count,
+    partition_index,
 )
 from .arm import (
-    FeatureRanking,
     Item,
     Rule,
     Transaction,
     build_transactions,
-    confidence,
     generate_rules,
     run_threshold_sweep,
     select_features,
-    support,
 )
 from .metrics import ConfusionMatrix, MetricsReport, compute_metrics, confusion
 from .pipeline import (
@@ -57,27 +52,22 @@ __all__ = [
     "Dataset",
     "SplitSpec",
     "SynthManifest",
-    "infer_schema",
     "load_csv",
     "split",
     "synth_dataset",
     "write_csv",
     "CentralPoint",
     "CentralPointsTable",
-    "PartitionPlan",
     "central_points",
-    "make_plan",
     "partition_count",
-    "FeatureRanking",
+    "partition_index",
     "Item",
     "Rule",
     "Transaction",
     "build_transactions",
-    "confidence",
     "generate_rules",
     "run_threshold_sweep",
     "select_features",
-    "support",
     "ConfusionMatrix",
     "MetricsReport",
     "compute_metrics",

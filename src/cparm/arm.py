@@ -3,7 +3,8 @@
 Each partition becomes one transaction whose items are its central points
 (attribute=value pairs). Rules are ordered pairs of items with distinct
 attributes; a rule survives when support >= minsup and confidence >= minconf,
-and is ranked by importance = (support + confidence) / 2.
+and is ranked by importance = (support + confidence) / 2. A ranking is a
+tuple of (attribute, importance) pairs, best first, with names breaking ties.
 """
 
 from __future__ import annotations
@@ -11,15 +12,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .central_points import CentralPointsTable
 from .dataset import Value
-from .errors import (
-    AntecedentAbsentError,
-    EmptyTransactionsError,
-    LengthMismatchError,
-)
+from .errors import EmptyTransactionsError, LengthMismatchError
 
 
 class Item(NamedTuple):
@@ -47,37 +44,20 @@ class Rule:
     label: int
 
 
-@dataclass(frozen=True)
-class RankedFeature:
-    attribute: str
-    best_importance: float
-    supporting_rule: Rule
-
-
-@dataclass(frozen=True)
-class FeatureRanking:
-    """Top attributes for one class, scored by their best rule importance."""
-
-    entries: tuple[RankedFeature, ...]
-
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(e.attribute for e in self.entries)
+Ranking = tuple[tuple[str, float], ...]  # (attribute, importance), best first
 
 
 @dataclass(frozen=True)
 class SweepEntry:
     threshold: float
-    by_class: tuple[FeatureRanking, FeatureRanking]  # (class 0, class 1)
+    by_class: tuple[Ranking, Ranking]  # (class 0, class 1)
 
 
 @dataclass(frozen=True)
 class SweepResult:
     entries: tuple[SweepEntry, ...]
-    merged: tuple[tuple[str, float], ...]  # downstream (attribute, importance)
+    merged: Ranking  # the selection fed to the decision engines
     rules: tuple[Rule, ...]  # every rule passing the lowest threshold, sorted
-
-    def merged_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.merged)
 
 
 def _value_sort_key(v: Value) -> tuple[int, float, str]:
@@ -114,23 +94,6 @@ def build_transactions(
         Transaction(frozenset(items), labels_per_partition[k])
         for k, items in enumerate(per_partition)
     ]
-
-
-def support(f1: Item, f2: Item, transactions: Sequence[Transaction]) -> float:
-    """Fraction of all transactions containing both items."""
-    if not transactions:
-        raise EmptyTransactionsError("support over zero transactions")
-    both = sum(1 for t in transactions if f1 in t.items and f2 in t.items)
-    return both / len(transactions)
-
-
-def confidence(f1: Item, f2: Item, transactions: Sequence[Transaction]) -> float:
-    """Fraction of transactions containing f1 that also contain f2."""
-    antecedent = sum(1 for t in transactions if f1 in t.items)
-    if antecedent == 0:
-        raise AntecedentAbsentError(f1)
-    both = sum(1 for t in transactions if f1 in t.items and f2 in t.items)
-    return both / antecedent
 
 
 def generate_rules(
@@ -188,19 +151,27 @@ def generate_rules(
     return rules
 
 
-def select_features(rules: Sequence[Rule], limit: int, label: int) -> FeatureRanking:
+def _top(scores: Iterable[tuple[str, float]], limit: int) -> Ranking:
+    """The ``limit`` best (attribute, score) pairs, best first, names breaking
+    ties. An attribute keeps its first score unless a later one is strictly
+    higher."""
+    best: dict[str, float] = {}
+    for attr, score in scores:
+        if attr not in best or score > best[attr]:
+            best[attr] = score
+    return tuple(sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:limit])
+
+
+def select_features(rules: Sequence[Rule], limit: int, label: int) -> Ranking:
     """Top attributes for one class by best importance of any rule naming them."""
-    best: dict[str, tuple[float, Rule]] = {}
-    for rule in rules:
-        if rule.label != label:
-            continue
-        for attr in (rule.antecedent.attribute, rule.consequent.attribute):
-            held = best.get(attr)
-            if held is None or rule.importance > held[0]:
-                best[attr] = (rule.importance, rule)
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1][0], kv[0]))[:limit]
-    return FeatureRanking(
-        tuple(RankedFeature(attr, imp, rule) for attr, (imp, rule) in ranked)
+    return _top(
+        (
+            (attr, rule.importance)
+            for rule in rules
+            if rule.label == label
+            for attr in (rule.antecedent.attribute, rule.consequent.attribute)
+        ),
+        limit,
     )
 
 
@@ -230,13 +201,5 @@ def run_threshold_sweep(
             SweepEntry(t, (select_features(rules, limit, 0), select_features(rules, limit, 1)))
         )
 
-    lowest = entries[0]
-    pooled: dict[str, float] = {}
-    for ranking in lowest.by_class:
-        for e in ranking.entries:
-            if e.attribute not in pooled or e.best_importance > pooled[e.attribute]:
-                pooled[e.attribute] = e.best_importance
-    merged = tuple(
-        sorted(pooled.items(), key=lambda kv: (-kv[1], kv[0]))[:limit]
-    )
+    merged = _top((pair for ranking in entries[0].by_class for pair in ranking), limit)
     return SweepResult(tuple(entries), merged, tuple(lowest_rules))

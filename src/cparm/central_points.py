@@ -1,5 +1,8 @@
 """Equal partitioning of records and per-partition central points.
 
+``partition_index`` maps each row to one of p contiguous partitions: the
+first p-1 hold n // p rows each and the last takes the remainder.
+
 The central point of an attribute within a partition is its mode: the most
 frequent non-missing value in that contiguous row slice. Numeric and
 categorical attributes go through the same frequency count; numeric equality
@@ -16,14 +19,6 @@ import numpy as np
 
 from .dataset import CATEGORICAL, Dataset, Value, is_missing
 from .errors import TooManyPartitionsError
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    """p half-open row ranges covering [0, n); the last absorbs the remainder."""
-
-    p: int
-    boundaries: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,6 @@ class CentralPointsTable:
 
     entries: tuple[CentralPoint, ...]
     p: int
-    attribute_order: tuple[str, ...]
 
 
 def partition_count(n_records: int, n_attributes: int) -> int:
@@ -54,16 +48,13 @@ def partition_count(n_records: int, n_attributes: int) -> int:
     return max(1, n_records // n_attributes)
 
 
-def make_plan(n_records: int, p: int) -> PartitionPlan:
-    """Split [0, n) into p ranges; the first p-1 have length n // p."""
+def partition_index(n_records: int, p: int) -> np.ndarray:
+    """Every row's partition: the first p-1 get n // p rows, the last the rest."""
     if p > n_records:
         raise TooManyPartitionsError(p, n_records)
     if p < 1 or n_records < 1:
         raise ValueError("record and partition counts must be positive")
-    size = n_records // p
-    boundaries = [(i * size, (i + 1) * size) for i in range(p - 1)]
-    boundaries.append(((p - 1) * size, n_records))
-    return PartitionPlan(p, tuple(boundaries))
+    return np.minimum(np.arange(n_records) // (n_records // p), p - 1)
 
 
 def partition_modes(
@@ -102,9 +93,8 @@ def partition_modes(
 
 
 def central_points(dataset: Dataset, p: int) -> CentralPointsTable:
-    """Mode of every attribute within every partition of an equal-split plan."""
-    plan = make_plan(dataset.n_records, p)
-    partition = np.repeat(np.arange(p), [end - start for start, end in plan.boundaries])
+    """Mode of every attribute within every one of p equal partitions."""
+    partition = partition_index(dataset.n_records, p)
     entries: list[CentralPoint] = []
     for attr, column, vocab in zip(dataset.schema, dataset.columns, dataset.vocabularies):
         groups, firsts, counts = partition_modes(column, partition)
@@ -115,4 +105,4 @@ def central_points(dataset: Dataset, p: int) -> CentralPointsTable:
             CentralPoint(attr.name, k, value, freq)
             for k, value, freq in zip(groups.tolist(), values, counts.tolist())
         )
-    return CentralPointsTable(tuple(entries), p, dataset.attribute_names())
+    return CentralPointsTable(tuple(entries), p)

@@ -154,21 +154,6 @@ def map_label(token: str) -> int | None:
     return None
 
 
-def infer_schema(
-    text_columns: Sequence[Sequence[str]], names: Sequence[str] | None = None
-) -> list[AttributeSchema]:
-    """Infer column kinds from raw text columns, by load_csv's rule (see
-    ``_type_column``)."""
-    if not text_columns or not text_columns[0]:
-        raise EmptyDatasetError("cannot infer a schema without columns and rows")
-    if names is None:
-        names = [f"c{i}" for i in range(len(text_columns))]
-    return [
-        AttributeSchema(names[c], c, _type_column(col, None)[2])
-        for c, col in enumerate(text_columns)
-    ]
-
-
 def _read_raw_csv(path: str | Path) -> tuple[list[str], list[tuple[str, ...]]]:
     """The header and the text of every column, the label column included."""
     path = Path(path)

@@ -38,10 +38,6 @@ class FeatureMatrix:
     labels: np.ndarray | None = None       # (n,) int, absent for unlabeled use
 
     @property
-    def n_rows(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
     def width(self) -> int:
         return int(self.rows.shape[1])
 

@@ -76,12 +76,6 @@ class EmptyTransactionsError(DataError):
     pass
 
 
-class AntecedentAbsentError(DataError):
-    def __init__(self, item):
-        self.item = item
-        super().__init__(f"antecedent {item} appears in no transaction")
-
-
 class NoFeaturesSelectedError(DataError):
     """The rule miner produced no passing rules, so no features can be fed downstream."""
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .arm import SweepResult, build_transactions, run_threshold_sweep
-from .central_points import CentralPointsTable, central_points, make_plan, partition_count
+from .central_points import CentralPointsTable, central_points, partition_count, partition_index
 from .dataset import (
     Dataset,
     SplitSpec,
@@ -167,8 +167,6 @@ def _stage(name: str, timings: dict):
     start = time.perf_counter()
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
     finally:
@@ -187,11 +185,11 @@ def _acquire(config: PipelineConfig) -> tuple[Dataset, Dataset]:
     return split(full, SplitSpec(src.fraction, config.seed))
 
 
-def _partition_labels(labels: np.ndarray, boundaries) -> list[int]:
-    # majority label per row range, exact ties counted as attack
-    starts, ends = np.array(boundaries).T
-    ones = np.add.reduceat(labels, starts)
-    return (2 * ones >= ends - starts).astype(int).tolist()
+def _partition_labels(labels: np.ndarray, p: int) -> list[int]:
+    # majority label of each of p equal partitions, exact ties counted as attack
+    partition = partition_index(labels.shape[0], p)
+    ones = np.bincount(partition[labels == 1], minlength=p)
+    return (2 * ones >= np.bincount(partition, minlength=p)).astype(int).tolist()
 
 
 def _sweep_echo(sweep: SweepResult) -> tuple:
@@ -202,8 +200,8 @@ def _sweep_echo(sweep: SweepResult) -> tuple:
                 "threshold": entry.threshold,
                 "classes": {
                     str(cls): [
-                        {"attribute": e.attribute, "importance": e.best_importance}
-                        for e in entry.by_class[cls].entries
+                        {"attribute": name, "importance": imp}
+                        for name, imp in entry.by_class[cls]
                     ]
                     for cls in (0, 1)
                 },
@@ -227,9 +225,8 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
         # group rows by class so segments are class-homogeneous and the
         # per-class rule extraction downstream sees attributable transactions
         train_grouped = group_by_label(train)
-        plan = make_plan(train_grouped.n_records, p)
         table = central_points(train_grouped, p)
-        part_labels = _partition_labels(train_grouped.labels, plan.boundaries)
+        part_labels = _partition_labels(train_grouped.labels, p)
         del train_grouped  # a full copy of the training columns
 
     with _stage("arm", timings):

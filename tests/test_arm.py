@@ -10,19 +10,13 @@ from cparm.arm import (
     SweepEntry,
     Transaction,
     build_transactions,
-    confidence,
     generate_rules,
     run_threshold_sweep,
     select_features,
-    support,
 )
 from cparm.central_points import CentralPoint, CentralPointsTable, central_points
 from cparm.dataset import AttributeSchema
-from cparm.errors import (
-    AntecedentAbsentError,
-    EmptyTransactionsError,
-    LengthMismatchError,
-)
+from cparm.errors import EmptyTransactionsError, LengthMismatchError
 from oracles import brute_force_rules, dataset, random_transactions
 
 
@@ -73,7 +67,6 @@ class TestBuildTransactions:
                 CentralPoint("a", 1, 2.0, 2), CentralPoint("b", 1, "udp", 2),
             ),
             p=2,
-            attribute_order=("a", "b"),
         )
         result = build_transactions(table, [0, 1])
         assert result[0] == trans(("a", 1.0), ("b", "tcp"), label=0)
@@ -84,13 +77,12 @@ class TestBuildTransactions:
             entries=(CentralPoint("a", 0, 1.0, 1), CentralPoint("a", 1, 1.0, 1),
                      CentralPoint("c", 0, "x", 1)),
             p=2,
-            attribute_order=("a", "c"),
         )
         result = build_transactions(table, [0, 0])
         assert result[1].items == frozenset({Item("a", 1.0)})
 
     def test_label_length_mismatch(self):
-        table = CentralPointsTable(entries=(), p=3, attribute_order=())
+        table = CentralPointsTable(entries=(), p=3)
         with pytest.raises(LengthMismatchError):
             build_transactions(table, [0, 1])
 
@@ -128,6 +120,16 @@ class TestBuildTransactions:
             assert got[k].label == part_labels[k]
 
 
+def mined_rule(f1, f2, transactions):
+    """The rule f1 => f2 as generate_rules mines it at near-zero thresholds,
+    or None when the two items never occur together."""
+    found = [
+        r for r in generate_rules(transactions, 1e-9, 1e-9)
+        if (r.antecedent, r.consequent) == (f1, f2)
+    ]
+    return found[0] if found else None
+
+
 class TestSupportConfidence:
     def setup_method(self):
         self.f1 = Item("a", 1.0)
@@ -141,28 +143,20 @@ class TestSupportConfidence:
 
     def test_saturated_support(self):
         full = [trans(("a", 1.0), ("b", "x")) for _ in range(4)]
-        assert support(self.f1, self.f2, full) == 1.0
+        assert mined_rule(self.f1, self.f2, full).support == 1.0
 
     def test_partial_overlap(self):
-        assert support(self.f1, self.f2, self.transactions) == 0.25
+        assert mined_rule(self.f1, self.f2, self.transactions).support == 0.25
 
     def test_no_cooccurrence(self):
-        assert support(Item("a", 2.0), Item("b", "y"), self.transactions) == 0.0
-
-    def test_empty_transactions(self):
-        with pytest.raises(EmptyTransactionsError):
-            support(self.f1, self.f2, [])
+        assert mined_rule(Item("a", 2.0), Item("b", "y"), self.transactions) is None
 
     def test_perfect_implication(self):
         both = [trans(("a", 1.0), ("b", "x")), trans(("a", 1.0), ("b", "x")), trans(("c", "z"))]
-        assert confidence(self.f1, self.f2, both) == 1.0
+        assert mined_rule(self.f1, self.f2, both).confidence == 1.0
 
     def test_half_confidence(self):
-        assert confidence(self.f1, self.f2, self.transactions) == 0.5
-
-    def test_absent_antecedent(self):
-        with pytest.raises(AntecedentAbsentError):
-            confidence(Item("q", 9.0), self.f2, self.transactions)
+        assert mined_rule(self.f1, self.f2, self.transactions).confidence == 0.5
 
 
 class TestGenerateRules:
@@ -247,12 +241,11 @@ class TestSelectFeatures:
         ]
         rules = generate_rules(transactions, 0.3, 0.3)
         ranking = select_features(rules, 2, 1)
-        assert ranking.attribute_names() == ("a", "b")
-        assert ranking.entries[0].best_importance == 1.0
+        assert [name for name, _ in ranking] == ["a", "b"]
+        assert ranking[0][1] == 1.0
 
     def test_empty_rules(self):
-        ranking = select_features([], 5, 0)
-        assert ranking.entries == ()
+        assert select_features([], 5, 0) == ()
 
     def test_two_rule_example(self):
         def rule(a1, a2, importance):
@@ -262,23 +255,22 @@ class TestSelectFeatures:
         rules = [rule("a", "b", 0.9), rule("c", "d", 0.5)]
         ranking = select_features(rules, 2, 1)
         # a and b both score 0.9; truncation to 2 keeps them, name-ordered
-        assert ranking.attribute_names() == ("a", "b")
-        assert [e.best_importance for e in ranking.entries] == [0.9, 0.9]
+        assert ranking == (("a", 0.9), ("b", 0.9))
 
     def test_truncation_and_name_tiebreak(self):
         transactions = [trans(("z", 1.0), ("m", 1.0), ("k", 1.0), label=0)] * 4
         rules = generate_rules(transactions, 0.5, 0.5)
         ranking = select_features(rules, 2, 0)
         # all importances 1.0; names break the tie ascending
-        assert ranking.attribute_names() == ("k", "m")
+        assert ranking == (("k", 1.0), ("m", 1.0))
 
 
 class TestThresholdSweep:
     def test_identical_rankings_when_saturated(self):
         transactions = [trans(("a", 1.0), ("b", 2.0))] * 2
         sweep = run_threshold_sweep(transactions, 2)
-        rankings = [e.by_class[0].attribute_names() for e in sweep.entries]
-        assert rankings[0] == rankings[1] == rankings[2] == ("a", "b")
+        rankings = [e.by_class[0] for e in sweep.entries]
+        assert rankings[0] == rankings[1] == rankings[2] == (("a", 1.0), ("b", 1.0))
 
     def test_border_pair_present_only_at_low_threshold(self):
         transactions = [
@@ -290,11 +282,11 @@ class TestThresholdSweep:
         # (a=1 => b=1) has sup = conf = 0.5 by direct count: present at 0.4 only
         sweep = run_threshold_sweep(transactions, 4)
         per_threshold = {
-            e.threshold: e.by_class[0].attribute_names() for e in sweep.entries
+            e.threshold: [name for name, _ in e.by_class[0]] for e in sweep.entries
         }
         assert "b" in per_threshold[0.4] and "a" in per_threshold[0.4]
-        assert per_threshold[0.6] == ()
-        assert per_threshold[0.8] == ()
+        assert per_threshold[0.6] == []
+        assert per_threshold[0.8] == []
 
     def test_three_entries_regardless(self):
         transactions = [trans(("a", 1.0), ("b", 1.0))] * 3
@@ -309,9 +301,7 @@ class TestThresholdSweep:
         )
         sweep = run_threshold_sweep(transactions, 2)
         # class 0 ranks a,b; class 1 ranks c,d; the union keeps the best 2
-        merged = sweep.merged_names()
-        assert len(merged) == 2
-        assert set(merged) == {"a", "b"}  # higher support, hence importance
+        assert [name for name, _ in sweep.merged] == ["a", "b"]  # higher support, hence importance
 
     def test_empty_transactions(self):
         with pytest.raises(EmptyTransactionsError):

@@ -1,14 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cparm.central_points import (
-    central_points,
-    make_plan,
-    partition_count,
-)
+from cparm.central_points import central_points, partition_count, partition_index
 from cparm.dataset import AttributeSchema, Dataset
 from cparm.errors import TooManyPartitionsError
 from oracles import dataset, latest_first_occurrence_mode, mode_of
@@ -55,34 +52,40 @@ class TestPartitionCount:
             partition_count(3, 0)
 
 
+def slices(partition):
+    """The half-open row range of each partition, in partition order."""
+    bounds = np.flatnonzero(np.diff(partition, prepend=-1, append=-1))
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
 class TestMakePlan:
+    """The partition plan: partition_index gives every row its partition."""
+
     def test_exact_division(self):
-        assert make_plan(10, 2).boundaries == ((0, 5), (5, 10))
+        assert partition_index(10, 2).tolist() == [0] * 5 + [1] * 5
 
     def test_remainder_goes_last(self):
-        plan = make_plan(10, 3)
-        assert plan.boundaries == ((0, 3), (3, 6), (6, 10))
-        assert sum(e - s for s, e in plan.boundaries) == 10
+        assert partition_index(10, 3).tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
 
     def test_singletons(self):
-        assert make_plan(5, 5).boundaries == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
+        assert partition_index(5, 5).tolist() == [0, 1, 2, 3, 4]
 
     def test_too_many_partitions(self):
         with pytest.raises(TooManyPartitionsError):
-            make_plan(4, 5)
+            partition_index(4, 5)
 
     def test_lengths_sum_to_n_for_random_pairs(self):
         rng = random.Random(1)
         for _ in range(200):
             n = rng.randint(1, 500)
             p = rng.randint(1, n)
-            plan = make_plan(n, p)
-            assert len(plan.boundaries) == p
-            assert plan.boundaries[0][0] == 0 and plan.boundaries[-1][1] == n
-            for (_, e1), (s2, _) in zip(plan.boundaries, plan.boundaries[1:]):
-                assert e1 == s2
-            sizes = {e - s for s, e in plan.boundaries[:-1]}
-            assert len(sizes) <= 1  # all but the last share one length
+            partition = partition_index(n, p)
+            assert len(partition) == n and (np.diff(partition) >= 0).all()
+            assert partition[0] == 0 and partition[-1] == p - 1
+            bounds = slices(partition)
+            assert len(bounds) == p  # one contiguous run per partition
+            sizes = {e - s for s, e in bounds[:-1]}
+            assert sizes <= {n // p}  # all but the last share one length
 
 
 def column_mode(values):
@@ -169,7 +172,7 @@ class TestCentralPoints:
         ds, columns, p = drawn
         want = []
         for attr, col in zip(ds.schema, columns):
-            for k, (start, end) in enumerate(make_plan(ds.n_records, p).boundaries):
+            for k, (start, end) in enumerate(slices(partition_index(ds.n_records, p))):
                 found = mode_of(col[start:end])
                 if found is not None:
                     want.append((attr.name, k, repr(found[0]), found[1]))
@@ -245,9 +248,9 @@ class TestCentralPoints:
         cols = [[f"v{rng.randint(0, 2)}" for _ in range(30)]]
         ds = dataset_from_columns(cols)
         table = central_points(ds, 4)
-        plan = make_plan(30, 4)
+        bounds = slices(partition_index(30, 4))
         for cp in table.entries:
-            start, end = plan.boundaries[cp.partition_index]
+            start, end = bounds[cp.partition_index]
             assert cp.frequency == cols[0][start:end].count(cp.value)
 
     def test_double_run_identical(self):

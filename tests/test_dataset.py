@@ -14,7 +14,6 @@ from cparm.dataset import (
     SplitSpec,
     SynthManifest,
     conform,
-    infer_schema,
     load_csv,
     split,
     synth_dataset,
@@ -111,27 +110,30 @@ class TestLoadCsv:
         assert table(first) == table(second)  # name excluded from comparison
 
 
+def inferred_kind(tmp_path, *cells):
+    """The kind load_csv gives a one-column file holding ``cells``."""
+    text = "a,label\n" + "".join(f"{cell},0\n" for cell in cells)
+    return load_csv(write(tmp_path, text), "label").schema[0].kind
+
+
 class TestInferSchema:
-    def test_all_numeric(self):
-        schema = infer_schema(transpose([["1"], ["2.5"], ["3"]]))
-        assert schema[0].kind == "numeric"
+    def test_all_numeric(self, tmp_path):
+        assert inferred_kind(tmp_path, "1", "2.5", "3") == "numeric"
 
-    def test_one_token_forces_categorical(self):
-        schema = infer_schema(transpose([["tcp"], ["2.5"]]))
-        assert schema[0].kind == "categorical"
+    def test_one_token_forces_categorical(self, tmp_path):
+        assert inferred_kind(tmp_path, "tcp", "2.5") == "categorical"
 
-    def test_empty_cells_ignored_for_kind(self):
-        schema = infer_schema(transpose([[""], ["7"]]))
-        assert schema[0].kind == "numeric"
+    def test_empty_cells_ignored_for_kind(self, tmp_path):
+        assert inferred_kind(tmp_path, "", "7") == "numeric"
 
-    def test_rejects_float_extras(self):
+    def test_rejects_float_extras(self, tmp_path):
         # underscores, inf and nan are not numeric cells
         for token in ["1_0", "inf", "nan", " 7"]:
-            assert infer_schema(transpose([[token]]))[0].kind == "categorical"
+            assert inferred_kind(tmp_path, token) == "categorical"
 
-    def test_empty_input(self):
+    def test_empty_input(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
-            infer_schema(transpose([]))
+            load_csv(write(tmp_path, "a,label\n"), "label")
 
 
 class TestDatasetInvariants:
