@@ -30,6 +30,7 @@ from .errors import (
     TooFewRecordsError,
     UnknownLabelColumnError,
     UnmappableLabelError,
+    UnreadableCsvError,
 )
 
 Value = float | str | None
@@ -41,6 +42,11 @@ CATEGORICAL = "categorical"
 # Strict numeric syntax: period decimal separator, optional sign/exponent.
 # Deliberately rejects float()-isms such as "1_0", "nan", "inf", "  7".
 _NUMERIC_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# Text of only these characters holds no whitespace, "_", "nan", "inf" or
+# non-ASCII digit, so float() accepts a token of it exactly where the strict
+# syntax does.
+_PLAIN_TEXT_RE = re.compile(r"[0-9+\-.eE]*")
+_MISSING_TEXT = {"": math.nan}
 
 # Tokens accepted in the label column. Attack names cover the NSL-KDD
 # label vocabulary (training and test variants) plus its four categories.
@@ -162,10 +168,15 @@ def _read_raw_csv(path: str | Path) -> tuple[list[str], list[tuple[str, ...]]]:
     with path.open(newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{path} is empty") from None
-        rows = [row for row in reader if row]  # skip blank trailing lines
+            header = next(reader, None)
+            rows = [row for row in reader if row]  # skip blank trailing lines
+        except UnicodeDecodeError as exc:
+            detail = f"byte 0x{exc.object[exc.start]:02x}, {exc.reason}"
+            raise UnreadableCsvError(f"{path} is not UTF-8 text ({detail})") from None
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise UnreadableCsvError(f"{path}, line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise EmptyDatasetError(f"{path} is empty")
     width = len(header)
     for i, row in enumerate(rows, start=1):
         if len(row) != width:
@@ -182,8 +193,10 @@ def load_csv(
 
     Column kinds are inferred from the text unless ``schema`` gives them. A
     test file is typed from its own text under the training kinds, so a
-    token such as ``0`` stays ``0`` in a categorical column. Each column is
-    coded once; a numeric column then parses each distinct token once.
+    token such as ``0`` stays ``0`` in a categorical column. A column of
+    plain numbers (text of ``0-9 + - . e E`` only) that is not typed
+    categorical is parsed cell by cell in one pass; every other column is
+    coded once and each distinct token parsed once.
     """
     header, text = _read_raw_csv(path)
     if label_column not in header:
@@ -215,9 +228,14 @@ def _type_column(
 
     With ``kind`` None the column is numeric iff every non-empty token
     follows the strict numeric syntax (vacuously so when there is none).
-    Under a numeric kind a token that does not parse becomes missing. Each
-    distinct token is parsed once.
+    Under a numeric kind a token that does not parse becomes missing. A
+    column of plain numbers is parsed cell by cell in one pass; any other
+    column is coded once and each distinct token parsed once.
     """
+    if kind != CATEGORICAL:
+        numbers = _plain_numbers(text)
+        if numbers is not None:
+            return numbers, (), NUMERIC
     codes, tokens = _code_tokens(text)
     numbers = None if kind == CATEGORICAL else _numbers(tokens)
     if kind is None:
@@ -225,6 +243,18 @@ def _type_column(
     if kind == NUMERIC:
         return numbers[codes], (), kind
     return *_sorted_codes(codes, tokens), kind
+
+
+def _plain_numbers(text: Sequence[str]) -> np.ndarray | None:
+    """Every cell's number, NaN for "", if the text holds only plain-number
+    characters and each non-empty token parses; otherwise None."""
+    if not _PLAIN_TEXT_RE.fullmatch("".join(text)):
+        return None
+    cells = map(_MISSING_TEXT.get, text, text)  # "" becomes NaN, a token stays itself
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(text))
+    except ValueError:  # plain characters that make no number, such as "1e" or "."
+        return None
 
 
 def _code_tokens(tokens: Sequence[str]) -> tuple[np.ndarray, list[str]]:

@@ -30,6 +30,10 @@ class MalformedCsvError(DataError):
         super().__init__(f"{msg}: {detail}" if detail else msg)
 
 
+class UnreadableCsvError(DataError):
+    """The file is not UTF-8 text, or not CSV that the csv module reads."""
+
+
 class UnknownLabelColumnError(DataError):
     def __init__(self, column: str, header: list[str]):
         self.column = column

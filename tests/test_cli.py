@@ -6,6 +6,9 @@ import pytest
 
 from cparm.cli import main
 
+# one more character than the csv module's default field_size_limit()
+OVERSIZED_FIELD = "x" * 131_073
+
 
 @pytest.fixture()
 def synth_csv(tmp_path):
@@ -42,6 +45,17 @@ class TestInspectCommand:
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "nope.csv")]) == 3
+
+    @pytest.mark.parametrize("cell, encoding, message", [
+        ("café", "latin-1", "is not UTF-8 text (byte 0xe9"),
+        (OVERSIZED_FIELD, "utf-8", "line 3: field larger than field limit"),
+    ], ids=["latin1_byte", "oversized_field"])
+    def test_unreadable_file_exits_3(self, tmp_path, capsys, cell, encoding, message):
+        rows = [["a", "label"], ["x", "0"], [cell, "1"], ["y", "0"]]
+        path = _write(tmp_path / "data.csv", rows, encoding=encoding)
+        assert main(["inspect", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
 
 
 class TestRunCommand:
@@ -132,9 +146,9 @@ def _rows(path):
     return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
 
 
-def _write(path, rows, newline="\n", prefix=""):
+def _write(path, rows, newline="\n", prefix="", encoding="utf-8"):
     text = prefix + "".join(",".join(row) + newline for row in rows)
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode(encoding))
     return path
 
 
@@ -186,10 +200,11 @@ def test_test_file_keeps_its_text_under_training_kinds(tmp_path):
     assert engines["lr"]["metrics"]["accuracy"] == 1.0
 
 
-def _input(edit, newline="\n"):
+def _input(edit, newline="\n", encoding="utf-8"):
     """Source arguments for one CSV: the good rows after ``edit``."""
     def build(good, work):
-        return ["--input", str(_write(work / "data.csv", edit(_rows(good)), newline))]
+        path = _write(work / "data.csv", edit(_rows(good)), newline, encoding=encoding)
+        return ["--input", str(path)]
     return build
 
 
@@ -215,6 +230,14 @@ def _single_class(rows):
     return [rows[0]] + [row for row in rows[1:] if row[-1] == "0"]
 
 
+def _cell(row, text):
+    """An edit that puts ``text`` in the first cell of data row ``row``."""
+    def edit(rows):
+        rows[row][0] = text
+        return rows
+    return edit
+
+
 def _renamed_columns(rows):
     rows[0] = [name if name == "label" else f"x{name}" for name in rows[0]]
     return rows
@@ -228,6 +251,8 @@ FAULTS = [
     ("unknown_label", _input(_unknown_label), 3),
     ("single_class", _input(_single_class), 3),
     ("renamed_test_columns", _files(_renamed_columns), 3),
+    ("latin1_byte", _input(_cell(7, "café"), encoding="latin-1"), 3),
+    ("oversized_field", _input(_cell(7, OVERSIZED_FIELD)), 3),
     ("crlf", _input(lambda rows: rows, newline="\r\n"), 0),
 ]
 

@@ -5,14 +5,17 @@ import random
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cparm.dataset import (
+    _NUMERIC_RE,
     AttributeSchema,
     SplitSpec,
     SynthManifest,
+    _plain_numbers,
     conform,
     load_csv,
     split,
@@ -285,6 +288,18 @@ NAMES = st.lists(
     st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True).filter(lambda s: s != "label"),
     min_size=1, max_size=4, unique=True,
 )
+# The strict numeric syntax, written out independently of the loader's.
+STRICT_NUMBER = r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\n?"
+# Tokens of plain-number characters only, some numbers and some not.
+PLAIN_TEXT = st.text("0123456789+-.eE", min_size=1, max_size=8)
+PLAIN_EDGES = st.sampled_from(
+    ["1e", ".", "+-", "-0", "1e999", "-1e999", "4.9e-324", "2e-324", "1e-400", ""]
+)
+LONG_MANTISSAS = st.integers(10**29, 10**30 - 1).map(str)
+# Tokens outside the plain characters: some float() accepts but the strict
+# syntax rejects, and some both accept (a trailing newline, Arabic-Indic
+# digits).
+FLOAT_EXTRAS = st.sampled_from([" 7", "1_0", "nan", "inf", "٣", "1\n", "-٣.5"])
 
 
 @st.composite
@@ -347,6 +362,49 @@ class TestStageProperties:
         want = [float(t) if re.fullmatch(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\n?", t) else None
                 for t in tokens]
         assert [repr(v) for v in cells(numeric)[0]] == [repr(v) for v in want]
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(PLAIN_TEXT | PLAIN_EDGES | LONG_MANTISSAS | FLOAT_EXTRAS, min_size=1,
+                    max_size=8))
+    def test_inferred_kind_follows_the_strict_syntax(self, tmp_path_factory, tokens):
+        path = tmp_path_factory.mktemp("kind") / "data.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")  # quotes "1\n"
+            writer.writerows([["x", "label"]] + [[t, "0"] for t in tokens])
+        ds = load_csv(path, "label")
+        column = ds.columns[0]
+        if not all(re.fullmatch(STRICT_NUMBER, t) for t in tokens if t):
+            assert ds.schema[0].kind == "categorical"
+            assert cells(ds)[0] == tuple(t or None for t in tokens)
+            return
+        assert ds.schema[0].kind == "numeric"
+        assert [repr(x) for x in column.tolist()] == [repr(float(t or "nan")) for t in tokens]
+        missing = np.array([t == "" for t in tokens])
+        assert (column[missing].view(np.uint64) == np.array(math.nan).view(np.uint64)).all()
+
+    @settings(max_examples=500)
+    @given(st.text("0123456789+-.eE", max_size=12))
+    @example("1e999")  # overflows to inf
+    @example("-1e999")
+    @example("4.9e-324")  # the smallest subnormal
+    @example("2e-324")  # rounds down to 0.0
+    @example("1e-400")
+    @example("1" * 30 + "e-30")
+    def test_plain_text_parses_exactly_where_the_strict_syntax_matches(self, t):
+        # the two premises of parsing a plain-number column in one pass:
+        # within its alphabet float() accepts the strict syntax and nothing
+        # else, and the one-pass parse gives float()'s bits
+        try:
+            want = float(t)
+        except ValueError:
+            want = None
+        assert (_NUMERIC_RE.match(t) is not None) == (want is not None)
+        parsed = _plain_numbers([t, ""])
+        if t and want is None:
+            assert parsed is None
+            return
+        bits = np.array([math.nan if want is None else want, math.nan]).view(np.uint64)
+        assert (parsed.view(np.uint64) == bits).all()
 
     @settings(deadline=None)
     @given(st.data())
