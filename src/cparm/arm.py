@@ -190,8 +190,6 @@ def run_threshold_sweep(
     per-class rankings at the lowest threshold, scored by each attribute's
     best importance across classes and truncated to ``limit``.
     """
-    if not transactions:
-        raise EmptyTransactionsError("cannot sweep zero transactions")
     thresholds = sorted(thresholds)
     lowest_rules = generate_rules(transactions, thresholds[0], thresholds[0])
     entries = []

@@ -13,7 +13,7 @@ from pathlib import Path
 from . import __version__
 from .central_points import partition_count
 from .dataset import load_csv, synth_dataset, write_csv
-from .errors import ConfigError, CparmError, DataError, NumericError, StageError
+from .errors import ConfigError, CparmError, DataError, StageError
 from .pipeline import (
     ENGINE_ORDER,
     PipelineConfig,
@@ -129,12 +129,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     dataset = load_csv(args.path, args.label_column)
-    print(f"dataset: {dataset.name}")
+    print(f"dataset: {Path(args.path).stem}")
     print(f"records: {dataset.n_records}")
     print(f"attributes: {dataset.n_attributes}")
     print(f"partitions: {partition_count(dataset.n_records, dataset.n_attributes)}")
-    for attr in dataset.schema:
-        print(f"  {attr.index:3d}  {attr.name}  {attr.kind}")
+    for j, attr in enumerate(dataset.schema):
+        print(f"  {j:3d}  {attr.name}  {attr.kind}")
     return EXIT_OK
 
 
@@ -145,8 +145,6 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_CONFIG
     if isinstance(exc, (DataError, FileNotFoundError)):
         return EXIT_DATA
-    if isinstance(exc, NumericError):
-        return EXIT_RUNTIME
     return EXIT_RUNTIME
 
 

@@ -3,7 +3,8 @@
 A dataset is a column-major table, one typed numpy array per attribute,
 plus a binary label per row (0 = normal traffic, 1 = attack). A numeric
 column is float64 with NaN for a missing cell; the strict numeric syntax
-rejects ``nan``, so NaN never is a value. A categorical column is int32
+rejects ``nan`` and ``inf``, and a token that overflows float64 is no number
+either, so every value is finite. A categorical column is int32
 codes into the column's vocabulary, a sorted tuple of distinct tokens, with
 -1 for a missing cell. Cells become Python values (``float``, ``str`` or
 ``None``) only at the edges: CSV text, dumps and reports.
@@ -66,10 +67,9 @@ ATTACK_LABEL_TOKENS = frozenset({"1", "attack", "anomaly"}) | _NSL_KDD_ATTACKS
 
 @dataclass(frozen=True)
 class AttributeSchema:
-    """One typed column: name, 0-based position, and value kind."""
+    """One typed column: name and value kind."""
 
     name: str
-    index: int
     kind: Kind
 
 
@@ -86,7 +86,6 @@ class Dataset:
     columns: tuple[np.ndarray, ...]
     vocabularies: tuple[tuple[str, ...], ...]
     labels: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
@@ -98,8 +97,6 @@ class Dataset:
         names = [a.name for a in self.schema]
         if len(set(names)) != len(names):
             raise SchemaMismatchError("duplicate attribute names in schema")
-        if [a.index for a in self.schema] != list(range(len(self.schema))):
-            raise SchemaMismatchError("schema indices are not contiguous from 0")
         n = self.labels.shape[0]
         m = len(self.schema)
         if len(self.columns) != m or any(c.shape != (n,) for c in self.columns):
@@ -217,8 +214,7 @@ def load_csv(
     else:
         kinds = [a.kind for a in _reference(tuple(names), schema)]
     columns, vocabularies, kinds = zip(*map(_type_column, text, kinds))
-    ref = tuple(AttributeSchema(a, j, kind) for j, (a, kind) in enumerate(zip(names, kinds)))
-    return Dataset(ref, columns, vocabularies, labels, Path(path).stem)
+    return Dataset(tuple(map(AttributeSchema, names, kinds)), columns, vocabularies, labels)
 
 
 def _type_column(
@@ -247,14 +243,16 @@ def _type_column(
 
 def _plain_numbers(text: Sequence[str]) -> np.ndarray | None:
     """Every cell's number, NaN for "", if the text holds only plain-number
-    characters and each non-empty token parses; otherwise None."""
+    characters and each non-empty token parses to a finite float; otherwise
+    None."""
     if not _PLAIN_TEXT_RE.fullmatch("".join(text)):
         return None
     cells = map(_MISSING_TEXT.get, text, text)  # "" becomes NaN, a token stays itself
     try:
-        return np.fromiter(map(float, cells), np.float64, len(text))
+        numbers = np.fromiter(map(float, cells), np.float64, len(text))
     except ValueError:  # plain characters that make no number, such as "1e" or "."
         return None
+    return None if np.isinf(numbers).any() else numbers  # "1e400" overflows
 
 
 def _code_tokens(tokens: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -268,10 +266,12 @@ def _code_tokens(tokens: Sequence[str]) -> tuple[np.ndarray, list[str]]:
 
 
 def _numbers(tokens: list[str]) -> np.ndarray:
-    """Each token's number, NaN where the strict syntax rejects the token,
-    and a last NaN for code -1 (missing) to index."""
+    """Each token's number, NaN where the strict syntax rejects the token or
+    it overflows float64, and a last NaN for code -1 (missing) to index."""
     matches = map(_NUMERIC_RE.match, tokens)
-    return np.array([float(t) if m else math.nan for t, m in zip(tokens, matches)] + [math.nan])
+    numbers = np.array([float(t) if m else math.nan for t, m in zip(tokens, matches)] + [math.nan])
+    numbers[np.isinf(numbers)] = math.nan
+    return numbers
 
 
 def _sorted_codes(codes: np.ndarray, tokens: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -334,7 +334,7 @@ def conform(dataset: Dataset, schema: Sequence[AttributeSchema]) -> Dataset:
         else _type_column(_column_text(col, vocab), want.kind)[:2]
         for col, vocab, have, want in zip(dataset.columns, dataset.vocabularies, dataset.schema, ref)
     ))
-    return Dataset(ref, columns, vocabularies, dataset.labels, dataset.name)
+    return Dataset(ref, columns, vocabularies, dataset.labels)
 
 
 def _reference(
@@ -348,32 +348,39 @@ def _reference(
 
 
 def project(dataset: Dataset, features: Sequence[str]) -> Dataset:
-    """Restrict to the named attributes, preserving the given order."""
-    by_name = {a.name: a for a in dataset.schema}
-    missing = [f for f in features if f not in by_name]
+    """Restrict to the named attributes, in the given order.
+
+    This is the one place that finds attributes by name: the engines fit and
+    predict on the columns of a projected dataset, in order.
+    """
+    position = {a.name: j for j, a in enumerate(dataset.schema)}
+    missing = [f for f in features if f not in position]
     if missing:
         raise SchemaMismatchError(f"unknown attributes: {missing}")
-    schema = tuple(
-        AttributeSchema(f, i, by_name[f].kind) for i, f in enumerate(features)
-    )
-    picked = [by_name[f].index for f in features]
+    picked = [position[f] for f in features]
     return Dataset(
-        schema,
+        [dataset.schema[j] for j in picked],
         [dataset.columns[j] for j in picked],
         [dataset.vocabularies[j] for j in picked],
         dataset.labels,
-        dataset.name,
     )
 
 
-def _take(dataset: Dataset, rows: np.ndarray, name: str) -> Dataset:
+def require_schema(dataset: Dataset, expected: Sequence[tuple[str, Kind]]) -> None:
+    """Raise SchemaMismatchError unless the dataset's (name, kind) pairs are
+    ``expected``, in that order."""
+    have = tuple((a.name, a.kind) for a in dataset.schema)
+    if have != tuple(expected):
+        raise SchemaMismatchError(f"expected columns {tuple(expected)}, got {have}")
+
+
+def _take(dataset: Dataset, rows: np.ndarray) -> Dataset:
     """The rows at ``rows``, in that order."""
     return Dataset(
         dataset.schema,
         [col[rows] for col in dataset.columns],
         dataset.vocabularies,
         dataset.labels[rows],
-        name,
     )
 
 
@@ -387,13 +394,12 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     rows = np.array(order, dtype=np.intp)
     # clamp keeps both sides non-empty even when ceil(n * f) == n
     k = min(max(1, math.ceil(n * spec.fraction)), n - 1)
-    prefix = f"{dataset.name}-" if dataset.name else ""
-    return _take(dataset, rows[:k], f"{prefix}train"), _take(dataset, rows[k:], f"{prefix}test")
+    return _take(dataset, rows[:k]), _take(dataset, rows[k:])
 
 
 def group_by_label(dataset: Dataset) -> Dataset:
     """Stable-reorder rows so all label-0 rows precede label-1 rows."""
-    return _take(dataset, np.argsort(dataset.labels, kind="stable"), dataset.name)
+    return _take(dataset, np.argsort(dataset.labels, kind="stable"))
 
 
 # --- synthetic data -----------------------------------------------------------
@@ -487,7 +493,6 @@ def synth_dataset(
             vocabularies.append(("n0", "n1", "n2", "n3"))
     del draws
 
-    schema = tuple(AttributeSchema(names[i], i, kinds[i]) for i in range(m))
-    dataset = Dataset(schema, columns, vocabularies, labels, f"synth-{seed}")
+    dataset = Dataset(tuple(map(AttributeSchema, names, kinds)), columns, vocabularies, labels)
     manifest = SynthManifest(tuple(names[i] for i in signal_positions), seed)
     return dataset, manifest

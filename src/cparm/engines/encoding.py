@@ -8,13 +8,14 @@ mode before encoding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..central_points import partition_modes
-from ..dataset import CATEGORICAL, NUMERIC, Dataset, Value
-from ..errors import SchemaMismatchError, UnknownFeatureError
+from ..dataset import CATEGORICAL, NUMERIC, Dataset, Value, require_schema
+from ..errors import NonFiniteStatisticError
 
 
 @dataclass(frozen=True)
@@ -46,24 +47,19 @@ class FeatureMatrix:
 
 
 class FeatureEncoder:
-    """Fitted on training data once, then reusable on any conforming dataset."""
+    """Fitted on training data once, then reusable on any dataset with the
+    training set's columns."""
 
     def __init__(self, columns: tuple[ColumnSpec, ...]):
         self.columns = columns
 
     def transform(self, dataset: Dataset) -> FeatureMatrix:
-        by_name = {a.name: a for a in dataset.schema}
-        missing = [c.attribute for c in self.columns if c.attribute not in by_name]
-        if missing:
-            raise UnknownFeatureError(missing[0])
-        n = dataset.n_records
-        out = np.zeros((n, sum(c.width for c in self.columns)), dtype=np.float64)
+        """Encode every row; the dataset's columns must be the fitted ones,
+        with the same names and kinds in the same order."""
+        require_schema(dataset, [(c.attribute, c.kind) for c in self.columns])
+        out = np.zeros((dataset.n_records, sum(c.width for c in self.columns)), dtype=np.float64)
         offset = 0
-        for spec in self.columns:
-            attr = by_name[spec.attribute]
-            if attr.kind != spec.kind:
-                raise SchemaMismatchError(f"{spec.attribute!r} is {attr.kind}, not {spec.kind}")
-            column = dataset.columns[attr.index]
+        for spec, column, vocab in zip(self.columns, dataset.columns, dataset.vocabularies):
             if spec.kind == NUMERIC:
                 out[:, offset] = (_filled(column, spec.impute) - spec.mean) / spec.std
             else:
@@ -71,8 +67,7 @@ class FeatureEncoder:
                 # each code's one-hot position; the last entry serves code -1
                 # (missing), and -1 marks a token without a position (unseen)
                 lookup = np.array(
-                    [position.get(tok, -1) for tok in dataset.vocabularies[attr.index]]
-                    + [position.get(spec.impute, -1)],
+                    [position.get(tok, -1) for tok in vocab] + [position.get(spec.impute, -1)],
                     dtype=np.intp,
                 )
                 hot = lookup[column]
@@ -142,32 +137,30 @@ def _filled(column: np.ndarray, impute: float) -> np.ndarray:
     return x
 
 
-def encode(train: Dataset, features: list[str]) -> tuple[FeatureMatrix, FeatureEncoder]:
-    """Fit an encoder on the training set and return its encoded matrix."""
-    by_name = {a.name: a for a in train.schema}
+def encode(train: Dataset) -> tuple[FeatureMatrix, FeatureEncoder]:
+    """Fit an encoder on every column of the training set, in order, and
+    return its encoded matrix."""
     specs: list[ColumnSpec] = []
-    for name in features:
-        attr = by_name.get(name)
-        if attr is None:
-            raise UnknownFeatureError(name)
-        column = train.columns[attr.index]
+    for attr, column, vocab in zip(train.schema, train.columns, train.vocabularies):
         # the column's mode, with the central points' tie rule
         _, first, _ = partition_modes(column, np.zeros(column.shape, dtype=np.intp))
         if attr.kind == NUMERIC:
             impute = column[first[0]].item() if first.size else 0.0
-            vals = _filled(column, impute)
-            mean = float(vals.mean())
-            std = float(vals.std())
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                vals = _filled(column, impute)
+                mean = float(vals.mean())
+                std = float(vals.std())
+            if not (math.isfinite(mean) and math.isfinite(std)):
+                raise NonFiniteStatisticError(attr.name)
             if std == 0.0:
                 std = 1.0  # constant column: center only
-            specs.append(ColumnSpec(name, NUMERIC, mean=mean, std=std, impute=impute))
+            specs.append(ColumnSpec(attr.name, NUMERIC, mean=mean, std=std, impute=impute))
         else:
-            vocab = train.vocabularies[attr.index]
             # the tokens the column holds; missing cells take the mode, one of
             # them, or "" when every cell is missing
             used = np.flatnonzero(np.bincount(column[column >= 0], minlength=len(vocab)))
             tokens = tuple(vocab[j] for j in used.tolist()) or ("",)
             impute = vocab[column[first[0]]] if first.size else ""
-            specs.append(ColumnSpec(name, CATEGORICAL, categories=tokens, impute=impute))
+            specs.append(ColumnSpec(attr.name, CATEGORICAL, categories=tokens, impute=impute))
     encoder = FeatureEncoder(tuple(specs))
     return encoder.transform(train), encoder

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..dataset import CATEGORICAL, Dataset
-from ..errors import SchemaMismatchError, SingleClassTrainingError, UnknownFeatureError
+from ..dataset import CATEGORICAL, Dataset, require_schema
+from ..errors import NonFiniteStatisticError, SingleClassTrainingError
 from .logistic import _sigmoid
 
 VARIANCE_FLOOR = 1e-9
@@ -79,12 +79,9 @@ class NBModel:
         return {"priors": list(self.priors), "features": features}
 
 
-def nb_fit(train: Dataset, features: Sequence[str]) -> NBModel:
-    """Estimate priors and per-feature conditionals from labeled rows."""
-    by_name = {a.name: a for a in train.schema}
-    for name in features:
-        if name not in by_name:
-            raise UnknownFeatureError(name)
+def nb_fit(train: Dataset) -> NBModel:
+    """Estimate priors and the conditionals of every column, in order, from
+    labeled rows."""
     labels = train.labels
     n = train.n_records
     n1 = int(labels.sum())
@@ -93,18 +90,13 @@ def nb_fit(train: Dataset, features: Sequence[str]) -> NBModel:
         raise SingleClassTrainingError()
     priors = (n0 / n, n1 / n)
 
-    likelihoods: list[CategoricalLikelihood | GaussianLikelihood] = []
-    kinds = []
-    for name in features:
-        attr = by_name[name]
-        kinds.append(attr.kind)
-        column = train.columns[attr.index]
-        if attr.kind == CATEGORICAL:
-            likelihoods.append(_fit_tokens(column, train.vocabularies[attr.index], labels))
-        else:
-            likelihoods.append(_fit_gaussian(column, labels))
-
-    return NBModel(tuple(features), tuple(kinds), priors, tuple(likelihoods))
+    likelihoods = tuple(
+        _fit_tokens(column, vocab, labels) if attr.kind == CATEGORICAL
+        else _fit_gaussian(attr.name, column, labels)
+        for attr, column, vocab in zip(train.schema, train.columns, train.vocabularies)
+    )
+    kinds = tuple(a.kind for a in train.schema)
+    return NBModel(train.attribute_names(), kinds, priors, likelihoods)
 
 
 def _fit_tokens(codes: np.ndarray, vocab: tuple[str, ...], labels: np.ndarray) -> CategoricalLikelihood:
@@ -123,12 +115,13 @@ def _fit_tokens(codes: np.ndarray, vocab: tuple[str, ...], labels: np.ndarray) -
     return CategoricalLikelihood(tokens, (tables[0], tables[1]))
 
 
-def _fit_gaussian(x: np.ndarray, labels: np.ndarray) -> GaussianLikelihood:
+def _fit_gaussian(name: str, x: np.ndarray, labels: np.ndarray) -> GaussianLikelihood:
     """Per-class mean and floored variance of the non-missing cells.
 
     The sums run left to right over Python floats, squaring with ``**``:
     numpy's pairwise sum and exact square can differ in the last bit, and the
-    model dump is compared byte for byte.
+    model dump is compared byte for byte. A sum that overflows float64 raises
+    NonFiniteStatisticError naming the column.
     """
     means = []
     variances = []
@@ -137,7 +130,12 @@ def _fit_gaussian(x: np.ndarray, labels: np.ndarray) -> GaussianLikelihood:
         vals = x[valid & (labels == cls)].tolist()
         if vals:
             mu = sum(vals) / len(vals)
-            var = sum((v - mu) ** 2 for v in vals) / len(vals)
+            try:
+                var = sum((v - mu) ** 2 for v in vals) / len(vals)
+            except OverflowError:  # float ** raises where a sum of floats gives inf
+                var = math.inf
+            if not math.isfinite(var):  # an overflowed mu makes var inf or nan too
+                raise NonFiniteStatisticError(name)
         else:
             mu, var = 0.0, 0.0
         means.append(mu)
@@ -145,30 +143,20 @@ def _fit_gaussian(x: np.ndarray, labels: np.ndarray) -> GaussianLikelihood:
     return GaussianLikelihood((means[0], means[1]), (variances[0], variances[1]))
 
 
-def nb_predict(
-    model: NBModel, columns: Sequence[np.ndarray], vocabularies: Sequence[Sequence[str]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """MAP labels and class-1 posteriors, given one dataset column per model
-    feature in the model's order, each with its vocabulary.
+def nb_predict(model: NBModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """MAP labels and class-1 posteriors of every test row. The test set's
+    columns must be the model's features, with the same names and kinds in
+    the same order.
 
     Missing cells contribute nothing to either class. Exact posterior ties
     predict 1: a false alarm is preferred over a miss.
     """
-    width = len(model.feature_names)
-    n = columns[0].shape[0] if len(columns) else 0
-    if len(columns) != width or len(vocabularies) != width or any(
-        col.shape != (n,) for col in columns
-    ):
-        raise SchemaMismatchError(f"expected {width} columns of equal length")
-    logs = np.empty((2, n))
+    require_schema(test, zip(model.feature_names, model.kinds))
+    logs = np.empty((2, test.n_records))
     logs[0], logs[1] = math.log(model.priors[0]), math.log(model.priors[1])
-    for name, column, vocab, lik in zip(model.feature_names, columns, vocabularies, model.likelihoods):
+    for column, vocab, lik in zip(test.columns, test.vocabularies, model.likelihoods):
         if isinstance(lik, CategoricalLikelihood):
-            if column.dtype != np.int32:
-                raise SchemaMismatchError(f"expected token codes for categorical feature {name!r}")
             logs += lik.log_likelihoods(column, vocab)
         else:
-            if column.dtype != np.float64:
-                raise SchemaMismatchError(f"expected numbers for numeric feature {name!r}")
             logs += lik.log_likelihoods(column)
     return (logs[1] >= logs[0]).astype(np.int64), _sigmoid(logs[1] - logs[0])

@@ -86,11 +86,6 @@ class NoFeaturesSelectedError(DataError):
 
 # --- engines ------------------------------------------------------------------
 
-class UnknownFeatureError(ConfigError):
-    def __init__(self, name: str):
-        super().__init__(f"feature {name!r} not present in the dataset schema")
-
-
 class SingleClassTrainingError(DataError):
     def __init__(self):
         super().__init__("training data contains only one class; need both 0 and 1")
@@ -102,6 +97,14 @@ class DivergedLossError(NumericError):
 
 class TooFewRowsError(DataError):
     pass
+
+
+class NonFiniteStatisticError(DataError):
+    """A numeric column's fitted mean, deviation or variance overflows float64."""
+
+    def __init__(self, column: str):
+        super().__init__(f"numeric column {column!r} holds numbers too large to fit: "
+                         "its mean or variance is not finite")
 
 
 class UnfittedModelError(NumericError):

@@ -109,6 +109,9 @@ class PipelineConfig:
         if isinstance(self.source, (SourceSplit, SourceSynthetic)):
             if not (0.0 < self.source.fraction < 1.0):
                 raise ConfigError(f"split fraction {self.source.fraction} outside (0, 1)")
+        for path in (self.report_path, self.dump_centres, self.dump_rules, self.dump_model):
+            if path and not Path(path).parent.is_dir():
+                raise ConfigError(f"cannot write {path}: its directory does not exist")
 
     def source_echo(self) -> dict:
         if isinstance(self.source, SourceFiles):
@@ -237,7 +240,9 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
             raise NoFeaturesSelectedError(
                 "no rules passed the thresholds; nothing to feed the decision engines"
             )
-        selected_names = [name for name, _ in selected]
+        # the engines see the selected columns only, in ranking order
+        names = [name for name, _ in selected]
+        train, test = project(train, names), project(test, names)
 
     if config.dump_centres:
         _dump_centres(table, config.dump_centres)
@@ -247,7 +252,7 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
     requested = [e for e in ENGINE_ORDER if e in config.engines]
     if "em" in requested or "lr" in requested:
         with _stage("encode", timings):
-            matrix, encoder = encode(train, selected_names)
+            matrix, encoder = encode(train)
             test_x = encoder.transform(test).rows
 
     engine_results: dict = {}
@@ -255,18 +260,17 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
     for engine in requested:
         with _stage(f"fit_{engine}", timings):
             if engine == "nb":
-                model = nb_fit(train, selected_names)
-                shown = project(test, selected_names)
-                predict, test_input = nb_predict, (shown.columns, shown.vocabularies)
+                model = nb_fit(train)
+                predict, test_input = nb_predict, test
             elif engine == "lr":
                 model = lr_fit(matrix)
-                predict, test_input = lr_predict, (test_x,)
+                predict, test_input = lr_predict, test_x
             else:
                 model = em_fit(matrix.unlabeled(), EMConfig(seed=config.seed))
                 model = model.with_mapping(map_clusters(model, matrix))
-                predict, test_input = em_predict, (test_x,)
+                predict, test_input = em_predict, test_x
         with _stage(f"predict_{engine}", timings):
-            labels, _ = predict(model, *test_input)
+            labels, _ = predict(model, test_input)
         cm = confusion(labels, test.labels)
         engine_results[engine] = {
             "confusion": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},

@@ -40,12 +40,11 @@ def dataset(schema, columns, labels):
     return Dataset(schema, [c for c, _ in typed], [v for _, v in typed], labels)
 
 
-def nb_input(model, columns):
-    """nb_predict's columns and vocabularies for plain-cell columns, typed by
-    the model's kinds; a column beyond the model's holds tokens."""
-    kinds = list(model.kinds) + ["categorical"] * len(columns)
-    typed = [typed_column(col, kind) for col, kind in zip(columns, kinds)]
-    return [c for c, _ in typed], [v for _, v in typed]
+def nb_test_set(model, columns):
+    """A test set of plain-cell columns, one per model feature, under the
+    model's names and kinds (every label 0)."""
+    schema = tuple(map(AttributeSchema, model.feature_names, model.kinds))
+    return dataset(schema, columns, (0,) * len(columns[0]))
 
 
 def cells(ds):
@@ -61,7 +60,7 @@ def cells(ds):
 
 def table(ds):
     """A Dataset's schema, plain cells and labels: two datasets hold the same
-    table when these are equal (the name is metadata)."""
+    table when these are equal."""
     return ds.schema, cells(ds), tuple(ds.labels.tolist())
 
 
@@ -103,7 +102,7 @@ def row_major_synth(n_records, n_noise, n_signal, seed):
                 cell = f"n{int(u * 4)}"
             columns[i].append(cell)
     names = [f"f{i:02d}" for i in range(m)]
-    schema = tuple(AttributeSchema(names[i], i, kinds[i]) for i in range(m))
+    schema = tuple(map(AttributeSchema, names, kinds))
     return schema, [tuple(c) for c in columns], tuple(labels), tuple(
         names[i] for i in sorted(signal)
     )
@@ -243,9 +242,8 @@ def histogram_mutual_information(values, labels, bins=10):
 def mutual_information_ranking(dataset):
     """Features sorted by MI with the label, descending."""
     scored = []
-    for attr in dataset.schema:
-        col = list(dataset.columns[attr.index])
-        scored.append((histogram_mutual_information(col, list(dataset.labels)), attr.name))
+    for attr, column in zip(dataset.schema, dataset.columns):
+        scored.append((histogram_mutual_information(list(column), list(dataset.labels)), attr.name))
     scored.sort(key=lambda s: (-s[0], s[1]))
     return [name for _, name in scored]
 

@@ -28,7 +28,7 @@ from oracles import (
     dataset,
     mode_of,
     mutual_information_ranking,
-    nb_input,
+    nb_test_set,
     random_transactions,
     transpose,
 )
@@ -61,7 +61,7 @@ def test_c02_mode_fixtures():
         ):
             assert mode_of(values) == want
             # the same fixture through cparm: one column, one partition
-            ds = dataset((AttributeSchema("a", 0, kind),), [values], (0,) * len(values))
+            ds = dataset((AttributeSchema("a", kind),), [values], (0,) * len(values))
             (entry,) = central_points(ds, 1).entries
             assert (entry.value, entry.frequency) == want
 
@@ -195,7 +195,7 @@ def test_c07_nb_matches_raw_probability_oracle():
             for cls in (0, 1):
                 for value, lik in zip(row, model.likelihoods):
                     joint[cls] *= lik.tables[cls][value]
-            (label,), (posterior_1,) = nb_predict(model, *nb_input(model, transpose([row])))
+            (label,), (posterior_1,) = nb_predict(model, nb_test_set(model, transpose([row])))
             assert label == (1 if joint[1] >= joint[0] else 0)
             assert abs(posterior_1 - joint[1] / (joint[0] + joint[1])) < 1e-12
 

@@ -90,7 +90,7 @@ class TestBuildTransactions:
         rng = random.Random(5)
         n, p = 60, 10
         columns = [[float(rng.randint(0, 2)) for _ in range(n)] for _ in range(5)]
-        schema = tuple(AttributeSchema(f"a{i}", i, "numeric") for i in range(5))
+        schema = tuple(AttributeSchema(f"a{i}", "numeric") for i in range(5))
         labels = tuple(rng.randint(0, 1) for _ in range(n))
         ds = dataset(schema, columns, labels)
 

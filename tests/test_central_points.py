@@ -92,7 +92,7 @@ def column_mode(values):
     """cparm's mode of one column: its central point over one partition, as
     (value, frequency), or None when every cell is missing."""
     kind = "categorical" if any(isinstance(v, str) for v in values) else "numeric"
-    ds = dataset((AttributeSchema("a", 0, kind),), [values], (0,) * len(values))
+    ds = dataset((AttributeSchema("a", kind),), [values], (0,) * len(values))
     entries = central_points(ds, 1).entries
     return (entries[0].value, entries[0].frequency) if entries else None
 
@@ -146,7 +146,7 @@ def dataset_from_columns(columns, labels=None):
         "categorical" if any(isinstance(v, str) for v in col) else "numeric"
         for col in columns
     ]
-    schema = tuple(AttributeSchema(n, i, k) for i, (n, k) in enumerate(zip(names, kinds)))
+    schema = tuple(map(AttributeSchema, names, kinds))
     labels = tuple(labels or [0] * len(columns[0]))
     return dataset(schema, columns, labels)
 
@@ -159,7 +159,7 @@ def partitioned_datasets(draw):
         draw(st.lists(NUMERIC_CELLS if k == "numeric" else TOKEN_CELLS, min_size=n, max_size=n))
         for k in kinds
     ]
-    schema = tuple(AttributeSchema(f"a{i}", i, k) for i, k in enumerate(kinds))
+    schema = tuple(AttributeSchema(f"a{i}", k) for i, k in enumerate(kinds))
     # p == n gives one-row partitions; p == 1 one partition of every row
     p = draw(st.integers(1, n))
     return dataset(schema, columns, (0,) * n), columns, p

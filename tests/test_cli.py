@@ -153,8 +153,8 @@ def _write(path, rows, newline="\n", prefix="", encoding="utf-8"):
 
 
 def _run(source_args, report):
-    return main(["run", *source_args, "--num-features", "2", "--engines", "nb,lr",
-                 "--report", str(report)])
+    return main(["run", "--num-features", "2", "--engines", "nb,lr", "--report", str(report),
+                 *source_args])
 
 
 def _report_body(path):
@@ -230,12 +230,23 @@ def _single_class(rows):
     return [rows[0]] + [row for row in rows[1:] if row[-1] == "0"]
 
 
-def _cell(row, text):
-    """An edit that puts ``text`` in the first cell of data row ``row``."""
+def _cells(rows_to_edit, text):
+    """An edit that puts ``text`` in the first cell of each data row in
+    ``rows_to_edit``."""
     def edit(rows):
-        rows[row][0] = text
+        for row in rows_to_edit:
+            rows[row][0] = text
         return rows
     return edit
+
+
+def _missing_directory(flag):
+    """--input of the good CSV, with ``flag`` naming a file in a missing
+    directory; ``_run`` puts these arguments last, so they override its
+    --report."""
+    def build(good, work):
+        return ["--input", str(good), flag, str(work / "nodir" / "out")]
+    return build
 
 
 def _renamed_columns(rows):
@@ -251,19 +262,24 @@ FAULTS = [
     ("unknown_label", _input(_unknown_label), 3),
     ("single_class", _input(_single_class), 3),
     ("renamed_test_columns", _files(_renamed_columns), 3),
-    ("latin1_byte", _input(_cell(7, "café"), encoding="latin-1"), 3),
-    ("oversized_field", _input(_cell(7, OVERSIZED_FIELD)), 3),
+    ("latin1_byte", _input(_cells([7], "café"), encoding="latin-1"), 3),
+    ("oversized_field", _input(_cells([7], OVERSIZED_FIELD)), 3),
     ("crlf", _input(lambda rows: rows, newline="\r\n"), 0),
+    ("report_in_missing_directory", _missing_directory("--report"), 2),
+    ("rules_in_missing_directory", _missing_directory("--dump-rules"), 2),
 ]
 
 
 @pytest.mark.parametrize("build, want", [c[1:] for c in FAULTS], ids=[c[0] for c in FAULTS])
-def test_fault_injection_exit_code_and_no_stray_files(synth_csv, tmp_path, build, want):
+def test_fault_injection_exit_code_and_no_stray_files(synth_csv, tmp_path, capsys, build, want):
     work = tmp_path / "work"
     work.mkdir()
     report = work / "report.json"
     assert _run(build(synth_csv, work), report) == want
     assert not list(work.glob("*.tmp"))  # pathlib's * also matches dotfiles
+    if want == 2:  # an output path into a missing directory, refused before loading
+        assert str(work / "nodir" / "out") in capsys.readouterr().err
+        assert not list(work.iterdir())
     if want != 0:
         assert not report.exists()
         return
@@ -277,6 +293,14 @@ def _blank(names):
         cols = [rows[0].index(name) for name in names]
         return [rows[0]] + [["" if j in cols else c for j, c in enumerate(row)] for row in rows[1:]]
     return edit
+
+
+def _train(edit_train):
+    """Source arguments for edited rows as train and the good rows as test."""
+    def build(good, work):
+        train = _write(work / "train.csv", edit_train(_rows(good)))
+        return ["--train", str(train), "--test", str(good)]
+    return build
 
 
 def _unseen_tokens(rows):
@@ -298,20 +322,27 @@ NOISE = ("f01", "f02")
 SIGNAL = ("f00", "f05")
 
 
-def _check_no_report(report, engines):
-    assert report is None
+def _check_no_report(report, model, engines):
+    assert report is None and model is None
 
 
-def _check_signal_selected(report, engines):
+def _check_signal_selected(report, model, engines):
     # a column with no value has no central point, so no rule names it
     assert [f["name"] for f in report["selected_features"]] == list(SIGNAL)
 
 
-def _check_engines_ran(report, engines):
+def _check_f00_kind(kind):
+    def check(report, model, engines):
+        _check_signal_selected(report, model, engines)
+        assert model["nb"]["features"]["f00"]["kind"] == kind
+    return check
+
+
+def _check_engines_ran(report, model, engines):
     assert list(report["engines"]) == engines
 
 
-def _check_one_em_label(report, engines):
+def _check_one_em_label(report, model, engines):
     # every test row is the same point, so EM gives every row one label
     cm = report["engines"]["em"]["confusion"]
     assert cm["tp"] + cm["fp"] == 0 or cm["tn"] + cm["fn"] == 0
@@ -329,6 +360,14 @@ DEGENERATE = [
      _check_engines_ran),
     ("identical_feature_rows_em", _input(_identical_features), ["em"], 0,
      _check_one_em_label),
+    # float64 cannot hold 1e400, so that token is no number; 59 training
+    # cells of 1e308 in f00 overflow its fitted mean
+    ("1e400_in_train", _train(_cells([7], "1e400")), ["em", "nb", "lr"], 0,
+     _check_f00_kind("categorical")),
+    ("1e308_sums_in_train", _train(_cells(range(1, 60), "1e308")), ["em", "nb", "lr"], 3,
+     _check_no_report),
+    ("1e400_in_test", _files(_cells([7], "1e400")), ["em", "nb", "lr"], 0,
+     _check_f00_kind("numeric")),
 ]
 
 
@@ -346,7 +385,8 @@ def test_degenerate_input_exit_code_and_no_stray_files(
             "--dump-rules", str(work / "rules.csv"), "--dump-model", str(work / "model.json")]
     assert main(argv) == want
     assert not list(work.glob("*.tmp"))
-    check(json.loads(report.read_text()) if report.exists() else None, engines)
+    model = work / "model.json"  # json.loads refuses the inf.0 or nan.0 of an overflow
+    check(*(json.loads(p.read_text()) if p.exists() else None for p in (report, model)), engines)
 
 
 def test_module_entrypoint_smoke(tmp_path):

@@ -18,6 +18,7 @@ from cparm.dataset import (
     _plain_numbers,
     conform,
     load_csv,
+    project,
     split,
     synth_dataset,
     write_csv,
@@ -141,30 +142,47 @@ class TestInferSchema:
 
 class TestDatasetInvariants:
     def test_row_width_checked_on_construction(self):
-        schema = (AttributeSchema("a", 0, "numeric"), AttributeSchema("b", 1, "numeric"))
+        schema = (AttributeSchema("a", "numeric"), AttributeSchema("b", "numeric"))
         with pytest.raises(SchemaMismatchError):
             dataset(schema, transpose(((1.0,),)), (0,))
 
     def test_labels_length_checked(self):
-        schema = (AttributeSchema("a", 0, "numeric"),)
+        schema = (AttributeSchema("a", "numeric"),)
         with pytest.raises(SchemaMismatchError):
             dataset(schema, transpose(((1.0,), (2.0,))), (0,))
 
     def test_at_least_one_record(self):
-        schema = (AttributeSchema("a", 0, "numeric"),)
+        schema = (AttributeSchema("a", "numeric"),)
         with pytest.raises(EmptyDatasetError):
             dataset(schema, (), ())
 
     def test_duplicate_names_rejected(self):
-        schema = (AttributeSchema("a", 0, "numeric"), AttributeSchema("a", 1, "numeric"))
+        schema = (AttributeSchema("a", "numeric"), AttributeSchema("a", "numeric"))
         with pytest.raises(SchemaMismatchError):
             dataset(schema, transpose(((1.0, 2.0),)), (0,))
 
 
 def make_dataset(n):
-    schema = (AttributeSchema("x", 0, "numeric"),)
+    schema = (AttributeSchema("x", "numeric"),)
     labels = tuple(i % 2 for i in range(n))
     return dataset(schema, (tuple(float(i) for i in range(n)),), labels)
+
+
+class TestProject:
+    def test_columns_follow_the_given_names(self):
+        schema = tuple(map(AttributeSchema, ["a", "b", "c"], ["numeric", "categorical", "numeric"]))
+        ds = dataset(schema, ([1.0, 2.0], ["x", "y"], [3.0, None]), (0, 1))
+        shown = project(ds, ["c", "b"])
+        assert shown.schema == (schema[2], schema[1])
+        assert cells(shown) == ((3.0, None), ("x", "y"))
+        assert shown.vocabularies == ((), ("x", "y"))
+        assert shown.labels.tolist() == [0, 1]
+
+    def test_unknown_name_rejected(self):
+        # project is the one place a name is looked up, and its error the one
+        # an unknown name gets
+        with pytest.raises(SchemaMismatchError, match="nope"):
+            project(make_dataset(2), ["x", "nope"])
 
 
 class TestSplit:
@@ -228,10 +246,8 @@ class TestSynthDataset:
         ds, manifest = synth_dataset(2000, 16, 4, seed=7)
         labels = ds.labels.tolist()
         mi = {
-            a.name: histogram_mutual_information(
-                list(cells(ds)[a.index]), labels
-            )
-            for a in ds.schema
+            a.name: histogram_mutual_information(list(column), labels)
+            for a, column in zip(ds.schema, cells(ds))
         }
         signal = set(manifest.signal_features)
         worst_signal = min(mi[name] for name in signal)
@@ -290,6 +306,14 @@ NAMES = st.lists(
 )
 # The strict numeric syntax, written out independently of the loader's.
 STRICT_NUMBER = r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\n?"
+
+
+def is_finite_number(token):
+    """Whether a cell's text is a number: it follows the strict syntax and
+    float64 holds it."""
+    return bool(re.fullmatch(STRICT_NUMBER, token)) and math.isfinite(float(token))
+
+
 # Tokens of plain-number characters only, some numbers and some not.
 PLAIN_TEXT = st.text("0123456789+-.eE", min_size=1, max_size=8)
 PLAIN_EDGES = st.sampled_from(
@@ -318,7 +342,7 @@ def loadable_datasets(draw, min_rows=1, max_rows=12):
             col = draw(st.lists(st.none() | WORD | FINITE.map(repr), min_size=n, max_size=n))
             col[draw(st.integers(0, n - 1))] = draw(WORD)
             columns.append(col)
-    schema = tuple(AttributeSchema(a, i, k) for i, (a, k) in enumerate(zip(names, kinds)))
+    schema = tuple(map(AttributeSchema, names, kinds))
     labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return dataset(schema, columns, tuple(labels))
 
@@ -356,11 +380,11 @@ class TestStageProperties:
     def test_numeric_text_follows_the_strict_syntax(self, tokens):
         # tokens near the strict number syntax, some only of its characters
         # ("1e", "+", "-.") and some with characters float() accepts but the
-        # syntax does not (" 1", "1_0", "nan", "\n1")
-        ds = dataset((AttributeSchema("x", 0, "categorical"),), [tokens], [0] * len(tokens))
-        numeric = conform(ds, (AttributeSchema("x", 0, "numeric"),))
-        want = [float(t) if re.fullmatch(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\n?", t) else None
-                for t in tokens]
+        # syntax does not (" 1", "1_0", "nan", "\n1"); a number that
+        # overflows float64 ("9e999") is missing too
+        ds = dataset((AttributeSchema("x", "categorical"),), [tokens], [0] * len(tokens))
+        numeric = conform(ds, (AttributeSchema("x", "numeric"),))
+        want = [float(t) if is_finite_number(t) else None for t in tokens]
         assert [repr(v) for v in cells(numeric)[0]] == [repr(v) for v in want]
 
     @settings(deadline=None, max_examples=300)
@@ -373,7 +397,7 @@ class TestStageProperties:
             writer.writerows([["x", "label"]] + [[t, "0"] for t in tokens])
         ds = load_csv(path, "label")
         column = ds.columns[0]
-        if not all(re.fullmatch(STRICT_NUMBER, t) for t in tokens if t):
+        if not all(is_finite_number(t) for t in tokens if t):
             assert ds.schema[0].kind == "categorical"
             assert cells(ds)[0] == tuple(t or None for t in tokens)
             return
@@ -384,7 +408,7 @@ class TestStageProperties:
 
     @settings(max_examples=500)
     @given(st.text("0123456789+-.eE", max_size=12))
-    @example("1e999")  # overflows to inf
+    @example("1e999")  # overflows to inf, so it is no number
     @example("-1e999")
     @example("4.9e-324")  # the smallest subnormal
     @example("2e-324")  # rounds down to 0.0
@@ -393,14 +417,15 @@ class TestStageProperties:
     def test_plain_text_parses_exactly_where_the_strict_syntax_matches(self, t):
         # the two premises of parsing a plain-number column in one pass:
         # within its alphabet float() accepts the strict syntax and nothing
-        # else, and the one-pass parse gives float()'s bits
+        # else, and the one-pass parse gives float()'s bits; a token that
+        # overflows to inf is no number, so the column takes the other path
         try:
             want = float(t)
         except ValueError:
             want = None
         assert (_NUMERIC_RE.match(t) is not None) == (want is not None)
         parsed = _plain_numbers([t, ""])
-        if t and want is None:
+        if t and (want is None or math.isinf(want)):
             assert parsed is None
             return
         bits = np.array([math.nan if want is None else want, math.nan]).view(np.uint64)
@@ -423,7 +448,7 @@ class TestStageProperties:
             st.lists(st.sampled_from(["numeric", "categorical"]), min_size=len(names),
                      max_size=len(names))
         )
-        ref = tuple(AttributeSchema(a, i, k) for i, (a, k) in enumerate(zip(names, kinds)))
+        ref = tuple(map(AttributeSchema, names, kinds))
 
         once = conform(load_csv(path, "label"), ref)
         direct = dataset(

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cparm.dataset import AttributeSchema
+from cparm.dataset import AttributeSchema, Dataset, project
 from cparm.engines.naive_bayes import (
     CategoricalLikelihood,
     NBModel,
@@ -12,13 +12,13 @@ from cparm.engines.naive_bayes import (
     nb_fit,
     nb_predict,
 )
-from cparm.errors import SchemaMismatchError, SingleClassTrainingError
-from oracles import cells, dataset, nb_input, transpose
+from cparm.errors import NonFiniteStatisticError, SchemaMismatchError, SingleClassTrainingError
+from oracles import cells, dataset, nb_test_set, transpose
 
 
 def labeled_dataset(columns, kinds, labels):
     schema = tuple(
-        AttributeSchema(f"f{i}", i, kind) for i, kind in enumerate(kinds)
+        AttributeSchema(f"f{i}", kind) for i, kind in enumerate(kinds)
     )
     return dataset(schema, columns, tuple(labels))
 
@@ -26,12 +26,12 @@ def labeled_dataset(columns, kinds, labels):
 class TestFit:
     def test_balanced_priors(self):
         ds = labeled_dataset([["a", "a", "b", "b"]], ["categorical"], [0, 0, 1, 1])
-        model = nb_fit(ds, ["f0"])
+        model = nb_fit(ds)
         assert model.priors == (0.5, 0.5)
 
     def test_laplace_smoothing(self):
         ds = labeled_dataset([["a", "a", "b", "b"]], ["categorical"], [0, 0, 1, 1])
-        model = nb_fit(ds, ["f0"])
+        model = nb_fit(ds)
         table0 = model.likelihoods[0].tables[0]
         assert table0["a"] == (2 + 1) / (2 + 2)  # 3/4
         assert table0["b"] == (0 + 1) / (2 + 2)
@@ -39,13 +39,13 @@ class TestFit:
 
     def test_variance_floor_on_constant_class(self):
         ds = labeled_dataset([[3.0, 3.0, 8.0, 9.0]], ["numeric"], [0, 0, 1, 1])
-        model = nb_fit(ds, ["f0"])
+        model = nb_fit(ds)
         assert model.likelihoods[0].variances[0] == VARIANCE_FLOOR
 
     def test_single_class_rejected(self):
         ds = labeled_dataset([[1.0, 2.0]], ["numeric"], [0, 0])
         with pytest.raises(SingleClassTrainingError):
-            nb_fit(ds, ["f0"])
+            nb_fit(ds)
 
     def test_gaussian_fit_is_the_sequential_sum(self):
         # mean and variance are the left-to-right float sums of the cells,
@@ -55,7 +55,7 @@ class TestFit:
         labels = [rng.randint(0, 1) for _ in range(2000)]
         values = [None if rng.random() < 0.05 else rng.uniform(-1e3, 1e3) * rng.random()
                   for _ in labels]
-        model = nb_fit(labeled_dataset([values], ["numeric"], labels), ["f0"])
+        model = nb_fit(labeled_dataset([values], ["numeric"], labels))
         lik = model.likelihoods[0]
         for cls in (0, 1):
             vals = [v for v, y in zip(values, labels) if y == cls and v is not None]
@@ -69,16 +69,25 @@ class TestFit:
             var /= len(vals)
             assert (lik.means[cls], lik.variances[cls]) == (mu, var)
 
+    @pytest.mark.parametrize("values", [[1e308, 1.0, 1e308, 2.0], [1e200, 1.0, -1e200, 2.0]],
+                             ids=["mean", "variance"])
+    def test_overflowing_statistics_name_the_column(self, values):
+        # class 0's finite cells: their sum, or the sum of their squared
+        # deviations, overflows float64
+        ds = labeled_dataset([values], ["numeric"], [0, 1, 0, 1])
+        with pytest.raises(NonFiniteStatisticError, match="'f0'"):
+            nb_fit(ds)
+
     def test_missing_cells_excluded(self):
         ds = labeled_dataset([["a", None, "b", None]], ["categorical"], [0, 0, 1, 1])
-        model = nb_fit(ds, ["f0"])
+        model = nb_fit(ds)
         # class 0 saw one 'a'; vocabulary is {a, b}
         assert model.likelihoods[0].tables[0]["a"] == (1 + 1) / (1 + 2)
 
 
 def predict(model, columns):
     """nb_predict on plain-cell columns."""
-    return nb_predict(model, *nb_input(model, columns))
+    return nb_predict(model, nb_test_set(model, columns))
 
 
 def hand_model(p_x0=0.9, p_x1=0.1, priors=(0.5, 0.5)):
@@ -117,26 +126,28 @@ class TestPredict:
         assert label == 1 and posterior_1 == 0.5
 
     def test_schema_mismatch(self):
-        # one row of two values; three rows of two values each
-        for columns in ([["x"], ["y"]], [["x", "y", "x"], ["y", "x", "y"]]):
+        # the model's columns in another order, with one kind changed, and
+        # with an extra column: each is refused, though every column is there
+        train = labeled_dataset([["a", "b", "a"], [1.0, 2.0, 4.0], ["x", "y", "y"]],
+                                ["categorical", "numeric", "categorical"], [0, 1, 1])
+        model = nb_fit(project(train, ["f0", "f1"]))
+        assert nb_predict(model, project(train, ["f0", "f1"]))[0].shape == (3,)
+        retyped = labeled_dataset([["a", "b", "a"], ["1", "2", "4"]],
+                                  ["categorical", "categorical"], [0, 1, 1])
+        for test in (project(train, ["f1", "f0"]), retyped, train):
             with pytest.raises(SchemaMismatchError):
-                predict(hand_model(), columns)
-
-    def test_ragged_columns(self):
-        model = NBModel(("f0", "f1"), ("categorical",) * 2, (0.5, 0.5), hand_model().likelihoods * 2)
-        with pytest.raises(SchemaMismatchError):
-            predict(model, [["x", "y", "x"], ["y", "x"]])
+                nb_predict(model, test)
 
     def test_wrong_value_type(self):
         # numbers for the categorical feature: one row, and three rows whose
-        # last holds the number
+        # last holds the number; no Dataset holds them under a categorical
+        # kind, and a numeric column is refused by kind
         for column in ([3.0], [np.nan, np.nan, 3.0]):
+            labels = [0] * len(column)
             with pytest.raises(SchemaMismatchError):
-                nb_predict(hand_model(), [np.array(column)], [()])
-
-    def test_no_rows(self):
-        labels, posterior_1 = predict(hand_model(), [[]])
-        assert labels.shape == (0,) and posterior_1.shape == (0,)
+                Dataset((AttributeSchema("f0", "categorical"),), [np.array(column)], [()], labels)
+            with pytest.raises(SchemaMismatchError):
+                nb_predict(hand_model(), labeled_dataset([column], ["numeric"], labels))
 
     def test_matches_raw_probability_oracle(self):
         rng = random.Random(17)
@@ -202,7 +213,7 @@ class TestFitPredictEndToEnd:
         kinds = ["numeric", "categorical", "numeric", "categorical"]
         labels = [i % 2 for i in range(300)]
         columns = [[cell(k, y, "abc") for y in labels] for k in kinds]
-        model = nb_fit(labeled_dataset(columns, kinds, labels), ["f0", "f1", "f2", "f3"])
+        model = nb_fit(labeled_dataset(columns, kinds, labels))
         # "z" never occurs in training
         rows = [[cell(k, rng.randint(0, 1), "abz") for k in kinds] for _ in range(500)]
         got_labels, got_posteriors = predict(model, transpose(rows))
@@ -220,7 +231,7 @@ class TestFitPredictEndToEnd:
         ]
         labels = [0] * 100 + [1] * 100
         ds = labeled_dataset([values], ["numeric"], labels)
-        model = nb_fit(ds, ["f0"])
+        model = nb_fit(ds)
         correct = sum(
             predict(model, transpose([row]))[0][0] == label
             for row, label in zip(transpose(cells(ds)), ds.labels)
@@ -231,7 +242,7 @@ class TestFitPredictEndToEnd:
         ds = labeled_dataset(
             [["a", "b", "a", "b", "a", "b"]], ["categorical"], [0, 0, 0, 1, 1, 1]
         )
-        model = nb_fit(ds, ["f0"])
+        model = nb_fit(ds)
         for token in ("a", "b"):
             joint = [model.priors[c] * model.likelihoods[0].tables[c][token] for c in (0, 1)]
             want = 1 if joint[1] >= joint[0] else 0
