@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .central_points import CentralPointsTable
 from .dataset import Value
-from .errors import EmptyTransactionsError, LengthMismatchError
+from .errors import EmptyTransactionsError
 
 
 class Item(NamedTuple):
@@ -79,20 +79,15 @@ def rule_sort_key(rule: Rule):
     )
 
 
-def build_transactions(
-    table: CentralPointsTable, labels_per_partition: Sequence[int]
-) -> list[Transaction]:
-    """One transaction per partition, items taken from its central points."""
-    if len(labels_per_partition) != table.p:
-        raise LengthMismatchError(
-            f"{len(labels_per_partition)} labels for {table.p} partitions"
-        )
+def build_transactions(table: CentralPointsTable) -> list[Transaction]:
+    """One transaction per partition, items taken from its central points and
+    labelled with the partition's label."""
     per_partition: list[list[Item]] = [[] for _ in range(table.p)]
     for cp in table.entries:
         per_partition[cp.partition_index].append(Item(cp.attribute, cp.value))
     return [
-        Transaction(frozenset(items), labels_per_partition[k])
-        for k, items in enumerate(per_partition)
+        Transaction(frozenset(items), label)
+        for items, label in zip(per_partition, table.labels)
     ]
 
 

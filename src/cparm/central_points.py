@@ -1,7 +1,10 @@
 """Equal partitioning of records and per-partition central points.
 
-``partition_index`` maps each row to one of p contiguous partitions: the
-first p-1 hold n // p rows each and the last takes the remainder.
+The training rows are grouped by class (every label-0 row before every
+label-1 row, each class in row order), so partitions are class-homogeneous
+except at the class boundary. ``partition_index`` then maps each grouped row
+to one of p contiguous partitions: the first p-1 hold n // p rows each and
+the last takes the remainder. A partition's label is its majority label.
 
 The central point of an attribute within a partition is its mode: the most
 frequent non-missing value in that contiguous row slice. Numeric and
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset, Value, is_missing
+from .dataset import CATEGORICAL, Dataset, Value, group_by_label, is_missing
 from .errors import TooManyPartitionsError
 
 
@@ -31,7 +34,8 @@ class CentralPoint:
 
 @dataclass(frozen=True)
 class CentralPointsTable:
-    """All central points, ordered by (attribute position, partition index).
+    """All central points, ordered by (attribute position, partition index),
+    and the label of each partition.
 
     An (attribute, partition) pair is absent only when that slice of the
     column is entirely missing.
@@ -39,6 +43,7 @@ class CentralPointsTable:
 
     entries: tuple[CentralPoint, ...]
     p: int
+    labels: tuple[int, ...]  # majority label per partition, exact ties 1 (attack)
 
 
 def partition_count(n_records: int, n_attributes: int) -> int:
@@ -93,8 +98,12 @@ def partition_modes(
 
 
 def central_points(dataset: Dataset, p: int) -> CentralPointsTable:
-    """Mode of every attribute within every one of p equal partitions."""
+    """Mode of every attribute and the majority label within every one of p
+    equal partitions of the rows grouped by class."""
     partition = partition_index(dataset.n_records, p)
+    dataset = group_by_label(dataset)
+    ones = np.bincount(partition[dataset.labels == 1], minlength=p)
+    labels = (2 * ones >= np.bincount(partition, minlength=p)).astype(int).tolist()
     entries: list[CentralPoint] = []
     for attr, column, vocab in zip(dataset.schema, dataset.columns, dataset.vocabularies):
         groups, firsts, counts = partition_modes(column, partition)
@@ -105,4 +114,4 @@ def central_points(dataset: Dataset, p: int) -> CentralPointsTable:
             CentralPoint(attr.name, k, value, freq)
             for k, value, freq in zip(groups.tolist(), values, counts.tolist())
         )
-    return CentralPointsTable(tuple(entries), p)
+    return CentralPointsTable(tuple(entries), p, tuple(labels))

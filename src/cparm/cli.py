@@ -15,7 +15,6 @@ from .central_points import partition_count
 from .dataset import load_csv, synth_dataset, write_csv
 from .errors import ConfigError, CparmError, DataError, StageError
 from .pipeline import (
-    ENGINE_ORDER,
     PipelineConfig,
     SourceFiles,
     SourceSplit,
@@ -35,16 +34,6 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     except ValueError:
         raise ConfigError(f"cannot parse threshold list {text!r}") from None
     return values
-
-
-def _parse_engines(text: str) -> tuple[str, ...]:
-    engines = tuple(e.strip() for e in text.split(",") if e.strip())
-    if not engines:
-        raise ConfigError("engine list is empty")
-    unknown = [e for e in engines if e not in ENGINE_ORDER]
-    if unknown:
-        raise ConfigError(f"unknown engines {unknown}; choose from {ENGINE_ORDER}")
-    return engines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +93,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         label_column=args.label_column,
         thresholds=thresholds,
         num_features=args.num_features,
-        engines=_parse_engines(args.engines),
+        engines=tuple(e.strip() for e in args.engines.split(",") if e.strip()),
         seed=args.seed,
         dump_centres=args.dump_centres,
         dump_rules=args.dump_rules,

@@ -1,8 +1,9 @@
 """Expectation-maximization clustering with diagonal Gaussian components.
 
-Fits K=2 components to the encoded feature matrix without labels, then maps
-each cluster to the majority training label of the rows it claims. The
-log-likelihood trace is kept per iteration; EM guarantees it never decreases.
+Fits K=2 components to the encoded feature matrix without looking at its
+labels, then maps each cluster to the majority training label of the rows it
+claims. The log-likelihood trace is kept per iteration; EM guarantees it
+never decreases.
 
 The E-step's per-row terms (component log-densities, responsibilities and
 log-likelihoods) are evaluated once per distinct encoded row and gathered
@@ -13,11 +14,11 @@ fitted model is bit-identical to evaluating every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SchemaMismatchError, TooFewRowsError, UnfittedModelError
+from ..errors import TooFewRowsError
 from .encoding import FeatureMatrix, distinct_rows
 
 VARIANCE_FLOOR = 1e-9
@@ -38,42 +39,51 @@ class EMModel:
     means: np.ndarray                     # (k, width)
     variances: np.ndarray                 # (k, width), floored
     ll_trace: tuple[float, ...]
-    cluster_labels: tuple[int, ...] | None = None
+    cluster_labels: tuple[int, ...]       # (k,) training label of each cluster
 
     def to_dict(self) -> dict:
         return {
             "weights": [float(w) for w in self.weights],
             "means": [[float(v) for v in row] for row in self.means],
             "variances": [[float(v) for v in row] for row in self.variances],
-            "cluster_labels": list(self.cluster_labels) if self.cluster_labels else None,
+            "cluster_labels": list(self.cluster_labels),
             "log_likelihood_trace": [float(v) for v in self.ll_trace],
         }
 
-    def with_mapping(self, mapping: tuple[int, ...]) -> "EMModel":
-        return replace(self, cluster_labels=mapping)
-
 
 def _log_densities(x: np.ndarray, weights, means, variances) -> np.ndarray:
-    """log(w_k) + log N(x | mu_k, diag var_k), shape (n, k)."""
+    """log(w_k) + log N(x | mu_k, diag var_k), shape (n, k); a cell too far
+    from a mean for float64 gives that component -inf."""
     n, width = x.shape
     k = means.shape[0]
     out = np.empty((n, k), dtype=np.float64)
-    for j in range(k):
-        diff2 = (x - means[j]) ** 2 / variances[j]
-        out[:, j] = (
-            np.log(weights[j])
-            - 0.5 * (width * np.log(2.0 * np.pi) + np.log(variances[j]).sum())
-            - 0.5 * diff2.sum(axis=1)
-        )
+    with np.errstate(over="ignore"):
+        for j in range(k):
+            diff2 = (x - means[j]) ** 2 / variances[j]
+            out[:, j] = (
+                np.log(weights[j])
+                - 0.5 * (width * np.log(2.0 * np.pi) + np.log(variances[j]).sum())
+                - 0.5 * diff2.sum(axis=1)
+            )
     return out
 
 
 def _normalize_log(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalize in log space; returns (responsibilities, per-row log-likelihoods)."""
+    """Row-normalize in log space; returns (responsibilities, per-row log-likelihoods).
+
+    A row every component scores -inf gets equal responsibilities and
+    log-likelihood -inf.
+    """
     m = scores.max(axis=1, keepdims=True)
+    lost = np.isneginf(m[:, 0])
+    if lost.any():
+        scores = np.where(lost[:, None], 0.0, scores)
+        m[lost] = 0.0
     shifted = np.exp(scores - m)
     norm = shifted.sum(axis=1, keepdims=True)
-    return shifted / norm, m[:, 0] + np.log(norm[:, 0])
+    row_ll = m[:, 0] + np.log(norm[:, 0])
+    row_ll[lost] = -np.inf
+    return shifted / norm, row_ll
 
 
 def responsibilities(model: EMModel, x: np.ndarray) -> np.ndarray:
@@ -101,8 +111,9 @@ def _init_means(x: np.ndarray, rng: np.random.Generator, k: int) -> np.ndarray:
 def _fit_once(
     x: np.ndarray, first: np.ndarray | slice, inverse: np.ndarray | slice, config: EMConfig,
     restart: int,
-) -> EMModel:
-    """One seeded EM run; the E-step sees only the rows ``x[first]``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
+    """One seeded EM run: (weights, means, variances, ll_trace). The E-step
+    sees only the rows ``x[first]``."""
     n, width = x.shape
     distinct = x[first]
     k = config.k
@@ -124,39 +135,36 @@ def _fit_once(
         for j in range(k):
             variances[j] = resp[:, j] @ (x - means[j]) ** 2 / nk[j]
         variances = np.maximum(variances, VARIANCE_FLOOR)
-    return EMModel(weights, means, variances, tuple(trace))
+    return weights, means, variances, tuple(trace)
 
 
 def em_fit(matrix: FeatureMatrix, config: EMConfig = EMConfig()) -> EMModel:
-    """Best of ``config.restarts`` seeded EM runs, judged by final log-likelihood."""
+    """Best of ``config.restarts`` seeded EM runs, judged by final
+    log-likelihood, with each cluster mapped to a training label.
+
+    The labels play no part in the fit; they only name its clusters.
+    """
     x = matrix.rows
     if x.shape[0] < 2 * config.k:
         raise TooFewRowsError(f"EM with k={config.k} needs at least {2 * config.k} rows")
     first, inverse = distinct_rows(x)
     if first.size == x.shape[0]:
         first = inverse = slice(None)  # every row distinct: no copy, no gather
-    best: EMModel | None = None
-    for r in range(config.restarts):
-        candidate = _fit_once(x, first, inverse, config, r)
-        if best is None or candidate.ll_trace[-1] > best.ll_trace[-1]:
-            best = candidate
-    assert best is not None
-    return best
+    runs = (_fit_once(x, first, inverse, config, r) for r in range(config.restarts))
+    # max keeps the first of equal final log-likelihoods
+    weights, means, variances, trace = max(runs, key=lambda run: run[3][-1])
+    resp, _ = _normalize_log(_log_densities(x[first], weights, means, variances))
+    hard = resp.argmax(axis=1)[inverse]
+    return EMModel(weights, means, variances, trace, map_clusters(hard, matrix.labels, config.k))
 
 
-def map_clusters(model: EMModel, matrix: FeatureMatrix) -> tuple[int, ...]:
-    """Majority training label per cluster under hard assignment.
+def map_clusters(hard: np.ndarray, labels: np.ndarray, k: int) -> tuple[int, ...]:
+    """Majority training label of each of ``k`` clusters, given each row's
+    cluster ``hard`` and label.
 
     If every cluster lands on the same label, the cluster with the larger
     attack fraction takes label 1 and the other label 0.
     """
-    if not model.ll_trace:
-        raise UnfittedModelError("model has no training trace")
-    if matrix.labels is None:
-        raise SchemaMismatchError("cluster mapping needs labeled rows")
-    hard = responsibilities(model, matrix.rows).argmax(axis=1)
-    labels = np.asarray(matrix.labels)
-    k = model.means.shape[0]
     attack_fraction = np.empty(k, dtype=np.float64)
     for j in range(k):
         members = labels[hard == j]
@@ -171,8 +179,6 @@ def map_clusters(model: EMModel, matrix: FeatureMatrix) -> tuple[int, ...]:
 
 def em_predict(model: EMModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(labels, class-1 probability) for each row, via the cluster mapping."""
-    if model.cluster_labels is None:
-        raise UnfittedModelError("model has no cluster-to-label mapping")
     resp = responsibilities(model, x)
     mapping = np.asarray(model.cluster_labels)
     labels = mapping[resp.argmax(axis=1)]

@@ -36,14 +36,11 @@ class ColumnSpec:
 class FeatureMatrix:
     columns: tuple[ColumnSpec, ...]
     rows: np.ndarray                       # (n, encoded width) float64
-    labels: np.ndarray | None = None       # (n,) int, absent for unlabeled use
+    labels: np.ndarray                     # (n,) int
 
     @property
     def width(self) -> int:
         return int(self.rows.shape[1])
-
-    def unlabeled(self) -> "FeatureMatrix":
-        return FeatureMatrix(self.columns, self.rows, None)
 
 
 class FeatureEncoder:

@@ -90,8 +90,6 @@ def nll_gradient(
 
 def lr_fit(matrix: FeatureMatrix, hyper: LRHyperParams = LRHyperParams()) -> LRModel:
     """Gradient-descend the penalized NLL until tolerance or max iterations."""
-    if matrix.labels is None:
-        raise SchemaMismatchError("logistic regression needs labeled rows")
     y = matrix.labels.astype(np.float64)
     if y.min() == y.max():
         raise SingleClassTrainingError()

@@ -46,11 +46,13 @@ class GaussianLikelihood:
 
     def log_likelihoods(self, x: np.ndarray) -> np.ndarray:
         """(2, n) log N(cell | class mean, class variance); a missing cell
-        (NaN) contributes 0."""
+        (NaN) contributes 0, and a cell too far from a class mean for float64
+        gives that class -inf."""
         out = np.empty((2, x.shape[0]))
-        for cls in (0, 1):
-            mu, var = self.means[cls], self.variances[cls]
-            out[cls] = -0.5 * math.log(2.0 * math.pi * var) - (x - mu) ** 2 / (2.0 * var)
+        with np.errstate(over="ignore"):
+            for cls in (0, 1):
+                mu, var = self.means[cls], self.variances[cls]
+                out[cls] = -0.5 * math.log(2.0 * math.pi * var) - (x - mu) ** 2 / (2.0 * var)
         out[:, np.isnan(x)] = 0.0
         return out
 
@@ -149,7 +151,8 @@ def nb_predict(model: NBModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
     the same order.
 
     Missing cells contribute nothing to either class. Exact posterior ties
-    predict 1: a false alarm is preferred over a miss.
+    predict 1: a false alarm is preferred over a miss. A row both classes
+    score -inf is such a tie, with class-1 posterior 0.5.
     """
     require_schema(test, zip(model.feature_names, model.kinds))
     logs = np.empty((2, test.n_records))
@@ -159,4 +162,5 @@ def nb_predict(model: NBModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
             logs += lik.log_likelihoods(column, vocab)
         else:
             logs += lik.log_likelihoods(column)
+    logs[:, np.isneginf(logs).all(axis=0)] = 0.0  # both classes -inf: a tie
     return (logs[1] >= logs[0]).astype(np.int64), _sigmoid(logs[1] - logs[0])

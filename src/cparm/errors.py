@@ -72,10 +72,6 @@ class TooManyPartitionsError(DataError):
 
 # --- rule mining -------------------------------------------------------------
 
-class LengthMismatchError(DataError):
-    pass
-
-
 class EmptyTransactionsError(DataError):
     pass
 
@@ -107,16 +103,16 @@ class NonFiniteStatisticError(DataError):
                          "its mean or variance is not finite")
 
 
-class UnfittedModelError(NumericError):
-    pass
-
-
 class EmptyInputError(DataError):
     pass
 
 
 class NonBinaryLabelError(DataError):
     """A prediction or truth label handed to the metrics is not 0 or 1."""
+
+
+class LengthMismatchError(DataError):
+    """The metrics got different numbers of predictions and truth labels."""
 
 
 class StageError(CparmError):

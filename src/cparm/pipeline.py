@@ -16,16 +16,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .arm import SweepResult, build_transactions, run_threshold_sweep
-from .central_points import CentralPointsTable, central_points, partition_count, partition_index
+from .central_points import CentralPointsTable, central_points, partition_count
 from .dataset import (
     Dataset,
     SplitSpec,
     format_cell,
-    group_by_label,
     load_csv,
     project,
     split,
@@ -38,7 +35,6 @@ from .engines import (
     encode,
     lr_fit,
     lr_predict,
-    map_clusters,
     nb_fit,
     nb_predict,
 )
@@ -103,15 +99,18 @@ class PipelineConfig:
             raise ConfigError("at least one decision engine is required")
         unknown = [e for e in self.engines if e not in ENGINE_ORDER]
         if unknown:
-            raise ConfigError(f"unknown engines: {unknown}")
+            raise ConfigError(f"unknown engines {unknown}; choose from {ENGINE_ORDER}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if isinstance(self.source, (SourceSplit, SourceSynthetic)):
             if not (0.0 < self.source.fraction < 1.0):
                 raise ConfigError(f"split fraction {self.source.fraction} outside (0, 1)")
-        for path in (self.report_path, self.dump_centres, self.dump_rules, self.dump_model):
-            if path and not Path(path).parent.is_dir():
+        for path in filter(None, (self.report_path, self.dump_centres, self.dump_rules,
+                                  self.dump_model)):
+            if not Path(path).parent.is_dir():
                 raise ConfigError(f"cannot write {path}: its directory does not exist")
+            if Path(path).is_dir():
+                raise ConfigError(f"cannot write {path}: it is a directory")
 
     def source_echo(self) -> dict:
         if isinstance(self.source, SourceFiles):
@@ -188,13 +187,6 @@ def _acquire(config: PipelineConfig) -> tuple[Dataset, Dataset]:
     return split(full, SplitSpec(src.fraction, config.seed))
 
 
-def _partition_labels(labels: np.ndarray, p: int) -> list[int]:
-    # majority label of each of p equal partitions, exact ties counted as attack
-    partition = partition_index(labels.shape[0], p)
-    ones = np.bincount(partition[labels == 1], minlength=p)
-    return (2 * ones >= np.bincount(partition, minlength=p)).astype(int).tolist()
-
-
 def _sweep_echo(sweep: SweepResult) -> tuple:
     entries = []
     for entry in sweep.entries:
@@ -224,16 +216,10 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
             raise SingleClassTrainingError()
 
     with _stage("central_points", timings):
-        p = partition_count(train.n_records, train.n_attributes)
-        # group rows by class so segments are class-homogeneous and the
-        # per-class rule extraction downstream sees attributable transactions
-        train_grouped = group_by_label(train)
-        table = central_points(train_grouped, p)
-        part_labels = _partition_labels(train_grouped.labels, p)
-        del train_grouped  # a full copy of the training columns
+        table = central_points(train, partition_count(train.n_records, train.n_attributes))
 
     with _stage("arm", timings):
-        transactions = build_transactions(table, part_labels)
+        transactions = build_transactions(table)
         sweep = run_threshold_sweep(transactions, config.num_features, config.thresholds)
         selected = sweep.merged
         if not selected:
@@ -266,8 +252,7 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
                 model = lr_fit(matrix)
                 predict, test_input = lr_predict, test_x
             else:
-                model = em_fit(matrix.unlabeled(), EMConfig(seed=config.seed))
-                model = model.with_mapping(map_clusters(model, matrix))
+                model = em_fit(matrix, EMConfig(seed=config.seed))
                 predict, test_input = em_predict, test_x
         with _stage(f"predict_{engine}", timings):
             labels, _ = predict(model, test_input)
@@ -283,7 +268,7 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
 
     return EvaluationReport(
         config=config.to_dict(),
-        partitions=p,
+        partitions=table.p,
         selected_features=tuple(selected),
         threshold_sweep=_sweep_echo(sweep),
         engines=engine_results,

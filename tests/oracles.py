@@ -250,7 +250,8 @@ def mutual_information_ranking(dataset):
 
 def em_fit_reference(x, config):
     """EM evaluated on every row, restart by restart: ((weights, means,
-    variances, ll_trace) of the best restart, its index).
+    variances, ll_trace) of the best restart, its index, and each row's
+    cluster under the best restart's final parameters).
 
     The E-step, the M-step and the seeded choice of starting means are
     written out with the same NumPy operations in the same order as
@@ -259,6 +260,21 @@ def em_fit_reference(x, config):
     """
     n, width = x.shape
     k = config.k
+
+    def e_step(weights, means, variances):
+        scores = np.empty((n, k), dtype=np.float64)
+        for j in range(k):
+            diff2 = (x - means[j]) ** 2 / variances[j]
+            scores[:, j] = (
+                np.log(weights[j])
+                - 0.5 * (width * np.log(2.0 * np.pi) + np.log(variances[j]).sum())
+                - 0.5 * diff2.sum(axis=1)
+            )
+        m = scores.max(axis=1, keepdims=True)
+        shifted = np.exp(scores - m)
+        norm = shifted.sum(axis=1, keepdims=True)
+        return shifted / norm, (m[:, 0] + np.log(norm[:, 0])).sum()
+
     best = None
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
@@ -275,19 +291,8 @@ def em_fit_reference(x, config):
         weights = np.full(k, 1.0 / k, dtype=np.float64)
         trace = []
         for _ in range(config.max_iterations):
-            scores = np.empty((n, k), dtype=np.float64)
-            for j in range(k):
-                diff2 = (x - means[j]) ** 2 / variances[j]
-                scores[:, j] = (
-                    np.log(weights[j])
-                    - 0.5 * (width * np.log(2.0 * np.pi) + np.log(variances[j]).sum())
-                    - 0.5 * diff2.sum(axis=1)
-                )
-            m = scores.max(axis=1, keepdims=True)
-            shifted = np.exp(scores - m)
-            norm = shifted.sum(axis=1, keepdims=True)
-            resp = shifted / norm
-            trace.append(float((m[:, 0] + np.log(norm[:, 0])).sum()))
+            resp, ll = e_step(weights, means, variances)
+            trace.append(float(ll))
             if len(trace) >= 2 and trace[-1] - trace[-2] < config.tolerance:
                 break
             nk = np.maximum(resp.sum(axis=0), 1e-12)
@@ -298,4 +303,5 @@ def em_fit_reference(x, config):
             variances = np.maximum(variances, 1e-9)
         if best is None or trace[-1] > best[0][3][-1]:
             best = ((weights, means, variances, tuple(trace)), restart)
-    return best
+    hard = e_step(*best[0][:3])[0].argmax(axis=1)
+    return best[0], best[1], hard

@@ -16,7 +16,7 @@ from cparm.arm import (
 )
 from cparm.central_points import CentralPoint, CentralPointsTable, central_points
 from cparm.dataset import AttributeSchema
-from cparm.errors import EmptyTransactionsError, LengthMismatchError
+from cparm.errors import EmptyTransactionsError
 from oracles import brute_force_rules, dataset, random_transactions
 
 
@@ -67,8 +67,9 @@ class TestBuildTransactions:
                 CentralPoint("a", 1, 2.0, 2), CentralPoint("b", 1, "udp", 2),
             ),
             p=2,
+            labels=(0, 1),
         )
-        result = build_transactions(table, [0, 1])
+        result = build_transactions(table)
         assert result[0] == trans(("a", 1.0), ("b", "tcp"), label=0)
         assert result[1] == trans(("a", 2.0), ("b", "udp"), label=1)
 
@@ -77,14 +78,10 @@ class TestBuildTransactions:
             entries=(CentralPoint("a", 0, 1.0, 1), CentralPoint("a", 1, 1.0, 1),
                      CentralPoint("c", 0, "x", 1)),
             p=2,
+            labels=(0, 0),
         )
-        result = build_transactions(table, [0, 0])
+        result = build_transactions(table)
         assert result[1].items == frozenset({Item("a", 1.0)})
-
-    def test_label_length_mismatch(self):
-        table = CentralPointsTable(entries=(), p=3)
-        with pytest.raises(LengthMismatchError):
-            build_transactions(table, [0, 1])
 
     def test_matches_independent_regrouping(self):
         rng = random.Random(5)
@@ -94,16 +91,20 @@ class TestBuildTransactions:
         labels = tuple(rng.randint(0, 1) for _ in range(n))
         ds = dataset(schema, columns, labels)
 
-        part_labels = [rng.randint(0, 1) for _ in range(p)]
-        got = build_transactions(central_points(ds, p), part_labels)
+        got = build_transactions(central_points(ds, p))
 
-        # oracle: recompute modes per slice with its own counting, then regroup
+        # oracle: group the rows by label (label-0 rows first, each class in
+        # row order), recompute modes and majority labels per slice with its
+        # own counting, then regroup
+        order = [i for i in range(n) if labels[i] == 0] + [i for i in range(n) if labels[i] == 1]
+        grouped = [[col[i] for i in order] for col in columns]
+        grouped_labels = [labels[i] for i in order]
         size = n // p
         for k in range(p):
             start, end = k * size, (n if k == p - 1 else (k + 1) * size)
             expected_items = set()
             for c in range(5):
-                chunk = columns[c][start:end]
+                chunk = grouped[c][start:end]
                 counts = {}
                 for v in chunk:
                     counts[v] = counts.get(v, 0) + 1
@@ -117,7 +118,8 @@ class TestBuildTransactions:
                             winner, pos_best = v, pos
                 expected_items.add(Item(f"a{c}", winner))
             assert got[k].items == frozenset(expected_items)
-            assert got[k].label == part_labels[k]
+            ones = grouped_labels[start:end].count(1)
+            assert got[k].label == (1 if 2 * ones >= end - start else 0)
 
 
 def mined_rule(f1, f2, transactions):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cparm.central_points import central_points, partition_count, partition_index
-from cparm.dataset import AttributeSchema, Dataset
+from cparm.dataset import AttributeSchema, Dataset, group_by_label
 from cparm.errors import TooManyPartitionsError
 from oracles import dataset, latest_first_occurrence_mode, mode_of
 
@@ -152,7 +152,8 @@ def dataset_from_columns(columns, labels=None):
 
 
 @st.composite
-def partitioned_datasets(draw):
+def partitioned_datasets(draw, labelled=False):
+    """(dataset, plain columns, p); every label 0 unless ``labelled``."""
     n = draw(st.integers(1, 30))
     kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]), min_size=1, max_size=4))
     columns = [
@@ -162,7 +163,8 @@ def partitioned_datasets(draw):
     schema = tuple(AttributeSchema(f"a{i}", k) for i, k in enumerate(kinds))
     # p == n gives one-row partitions; p == 1 one partition of every row
     p = draw(st.integers(1, n))
-    return dataset(schema, columns, (0,) * n), columns, p
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) if labelled else (0,) * n
+    return dataset(schema, columns, labels), columns, p
 
 
 class TestCentralPoints:
@@ -277,3 +279,48 @@ class TestCentralPoints:
         assert [(e.attribute, e.partition_index) for e in table.entries] == [
             ("a0", 0), ("a0", 1), ("a1", 0), ("a1", 1),
         ]
+
+    @settings(deadline=None)
+    @given(partitioned_datasets(labelled=True))
+    def test_groups_rows_by_class_itself(self, drawn):
+        ds, _, p = drawn
+        assert central_points(ds, p) == central_points(group_by_label(ds), p)
+
+
+def majority_per_slice(labels, p):
+    """The label of each of p equal slices of the labels grouped by class
+    (the last slice takes the remainder), counted by hand; an exact tie
+    counts as attack."""
+    grouped = [v for v in labels if v == 0] + [v for v in labels if v == 1]
+    size = len(grouped) // p
+    out = []
+    for k in range(p):
+        chunk = grouped[k * size:] if k == p - 1 else grouped[k * size:(k + 1) * size]
+        ones = chunk.count(1)
+        out.append(1 if ones >= len(chunk) - ones else 0)
+    return tuple(out)
+
+
+def partition_labels(labels, p):
+    ds = dataset_from_columns([[0.0] * len(labels)], labels)
+    return central_points(ds, p).labels
+
+
+@st.composite
+def labels_and_partitions(draw):
+    labels = draw(st.lists(st.integers(0, 1), min_size=1, max_size=60))
+    return labels, draw(st.integers(1, len(labels)))
+
+
+class TestPartitionLabels:
+    @given(labels_and_partitions())
+    def test_matches_majority_oracle(self, drawn):
+        labels, p = drawn
+        assert partition_labels(labels, p) == majority_per_slice(labels, p)
+
+    def test_odd_last_partition_and_tie(self):
+        # grouped [0, 0, 0, 0, 0, 1, 1]: slices [0, 0, 0] and the remainder
+        # [0, 0, 1, 1], a tie that counts as attack
+        labels = [1, 0, 0, 1, 0, 0, 0]
+        assert partition_labels(labels, 2) == (0, 1)
+        assert majority_per_slice(labels, 2) == (0, 1)

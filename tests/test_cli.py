@@ -249,6 +249,14 @@ def _missing_directory(flag):
     return build
 
 
+def _directory(flag):
+    """--input of the good CSV, with ``flag`` naming an existing directory."""
+    def build(good, work):
+        (work / "adir").mkdir()
+        return ["--input", str(good), flag, str(work / "adir")]
+    return build
+
+
 def _renamed_columns(rows):
     rows[0] = [name if name == "label" else f"x{name}" for name in rows[0]]
     return rows
@@ -267,6 +275,8 @@ FAULTS = [
     ("crlf", _input(lambda rows: rows, newline="\r\n"), 0),
     ("report_in_missing_directory", _missing_directory("--report"), 2),
     ("rules_in_missing_directory", _missing_directory("--dump-rules"), 2),
+    ("report_is_a_directory", _directory("--report"), 2),
+    ("model_is_a_directory", _directory("--dump-model"), 2),
 ]
 
 
@@ -275,11 +285,13 @@ def test_fault_injection_exit_code_and_no_stray_files(synth_csv, tmp_path, capsy
     work = tmp_path / "work"
     work.mkdir()
     report = work / "report.json"
-    assert _run(build(synth_csv, work), report) == want
+    args = build(synth_csv, work)
+    before = sorted(work.rglob("*"))
+    assert _run(args, report) == want
     assert not list(work.glob("*.tmp"))  # pathlib's * also matches dotfiles
-    if want == 2:  # an output path into a missing directory, refused before loading
-        assert str(work / "nodir" / "out") in capsys.readouterr().err
-        assert not list(work.iterdir())
+    if want == 2:  # an unwritable output path, named and refused before loading
+        assert args[-1] in capsys.readouterr().err
+        assert sorted(work.rglob("*")) == before
     if want != 0:
         assert not report.exists()
         return
@@ -322,6 +334,19 @@ NOISE = ("f01", "f02")
 SIGNAL = ("f00", "f05")
 
 
+def _huge_test_value(good, work):
+    """Seed-9 train and seed-10 test files (600 x 7), with 1e300 in f01 of
+    one test row; the low threshold selects f01 for the engines."""
+    for name, seed in (("train.csv", "9"), ("test.csv", "10")):
+        assert main(["synth", "--out", str(work / name), "--records", "600", "--noise", "5",
+                     "--signal", "2", "--seed", seed]) == 0
+    rows = _rows(work / "test.csv")
+    rows[7][rows[0].index("f01")] = "1e300"
+    _write(work / "test.csv", rows)
+    return ["--train", str(work / "train.csv"), "--test", str(work / "test.csv"),
+            "--num-features", "7", "--minsup-minconf", "0.2"]
+
+
 def _check_no_report(report, model, engines):
     assert report is None and model is None
 
@@ -340,6 +365,11 @@ def _check_f00_kind(kind):
 
 def _check_engines_ran(report, model, engines):
     assert list(report["engines"]) == engines
+
+
+def _check_f01_fed_to_engines(report, model, engines):
+    assert "f01" in [f["name"] for f in report["selected_features"]]
+    _check_engines_ran(report, model, engines)
 
 
 def _check_one_em_label(report, model, engines):
@@ -368,6 +398,9 @@ DEGENERATE = [
      _check_no_report),
     ("1e400_in_test", _files(_cells([7], "1e400")), ["em", "nb", "lr"], 0,
      _check_f00_kind("numeric")),
+    # a finite cell too far from every mean for float64 scores -inf, without
+    # a RuntimeWarning, which pytest turns into an error
+    ("1e300_in_test", _huge_test_value, ["em", "nb", "lr"], 0, _check_f01_fed_to_engines),
 ]
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cparm.engines.em import (
     EMConfig,
-    EMModel,
     VARIANCE_FLOOR,
     em_fit,
     em_predict,
@@ -15,13 +14,14 @@ from cparm.engines.em import (
     responsibilities,
 )
 from cparm.engines.encoding import ColumnSpec, FeatureMatrix
-from cparm.errors import SchemaMismatchError, TooFewRowsError, UnfittedModelError
+from cparm.errors import TooFewRowsError
 from oracles import em_fit_reference
 
 
 def matrix_from(x, labels=None):
+    """A matrix of the rows ``x``; every label 0 unless ``labels`` are given."""
     columns = tuple(ColumnSpec(f"x{i}", "numeric") for i in range(x.shape[1]))
-    lab = None if labels is None else np.asarray(labels, dtype=int)
+    lab = np.zeros(len(x), dtype=int) if labels is None else np.asarray(labels, dtype=int)
     return FeatureMatrix(columns, np.asarray(x, dtype=float), lab)
 
 
@@ -82,11 +82,20 @@ class TestFit:
         assert a.ll_trace == b.ll_trace
         assert np.array_equal(a.means, b.means)
 
+    def test_labels_play_no_part_in_the_fit(self):
+        x, labels = two_blobs(seed=12)
+        a = em_fit(matrix_from(x, labels), EMConfig(seed=12))
+        b = em_fit(matrix_from(x, 1 - labels), EMConfig(seed=12))
+        assert a.ll_trace == b.ll_trace
+        assert a.means.tobytes() == b.means.tobytes()
+        assert a.variances.tobytes() == b.variances.tobytes()
+        assert a.cluster_labels == tuple(1 - c for c in b.cluster_labels)
+
 
 @st.composite
 def em_cases(draw):
-    """(matrix, config): rows drawn with duplicates, all distinct or all
-    identical, and optionally a first column that holds both 0.0 and -0.0."""
+    """(matrix, config): labelled rows drawn with duplicates, all distinct or
+    all identical, and optionally a first column that holds both 0.0 and -0.0."""
     n = draw(st.integers(4, 40))
     width = draw(st.integers(1, 4))
     cell = st.integers(-3, 3).map(float)
@@ -109,7 +118,8 @@ def em_cases(draw):
         seed=draw(st.integers(0, 3)),
         restarts=draw(st.integers(1, 4)),
     )
-    return matrix_from(x), config
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return matrix_from(x, labels), config
 
 
 class TestReference:
@@ -118,7 +128,7 @@ class TestReference:
     def test_equals_the_fit_on_every_row(self, case):
         matrix, config = case
         model = em_fit(matrix, config)
-        (weights, means, variances, trace), restart = em_fit_reference(matrix.rows, config)
+        (weights, means, variances, trace), restart, hard = em_fit_reference(matrix.rows, config)
         assert model.weights.tobytes() == weights.tobytes()
         assert model.means.tobytes() == means.tobytes()
         assert model.variances.tobytes() == variances.tobytes()
@@ -128,21 +138,18 @@ class TestReference:
         assert em_fit(matrix, replace(config, restarts=restart + 1)).ll_trace == model.ll_trace
         if restart:
             assert em_fit(matrix, replace(config, restarts=restart)).ll_trace[-1] < trace[-1]
+        assert model.cluster_labels == map_clusters(hard, matrix.labels, config.k)
 
 
 class TestClusterMapping:
     def test_majority_mapping(self):
         x, labels = two_blobs(seed=4)
-        matrix = matrix_from(x, labels)
-        model = em_fit(matrix.unlabeled(), EMConfig(seed=4))
-        mapping = map_clusters(model, matrix)
-        assert sorted(mapping) == [0, 1]
+        model = em_fit(matrix_from(x, labels), EMConfig(seed=4))
+        assert sorted(model.cluster_labels) == [0, 1]
 
     def test_planted_blobs_reach_high_accuracy(self):
         x, labels = two_blobs(seed=6)
-        matrix = matrix_from(x, labels)
-        model = em_fit(matrix.unlabeled(), EMConfig(seed=6))
-        model = model.with_mapping(map_clusters(model, matrix))
+        model = em_fit(matrix_from(x, labels), EMConfig(seed=6))
         preds, prob_1 = em_predict(model, x)
         accuracy = float((preds == labels).mean())
         assert accuracy >= 0.95
@@ -152,29 +159,29 @@ class TestClusterMapping:
         # both clusters lean label 0; the one with more attacks must map to 1
         x = np.vstack([np.full((10, 1), -4.0), np.full((10, 1), 4.0)])
         labels = np.array([0] * 9 + [1] + [0] * 6 + [1] * 4)
-        matrix = matrix_from(x, labels)
-        model = em_fit(matrix.unlabeled(), EMConfig(seed=0))
-        mapping = map_clusters(model, matrix)
-        assert sorted(mapping) == [0, 1]
+        model = em_fit(matrix_from(x, labels), EMConfig(seed=0))
+        assert sorted(model.cluster_labels) == [0, 1]
         resp = responsibilities(model, x)
         hard = resp.argmax(axis=1)
         fractions = [labels[hard == j].mean() for j in range(2)]
-        assert mapping[int(np.argmax(fractions))] == 1
+        assert model.cluster_labels[int(np.argmax(fractions))] == 1
 
-    def test_unlabeled_matrix_rejected(self):
-        x, labels = two_blobs(seed=9)
-        matrix = matrix_from(x, labels)
-        model = em_fit(matrix.unlabeled(), EMConfig(seed=9))
-        with pytest.raises(SchemaMismatchError):
-            map_clusters(model, matrix.unlabeled())
+    def test_row_too_far_from_every_mean(self):
+        # (1e300 - mean) ** 2 overflows float64: every component scores -inf,
+        # so the row's responsibilities are equal
+        x, labels = two_blobs(seed=13)
+        model = em_fit(matrix_from(x, labels), EMConfig(seed=13))
+        assert responsibilities(model, np.array([[1e300]])).tolist() == [[0.5, 0.5]]
+        _, prob_1 = em_predict(model, np.array([[1e300], [5.0]]))
+        assert prob_1[0] == 0.5 and prob_1[1] > 0.99
 
-    def test_predict_requires_mapping(self):
-        x, _ = two_blobs(seed=10)
-        model = em_fit(matrix_from(x), EMConfig(seed=10))
-        with pytest.raises(UnfittedModelError):
-            em_predict(model, x)
-
-    def test_unfitted_model_rejected(self):
-        empty = EMModel(np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 1)), ())
-        with pytest.raises(UnfittedModelError):
-            map_clusters(empty, matrix_from(np.zeros((4, 1)), [0, 0, 1, 1]))
+    def test_mapping_rules(self):
+        hard = np.array([0, 0, 1, 1, 1])
+        # majorities 1 and 0
+        assert map_clusters(hard, np.array([1, 1, 0, 0, 1]), 2) == (1, 0)
+        # an exact tie counts as attack: cluster 0 is [0, 1]
+        assert map_clusters(hard, np.array([0, 1, 0, 0, 0]), 2) == (1, 0)
+        # both clusters lean attack: the one with the larger attack share keeps 1
+        assert map_clusters(hard, np.array([1, 1, 1, 1, 0]), 2) == (1, 0)
+        # a cluster that claims no row has attack share 0
+        assert map_clusters(np.zeros(4, dtype=int), np.array([1, 1, 1, 0]), 2) == (1, 0)

@@ -7,6 +7,7 @@ import pytest
 from cparm.dataset import AttributeSchema, Dataset, project
 from cparm.engines.naive_bayes import (
     CategoricalLikelihood,
+    GaussianLikelihood,
     NBModel,
     VARIANCE_FLOOR,
     nb_fit,
@@ -114,6 +115,14 @@ class TestPredict:
         model = hand_model(p_x0=0.5, p_x1=0.5, priors=(0.5, 0.5))
         (label,), (posterior_1,) = predict(model, transpose([["x"]]))
         assert label == 1 and posterior_1 == 0.5
+
+    def test_cell_too_far_for_both_classes_is_a_tie(self):
+        # (1e300 - mean) ** 2 overflows float64: both classes score -inf
+        gauss = GaussianLikelihood(means=(0.0, 1.0), variances=(1.0, 1.0))
+        model = NBModel(("f0",), ("numeric",), (0.9, 0.1), (gauss,))
+        labels, posterior_1 = predict(model, transpose([[1e300], [0.0]]))
+        assert labels.tolist() == [1, 0]
+        assert posterior_1[0] == 0.5
 
     def test_missing_value_skipped(self):
         (label,), (posterior_1,) = predict(hand_model(priors=(0.25, 0.75)), transpose([[None]]))

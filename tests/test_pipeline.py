@@ -1,9 +1,6 @@
 import json
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cparm.arm import Item, Rule
 from cparm.central_points import CentralPoint, CentralPointsTable
@@ -22,7 +19,6 @@ from cparm.pipeline import (
     SourceSynthetic,
     _dump_centres,
     _dump_rules,
-    _partition_labels,
     dumps_json,
     emit_report,
     format_float,
@@ -70,37 +66,6 @@ class TestConfigValidation:
             synthetic_config(seed=-1).validate()
         with pytest.raises(ConfigError):
             synthetic_config(seed=2**64).validate()
-
-
-def majority_per_slice(labels, p):
-    """The label of each of p equal slices (the last takes the remainder),
-    counted by hand; an exact tie counts as attack."""
-    size = len(labels) // p
-    out = []
-    for k in range(p):
-        chunk = labels[k * size:] if k == p - 1 else labels[k * size:(k + 1) * size]
-        ones = chunk.count(1)
-        out.append(1 if ones >= len(chunk) - ones else 0)
-    return out
-
-
-@st.composite
-def labels_and_partitions(draw):
-    labels = draw(st.lists(st.integers(0, 1), min_size=1, max_size=60))
-    return labels, draw(st.integers(1, len(labels)))
-
-
-class TestPartitionLabels:
-    @given(labels_and_partitions())
-    def test_matches_majority_oracle(self, drawn):
-        labels, p = drawn
-        assert _partition_labels(np.array(labels), p) == majority_per_slice(labels, p)
-
-    def test_odd_last_partition_and_tie(self):
-        # slices [0, 0], [1, 0] (a tie: attack) and the remainder [0, 1, 0]
-        labels = [0, 0, 1, 0, 0, 1, 0]
-        assert _partition_labels(np.array(labels), 3) == [0, 1, 0]
-        assert majority_per_slice(labels, 3) == [0, 1, 0]
 
 
 class TestRunPipeline:
@@ -270,7 +235,7 @@ class TestSerialization:
         attempts = [
             (lambda path: emit_report(report, path), TypeError),
             (lambda path: _dump_rules([rule, None], path), AttributeError),
-            (lambda path: _dump_centres(CentralPointsTable((centre, None), 1), path),
+            (lambda path: _dump_centres(CentralPointsTable((centre, None), 1, (0,)), path),
              AttributeError),
         ]
         for write, error in attempts:
