@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .dataset import (
     AttributeSchema,
     Dataset,
-    SplitSpec,
     SynthManifest,
     load_csv,
     split,
@@ -50,7 +49,6 @@ __all__ = [
     "__version__",
     "AttributeSchema",
     "Dataset",
-    "SplitSpec",
     "SynthManifest",
     "load_csv",
     "split",

@@ -15,6 +15,7 @@ from .central_points import partition_count
 from .dataset import load_csv, synth_dataset, write_csv
 from .errors import ConfigError, CparmError, DataError, StageError
 from .pipeline import (
+    DEFAULT_FRACTION,
     PipelineConfig,
     SourceFiles,
     SourceSplit,
@@ -28,12 +29,18 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 
+# argparse turns only a ValueError or TypeError of a type= function into its
+# own usage error; the ConfigError of a bad list reaches main and exits 2.
 def _parse_thresholds(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse threshold list {text!r}") from None
     return values
+
+
+def _parse_engines(text: str) -> tuple[str, ...]:
+    return tuple(e.strip() for e in text.split(",") if e.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,19 +51,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the full pipeline and write a report")
+    # an option left out is absent from the namespace, so the config takes
+    # PipelineConfig's default for it
+    run = sub.add_parser("run", help="run the full pipeline and write a report",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--train", help="training CSV (requires --test)")
     run.add_argument("--test", help="testing CSV (requires --train)")
     run.add_argument("--input", help="single CSV, split by --split-ratio")
-    run.add_argument("--split-ratio", type=float, default=0.8,
-                     help="training fraction for --input mode (default 0.8)")
-    run.add_argument("--label-column", default="label")
-    run.add_argument("--minsup-minconf", default="0.4,0.6,0.8", metavar="V[,V...]",
+    run.add_argument("--split-ratio", type=float, dest="fraction", metavar="SPLIT_RATIO",
+                     help=f"training fraction for --input mode (default {DEFAULT_FRACTION})")
+    run.add_argument("--label-column")
+    run.add_argument("--minsup-minconf", type=_parse_thresholds, dest="thresholds",
+                     metavar="V[,V...]",
                      help="threshold sweep values (each used as both minsup and minconf)")
-    run.add_argument("--num-features", type=int, default=11)
-    run.add_argument("--engines", default="em,nb,lr")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--report", required=True, help="output path for the JSON report")
+    run.add_argument("--num-features", type=int)
+    run.add_argument("--engines", type=_parse_engines)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--report", dest="report_path", metavar="REPORT", required=True,
+                     help="output path for the JSON report")
     run.add_argument("--dump-centres", metavar="PATH")
     run.add_argument("--dump-rules", metavar="PATH")
     run.add_argument("--dump-model", metavar="PATH")
@@ -66,42 +78,33 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--records", type=int, required=True)
     synth.add_argument("--noise", type=int, required=True)
     synth.add_argument("--signal", type=int, required=True)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=int, default=PipelineConfig.seed)
 
     inspect = sub.add_parser("inspect", help="print schema and partition count for a CSV")
     inspect.add_argument("path")
-    inspect.add_argument("--label-column", default="label")
+    inspect.add_argument("--label-column", default=PipelineConfig.label_column)
 
     return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.train or args.test:
-        if not (args.train and args.test):
+    options = vars(args)  # only the options given, each under its PipelineConfig field
+    del options["command"]
+    train, test, path = (options.pop(key, None) for key in ("train", "test", "input"))
+    fraction = options.pop("fraction", DEFAULT_FRACTION)
+    if train or test:
+        if not (train and test):
             raise ConfigError("--train and --test must be given together")
-        if args.input:
+        if path:
             raise ConfigError("--input conflicts with --train/--test")
-        source = SourceFiles(args.train, args.test)
-    elif args.input:
-        source = SourceSplit(args.input, args.split_ratio)
+        source = SourceFiles(train, test)
+    elif path:
+        source = SourceSplit(path, fraction)
     else:
         raise ConfigError("give either --train/--test or --input")
-
-    thresholds = _parse_thresholds(args.minsup_minconf)
-    config = PipelineConfig(
-        source=source,
-        label_column=args.label_column,
-        thresholds=thresholds,
-        num_features=args.num_features,
-        engines=tuple(e.strip() for e in args.engines.split(",") if e.strip()),
-        seed=args.seed,
-        dump_centres=args.dump_centres,
-        dump_rules=args.dump_rules,
-        dump_model=args.dump_model,
-        report_path=args.report,
-    )
+    config = PipelineConfig(source=source, **options)
     report = run_pipeline(config)
-    emit_report(report, args.report)
+    emit_report(report, config.report_path)
     return EXIT_OK
 
 
@@ -138,10 +141,9 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {"run": _cmd_run, "synth": _cmd_synth, "inspect": _cmd_inspect}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (CparmError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,12 +2,13 @@
 
 A dataset is a column-major table, one typed numpy array per attribute,
 plus a binary label per row (0 = normal traffic, 1 = attack). A numeric
-column is float64 with NaN for a missing cell; the strict numeric syntax
-rejects ``nan`` and ``inf``, and a token that overflows float64 is no number
-either, so every value is finite. A categorical column is int32
-codes into the column's vocabulary, a sorted tuple of distinct tokens, with
--1 for a missing cell. Cells become Python values (``float``, ``str`` or
-``None``) only at the edges: CSV text, dumps and reports.
+column is float64 with NaN for a missing cell; a number is a token of
+ASCII digits, sign, period and exponent that float64 holds, so ``nan``,
+``inf`` and a token that overflows are none, and every value is finite. A
+categorical column is int32 codes into the column's vocabulary, a sorted
+tuple of distinct tokens, with -1 for a missing cell. Cells become Python
+values (``float``, ``str`` or ``None``) only at the edges: CSV text, dumps
+and reports.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ Kind = Literal["numeric", "categorical"]
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-# Strict numeric syntax: period decimal separator, optional sign/exponent.
-# Deliberately rejects float()-isms such as "1_0", "nan", "inf", "  7".
-_NUMERIC_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-# Text of only these characters holds no whitespace, "_", "nan", "inf" or
-# non-ASCII digit, so float() accepts a token of it exactly where the strict
-# syntax does.
+# A token is a number iff it is text of only these characters, float()
+# accepts it and the result is finite. The alphabet holds no whitespace,
+# "_", "nan", "inf" or non-ASCII digit, so float() accepts exactly the
+# strict syntax: ASCII digits, a period decimal separator, an optional sign
+# and exponent.
 _PLAIN_TEXT_RE = re.compile(r"[0-9+\-.eE]*")
 _MISSING_TEXT = {"": math.nan}
 
@@ -125,27 +125,18 @@ class Dataset:
         return tuple(a.name for a in self.schema)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Seeded-shuffle ratio split: ``fraction`` of the rows train."""
-
-    fraction: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.fraction < 1.0):
-            raise InvalidSpecError(f"split fraction must be in (0,1), got {self.fraction}")
-        _check_seed(self.seed)
-
-
 def is_missing(column: np.ndarray) -> np.ndarray:
     """Mask of the missing cells: NaN in a numeric column, -1 in a categorical one."""
     return np.isnan(column) if column.dtype == np.float64 else column < 0
 
 
-def _check_seed(seed: int) -> None:
+def check_seed_and_fraction(seed: int, fraction: float | None = None) -> None:
+    """Raise InvalidSpecError unless ``seed`` is an unsigned 64-bit integer
+    and ``fraction``, if given, a training fraction in (0, 1)."""
     if not (0 <= seed < 2**64):
         raise InvalidSpecError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    if fraction is not None and not (0.0 < fraction < 1.0):
+        raise InvalidSpecError(f"split fraction must be in (0, 1), got {fraction}")
 
 
 def map_label(token: str) -> int | None:
@@ -191,9 +182,9 @@ def load_csv(
     Column kinds are inferred from the text unless ``schema`` gives them. A
     test file is typed from its own text under the training kinds, so a
     token such as ``0`` stays ``0`` in a categorical column. A column of
-    plain numbers (text of ``0-9 + - . e E`` only) that is not typed
-    categorical is parsed cell by cell in one pass; every other column is
-    coded once and each distinct token parsed once.
+    numbers that is not typed categorical is parsed cell by cell in one
+    pass; every other column is coded once, and under a numeric kind each
+    distinct token parsed once.
     """
     header, text = _read_raw_csv(path)
     if label_column not in header:
@@ -222,29 +213,37 @@ def _type_column(
 ) -> tuple[np.ndarray, tuple[str, ...], Kind]:
     """A text column's array, vocabulary and kind.
 
-    With ``kind`` None the column is numeric iff every non-empty token
-    follows the strict numeric syntax (vacuously so when there is none).
-    Under a numeric kind a token that does not parse becomes missing. A
-    column of plain numbers is parsed cell by cell in one pass; any other
-    column is coded once and each distinct token parsed once.
+    With ``kind`` None the column is numeric iff every non-empty token is a
+    number (vacuously so when there is none). Under a numeric kind a token
+    that is no number becomes missing. A column of numbers is parsed cell by
+    cell in one pass; any other column is coded once, and under a numeric
+    kind each distinct token parsed once.
     """
     if kind != CATEGORICAL:
         numbers = _plain_numbers(text)
         if numbers is not None:
             return numbers, (), NUMERIC
     codes, tokens = _code_tokens(text)
-    numbers = None if kind == CATEGORICAL else _numbers(tokens)
-    if kind is None:
-        kind = CATEGORICAL if np.isnan(numbers[:-1]).any() else NUMERIC
-    if kind == NUMERIC:
-        return numbers[codes], (), kind
-    return *_sorted_codes(codes, tokens), kind
+    if kind == NUMERIC:  # a last NaN for code -1 (missing) to index
+        return np.array([*map(_number, tokens), math.nan])[codes], (), kind
+    return *_sorted_codes(codes, tokens), CATEGORICAL
+
+
+def _number(token: str) -> float:
+    """The token's number, or NaN if it is none."""
+    if _PLAIN_TEXT_RE.fullmatch(token):
+        try:
+            number = float(token)
+        except ValueError:  # plain characters that make no number, such as "1e" or "."
+            return math.nan
+        if math.isfinite(number):  # "1e400" overflows
+            return number
+    return math.nan
 
 
 def _plain_numbers(text: Sequence[str]) -> np.ndarray | None:
-    """Every cell's number, NaN for "", if the text holds only plain-number
-    characters and each non-empty token parses to a finite float; otherwise
-    None."""
+    """Every cell's number, NaN for "", if each non-empty token is a number;
+    otherwise None. This is ``_number`` over a whole column in one pass."""
     if not _PLAIN_TEXT_RE.fullmatch("".join(text)):
         return None
     cells = map(_MISSING_TEXT.get, text, text)  # "" becomes NaN, a token stays itself
@@ -263,15 +262,6 @@ def _code_tokens(tokens: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     index[""] = -1
     codes = np.fromiter(map(index.__getitem__, tokens), dtype=np.int32, count=len(tokens))
     return codes, list(distinct)
-
-
-def _numbers(tokens: list[str]) -> np.ndarray:
-    """Each token's number, NaN where the strict syntax rejects the token or
-    it overflows float64, and a last NaN for code -1 (missing) to index."""
-    matches = map(_NUMERIC_RE.match, tokens)
-    numbers = np.array([float(t) if m else math.nan for t, m in zip(tokens, matches)] + [math.nan])
-    numbers[np.isinf(numbers)] = math.nan
-    return numbers
 
 
 def _sorted_codes(codes: np.ndarray, tokens: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -384,16 +374,17 @@ def _take(dataset: Dataset, rows: np.ndarray) -> Dataset:
     )
 
 
-def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+def split(dataset: Dataset, fraction: float, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Seeded-shuffle ratio split. First ceil(n * fraction) shuffled rows train."""
+    check_seed_and_fraction(seed, fraction)
     n = dataset.n_records
     if n < 2:
         raise TooFewRecordsError("ratio split needs at least 2 records")
     order = list(range(n))
-    random.Random(spec.seed).shuffle(order)
+    random.Random(seed).shuffle(order)
     rows = np.array(order, dtype=np.intp)
     # clamp keeps both sides non-empty even when ceil(n * f) == n
-    k = min(max(1, math.ceil(n * spec.fraction)), n - 1)
+    k = min(max(1, math.ceil(n * fraction)), n - 1)
     return _take(dataset, rows[:k]), _take(dataset, rows[k:])
 
 
@@ -438,7 +429,7 @@ def synth_dataset(
         raise InvalidSpecError("need at least 4 records")
     if n_noise_features < 0:
         raise InvalidSpecError("noise feature count cannot be negative")
-    _check_seed(seed)
+    check_seed_and_fraction(seed)
 
     r = random.Random(seed)
     m = n_noise_features + n_signal_features

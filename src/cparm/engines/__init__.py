@@ -2,8 +2,8 @@
 
 from .encoding import ColumnSpec, FeatureEncoder, FeatureMatrix, encode
 from .naive_bayes import NBModel, nb_fit, nb_predict
-from .logistic import LRHyperParams, LRModel, lr_fit, lr_predict, nll_gradient, nll_loss
-from .em import EMConfig, EMModel, em_fit, em_predict, map_clusters, responsibilities
+from .logistic import LRModel, lr_fit, lr_predict, nll_gradient, nll_loss
+from .em import EMModel, em_fit, em_predict, map_clusters, responsibilities
 
 __all__ = [
     "ColumnSpec",
@@ -13,13 +13,11 @@ __all__ = [
     "NBModel",
     "nb_fit",
     "nb_predict",
-    "LRHyperParams",
     "LRModel",
     "lr_fit",
     "lr_predict",
     "nll_gradient",
     "nll_loss",
-    "EMConfig",
     "EMModel",
     "em_fit",
     "em_predict",

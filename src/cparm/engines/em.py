@@ -22,15 +22,10 @@ from ..errors import TooFewRowsError
 from .encoding import FeatureMatrix, distinct_rows
 
 VARIANCE_FLOOR = 1e-9
-
-
-@dataclass(frozen=True)
-class EMConfig:
-    k: int = 2
-    max_iterations: int = 200
-    tolerance: float = 1e-6
-    seed: int = 0
-    restarts: int = 5
+K = 2                 # components
+MAX_ITERATIONS = 200  # per restart
+TOLERANCE = 1e-6      # a restart stops once its log-likelihood gains less
+RESTARTS = 5
 
 
 @dataclass(frozen=True)
@@ -92,11 +87,11 @@ def responsibilities(model: EMModel, x: np.ndarray) -> np.ndarray:
     return resp
 
 
-def _init_means(x: np.ndarray, rng: np.random.Generator, k: int) -> np.ndarray:
-    """Seeded distance-weighted pick of k distinct rows as starting means."""
+def _init_means(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Seeded distance-weighted pick of K distinct rows as starting means."""
     n = x.shape[0]
     chosen = [int(rng.integers(n))]
-    for _ in range(k - 1):
+    for _ in range(K - 1):
         d2 = np.min(
             [((x - x[i]) ** 2).sum(axis=1) for i in chosen], axis=0
         )
@@ -109,71 +104,69 @@ def _init_means(x: np.ndarray, rng: np.random.Generator, k: int) -> np.ndarray:
 
 
 def _fit_once(
-    x: np.ndarray, first: np.ndarray | slice, inverse: np.ndarray | slice, config: EMConfig,
+    x: np.ndarray, first: np.ndarray | slice, inverse: np.ndarray | slice, seed: int,
     restart: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
     """One seeded EM run: (weights, means, variances, ll_trace). The E-step
     sees only the rows ``x[first]``."""
     n, width = x.shape
     distinct = x[first]
-    k = config.k
-    rng = np.random.default_rng([config.seed, restart])
-    means = _init_means(x, rng, k)
-    variances = np.ones((k, width), dtype=np.float64)
-    weights = np.full(k, 1.0 / k, dtype=np.float64)
+    rng = np.random.default_rng([seed, restart])
+    means = _init_means(x, rng)
+    variances = np.ones((K, width), dtype=np.float64)
+    weights = np.full(K, 1.0 / K, dtype=np.float64)
 
     trace: list[float] = []
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         resp, row_ll = _normalize_log(_log_densities(distinct, weights, means, variances))
         resp = resp[inverse]
         trace.append(float(row_ll[inverse].sum()))
-        if len(trace) >= 2 and trace[-1] - trace[-2] < config.tolerance:
+        if len(trace) >= 2 and trace[-1] - trace[-2] < TOLERANCE:
             break
         nk = np.maximum(resp.sum(axis=0), 1e-12)
         weights = nk / nk.sum()
         means = (resp.T @ x) / nk[:, None]
-        for j in range(k):
+        for j in range(K):
             variances[j] = resp[:, j] @ (x - means[j]) ** 2 / nk[j]
         variances = np.maximum(variances, VARIANCE_FLOOR)
     return weights, means, variances, tuple(trace)
 
 
-def em_fit(matrix: FeatureMatrix, config: EMConfig = EMConfig()) -> EMModel:
-    """Best of ``config.restarts`` seeded EM runs, judged by final
+def em_fit(matrix: FeatureMatrix, seed: int = 0) -> EMModel:
+    """Best of ``RESTARTS`` EM runs seeded by ``seed``, judged by final
     log-likelihood, with each cluster mapped to a training label.
 
     The labels play no part in the fit; they only name its clusters.
     """
     x = matrix.rows
-    if x.shape[0] < 2 * config.k:
-        raise TooFewRowsError(f"EM with k={config.k} needs at least {2 * config.k} rows")
+    if x.shape[0] < 2 * K:
+        raise TooFewRowsError(f"EM with k={K} needs at least {2 * K} rows")
     first, inverse = distinct_rows(x)
     if first.size == x.shape[0]:
         first = inverse = slice(None)  # every row distinct: no copy, no gather
-    runs = (_fit_once(x, first, inverse, config, r) for r in range(config.restarts))
+    runs = (_fit_once(x, first, inverse, seed, r) for r in range(RESTARTS))
     # max keeps the first of equal final log-likelihoods
     weights, means, variances, trace = max(runs, key=lambda run: run[3][-1])
     resp, _ = _normalize_log(_log_densities(x[first], weights, means, variances))
     hard = resp.argmax(axis=1)[inverse]
-    return EMModel(weights, means, variances, trace, map_clusters(hard, matrix.labels, config.k))
+    return EMModel(weights, means, variances, trace, map_clusters(hard, matrix.labels))
 
 
-def map_clusters(hard: np.ndarray, labels: np.ndarray, k: int) -> tuple[int, ...]:
-    """Majority training label of each of ``k`` clusters, given each row's
-    cluster ``hard`` and label.
+def map_clusters(hard: np.ndarray, labels: np.ndarray) -> tuple[int, ...]:
+    """Majority training label of each of the ``K`` clusters, given each
+    row's cluster ``hard`` and label.
 
-    If every cluster lands on the same label, the cluster with the larger
-    attack fraction takes label 1 and the other label 0.
+    If every cluster lands on the same label, the cluster with the largest
+    attack fraction takes label 1 and the others label 0.
     """
-    attack_fraction = np.empty(k, dtype=np.float64)
-    for j in range(k):
+    attack_fraction = np.empty(K, dtype=np.float64)
+    for j in range(K):
         members = labels[hard == j]
         attack_fraction[j] = members.mean() if members.size else 0.0
     mapping = [1 if f >= 0.5 else 0 for f in attack_fraction]  # exact tie -> attack
-    if len(set(mapping)) == 1 and k == 2:
+    if len(set(mapping)) == 1:
         hottest = int(attack_fraction.argmax())
-        mapping = [0, 0]
-        mapping[hottest] = 1
+        mapping = [int(j == hottest) for j in range(K)]
     return tuple(mapping)
 
 

@@ -58,7 +58,8 @@ class FeatureEncoder:
         offset = 0
         for spec, column, vocab in zip(self.columns, dataset.columns, dataset.vocabularies):
             if spec.kind == NUMERIC:
-                out[:, offset] = (_filled(column, spec.impute) - spec.mean) / spec.std
+                with np.errstate(over="ignore"):  # a cell past float64 once standardized is +-inf
+                    out[:, offset] = (_filled(column, spec.impute) - spec.mean) / spec.std
             else:
                 position = {tok: j for j, tok in enumerate(spec.categories)}
                 # each code's one-hot position; the last entry serves code -1

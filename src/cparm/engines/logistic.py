@@ -20,12 +20,10 @@ from ..errors import DivergedLossError, SchemaMismatchError, SingleClassTraining
 from .encoding import FeatureMatrix, distinct_rows
 
 
-@dataclass(frozen=True)
-class LRHyperParams:
-    learning_rate: float = 0.1
-    max_iterations: int = 500
-    l2: float = 1e-4
-    tolerance: float = 1e-8
+LEARNING_RATE = 0.1
+MAX_ITERATIONS = 500
+L2 = 1e-4           # penalty on the weights
+TOLERANCE = 1e-8    # the fit stops once the loss changes by less
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,8 @@ def nll_gradient(
         return _gradient(_sigmoid(x @ w + b) - y, w, x, l2)
 
 
-def lr_fit(matrix: FeatureMatrix, hyper: LRHyperParams = LRHyperParams()) -> LRModel:
-    """Gradient-descend the penalized NLL until tolerance or max iterations."""
+def lr_fit(matrix: FeatureMatrix) -> LRModel:
+    """Gradient-descend the penalized NLL until ``TOLERANCE`` or ``MAX_ITERATIONS``."""
     y = matrix.labels.astype(np.float64)
     if y.min() == y.max():
         raise SingleClassTrainingError()
@@ -103,17 +101,17 @@ def lr_fit(matrix: FeatureMatrix, hyper: LRHyperParams = LRHyperParams()) -> LRM
     iterations = 0
     with np.errstate(**_QUIET):
         z = xg @ w + b
-        loss = _loss(_row_losses(z, yg)[inverse], w, hyper.l2)
-        for _ in range(hyper.max_iterations):
-            grad_w, grad_b = _gradient((_sigmoid(z) - yg)[inverse], w, x, hyper.l2)
-            w = w - hyper.learning_rate * grad_w
-            b = b - hyper.learning_rate * grad_b
+        loss = _loss(_row_losses(z, yg)[inverse], w, L2)
+        for _ in range(MAX_ITERATIONS):
+            grad_w, grad_b = _gradient((_sigmoid(z) - yg)[inverse], w, x, L2)
+            w = w - LEARNING_RATE * grad_w
+            b = b - LEARNING_RATE * grad_b
             z = xg @ w + b
-            new_loss = _loss(_row_losses(z, yg)[inverse], w, hyper.l2)
+            new_loss = _loss(_row_losses(z, yg)[inverse], w, L2)
             iterations += 1
             if not np.isfinite(new_loss) or not np.all(np.isfinite(w)):
                 raise DivergedLossError(f"loss became non-finite at iteration {iterations}")
-            if abs(loss - new_loss) < hyper.tolerance:
+            if abs(loss - new_loss) < TOLERANCE:
                 loss = new_loss
                 break
             loss = new_loss

@@ -21,7 +21,7 @@ from .arm import SweepResult, build_transactions, run_threshold_sweep
 from .central_points import CentralPointsTable, central_points, partition_count
 from .dataset import (
     Dataset,
-    SplitSpec,
+    check_seed_and_fraction,
     format_cell,
     load_csv,
     project,
@@ -29,7 +29,6 @@ from .dataset import (
     synth_dataset,
 )
 from .engines import (
-    EMConfig,
     em_fit,
     em_predict,
     encode,
@@ -47,7 +46,7 @@ from .errors import (
 from .metrics import compute_metrics, confusion
 
 ENGINE_ORDER = ("em", "nb", "lr")
-DEFAULT_THRESHOLDS = (0.4, 0.6, 0.8)
+DEFAULT_FRACTION = 0.8  # of the rows that train, when one table is split
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class SourceFiles:
 @dataclass(frozen=True)
 class SourceSplit:
     path: str
-    fraction: float
+    fraction: float = DEFAULT_FRACTION
 
 
 @dataclass(frozen=True)
@@ -67,14 +66,14 @@ class SourceSynthetic:
     n_records: int
     n_noise: int
     n_signal: int
-    fraction: float = 0.8
+    fraction: float = DEFAULT_FRACTION
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     source: SourceFiles | SourceSplit | SourceSynthetic
     label_column: str = "label"
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
+    thresholds: tuple[float, ...] = (0.4, 0.6, 0.8)
     num_features: int = 11
     engines: tuple[str, ...] = ENGINE_ORDER
     seed: int = 0
@@ -100,11 +99,7 @@ class PipelineConfig:
         unknown = [e for e in self.engines if e not in ENGINE_ORDER]
         if unknown:
             raise ConfigError(f"unknown engines {unknown}; choose from {ENGINE_ORDER}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if isinstance(self.source, (SourceSplit, SourceSynthetic)):
-            if not (0.0 < self.source.fraction < 1.0):
-                raise ConfigError(f"split fraction {self.source.fraction} outside (0, 1)")
+        check_seed_and_fraction(self.seed, getattr(self.source, "fraction", None))
         for path in filter(None, (self.report_path, self.dump_centres, self.dump_rules,
                                   self.dump_model)):
             if not Path(path).parent.is_dir():
@@ -182,9 +177,9 @@ def _acquire(config: PipelineConfig) -> tuple[Dataset, Dataset]:
         return train, load_csv(src.test_path, config.label_column, train.schema)
     if isinstance(src, SourceSplit):
         full = load_csv(src.path, config.label_column)
-        return split(full, SplitSpec(src.fraction, config.seed))
+        return split(full, src.fraction, config.seed)
     full, _manifest = synth_dataset(src.n_records, src.n_noise, src.n_signal, config.seed)
-    return split(full, SplitSpec(src.fraction, config.seed))
+    return split(full, src.fraction, config.seed)
 
 
 def _sweep_echo(sweep: SweepResult) -> tuple:
@@ -252,7 +247,7 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
                 model = lr_fit(matrix)
                 predict, test_input = lr_predict, test_x
             else:
-                model = em_fit(matrix, EMConfig(seed=config.seed))
+                model = em_fit(matrix, config.seed)
                 predict, test_input = em_predict, test_x
         with _stage(f"predict_{engine}", timings):
             labels, _ = predict(model, test_input)

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
-Nothing here imports pipeline internals beyond the public data types; the
-arithmetic is redone from scratch so the tests and the implementation can
-only agree by computing the same thing.
+Nothing here imports pipeline internals beyond the public data types and
+EM's fixed settings; the arithmetic is redone from scratch so the tests and
+the implementation can only agree by computing the same thing.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 
 from cparm.arm import Item, Transaction
+from cparm.engines import em
 from cparm.dataset import AttributeSchema, Dataset
 
 
@@ -248,7 +249,7 @@ def mutual_information_ranking(dataset):
     return [name for _, name in scored]
 
 
-def em_fit_reference(x, config):
+def em_fit_reference(x, seed):
     """EM evaluated on every row, restart by restart: ((weights, means,
     variances, ll_trace) of the best restart, its index, and each row's
     cluster under the best restart's final parameters).
@@ -256,10 +257,11 @@ def em_fit_reference(x, config):
     The E-step, the M-step and the seeded choice of starting means are
     written out with the same NumPy operations in the same order as
     ``cparm.engines.em``, so a fit that evaluates each distinct row once
-    must agree with this one bit for bit.
+    must agree with this one bit for bit. The settings are that module's
+    constants, read at call time, so a test that patches them patches both.
     """
     n, width = x.shape
-    k = config.k
+    k = em.K
 
     def e_step(weights, means, variances):
         scores = np.empty((n, k), dtype=np.float64)
@@ -276,8 +278,8 @@ def em_fit_reference(x, config):
         return shifted / norm, (m[:, 0] + np.log(norm[:, 0])).sum()
 
     best = None
-    for restart in range(config.restarts):
-        rng = np.random.default_rng([config.seed, restart])
+    for restart in range(em.RESTARTS):
+        rng = np.random.default_rng([seed, restart])
         chosen = [int(rng.integers(n))]
         for _ in range(k - 1):
             d2 = np.min([((x - x[i]) ** 2).sum(axis=1) for i in chosen], axis=0)
@@ -290,10 +292,10 @@ def em_fit_reference(x, config):
         variances = np.ones((k, width), dtype=np.float64)
         weights = np.full(k, 1.0 / k, dtype=np.float64)
         trace = []
-        for _ in range(config.max_iterations):
+        for _ in range(em.MAX_ITERATIONS):
             resp, ll = e_step(weights, means, variances)
             trace.append(float(ll))
-            if len(trace) >= 2 and trace[-1] - trace[-2] < config.tolerance:
+            if len(trace) >= 2 and trace[-1] - trace[-2] < em.TOLERANCE:
                 break
             nk = np.maximum(resp.sum(axis=0), 1e-12)
             weights = nk / nk.sum()

@@ -17,7 +17,8 @@ from cparm.arm import generate_rules
 from cparm.central_points import central_points, partition_count
 from cparm.cli import main
 from cparm.dataset import AttributeSchema, synth_dataset
-from cparm.engines.em import EMConfig, em_fit, em_predict, responsibilities
+from cparm.engines import em
+from cparm.engines.em import em_fit, em_predict, responsibilities
 from cparm.engines.encoding import ColumnSpec, FeatureMatrix
 from cparm.engines.logistic import nll_gradient, nll_loss
 from cparm.engines.naive_bayes import CategoricalLikelihood, NBModel, nb_predict
@@ -142,16 +143,19 @@ def _alternating(x):
     return FeatureMatrix(cols, x, np.arange(x.shape[0]) % 2)
 
 
-def test_c06_em_guarantees():
+def test_c06_em_guarantees(monkeypatch):
     with criterion(6, "EM: monotone trace, unit responsibility sums, blob recovery"):
         rng = np.random.default_rng(55)
-        for seed in range(50):
-            x = rng.normal(size=(40, 2)) * rng.uniform(0.5, 3.0) + rng.normal(size=2)
-            model = em_fit(_alternating(x), EMConfig(seed=seed, restarts=2, max_iterations=60))
-            trace = np.array(model.ll_trace)
-            assert np.all(np.diff(trace) >= -1e-9)
-            resp = responsibilities(model, x)
-            assert np.all(np.abs(resp.sum(axis=1) - 1.0) < 1e-12)
+        with monkeypatch.context() as short:  # 2 restarts of at most 60 iterations
+            short.setattr(em, "RESTARTS", 2)
+            short.setattr(em, "MAX_ITERATIONS", 60)
+            for seed in range(50):
+                x = rng.normal(size=(40, 2)) * rng.uniform(0.5, 3.0) + rng.normal(size=2)
+                model = em_fit(_alternating(x), seed)
+                trace = np.array(model.ll_trace)
+                assert np.all(np.diff(trace) >= -1e-9)
+                resp = responsibilities(model, x)
+                assert np.all(np.abs(resp.sum(axis=1) - 1.0) < 1e-12)
 
         blob_rng = np.random.default_rng(2024)
         x = np.vstack(
@@ -160,7 +164,7 @@ def test_c06_em_guarantees():
         labels = np.array([0] * 100 + [1] * 100)
         cols = (ColumnSpec("x0", "numeric"),)
         matrix = FeatureMatrix(cols, x, labels)
-        model = em_fit(matrix, EMConfig(seed=1))
+        model = em_fit(matrix, 1)
         means = sorted(float(m[0]) for m in model.means)
         assert abs(means[0] + 5.0) < 0.3 and abs(means[1] - 5.0) < 0.3
         for w in model.weights:

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cparm.cli import main
+from cparm.pipeline import PipelineConfig, SourceSplit
 
 # one more character than the csv module's default field_size_limit()
 OVERSIZED_FIELD = "x" * 131_073
@@ -72,6 +75,12 @@ class TestRunCommand:
         assert report["config"]["seed"] == 9
         out = capsys.readouterr().out
         assert "accuracy" in out
+
+    def test_omitted_options_take_the_config_defaults(self, synth_csv, tmp_path):
+        report_path = str(tmp_path / "r.json")
+        assert main(["run", "--input", str(synth_csv), "--report", report_path]) == 0
+        want = PipelineConfig(SourceSplit(str(synth_csv)), report_path=report_path).to_dict()
+        assert json.loads((tmp_path / "r.json").read_text())["config"] == want
 
     def test_train_test_mode(self, synth_csv, tmp_path):
         # reuse the same file both sides: legal, if statistically meaningless
@@ -257,6 +266,13 @@ def _directory(flag):
     return build
 
 
+def _split_ratio(value):
+    """--input of the good CSV, with ``value`` as its training fraction."""
+    def build(good, work):
+        return ["--input", str(good), "--split-ratio", value]
+    return build
+
+
 def _renamed_columns(rows):
     rows[0] = [name if name == "label" else f"x{name}" for name in rows[0]]
     return rows
@@ -277,6 +293,7 @@ FAULTS = [
     ("rules_in_missing_directory", _missing_directory("--dump-rules"), 2),
     ("report_is_a_directory", _directory("--report"), 2),
     ("model_is_a_directory", _directory("--dump-model"), 2),
+    ("split_ratio_of_one", _split_ratio("1.0"), 2),
 ]
 
 
@@ -289,7 +306,7 @@ def test_fault_injection_exit_code_and_no_stray_files(synth_csv, tmp_path, capsy
     before = sorted(work.rglob("*"))
     assert _run(args, report) == want
     assert not list(work.glob("*.tmp"))  # pathlib's * also matches dotfiles
-    if want == 2:  # an unwritable output path, named and refused before loading
+    if want == 2:  # a bad value or output path, named and refused before loading
         assert args[-1] in capsys.readouterr().err
         assert sorted(work.rglob("*")) == before
     if want != 0:
@@ -334,17 +351,19 @@ NOISE = ("f01", "f02")
 SIGNAL = ("f00", "f05")
 
 
-def _huge_test_value(good, work):
-    """Seed-9 train and seed-10 test files (600 x 7), with 1e300 in f01 of
+def _huge_test_value(text):
+    """Seed-9 train and seed-10 test files (600 x 7), with ``text`` in f01 of
     one test row; the low threshold selects f01 for the engines."""
-    for name, seed in (("train.csv", "9"), ("test.csv", "10")):
-        assert main(["synth", "--out", str(work / name), "--records", "600", "--noise", "5",
-                     "--signal", "2", "--seed", seed]) == 0
-    rows = _rows(work / "test.csv")
-    rows[7][rows[0].index("f01")] = "1e300"
-    _write(work / "test.csv", rows)
-    return ["--train", str(work / "train.csv"), "--test", str(work / "test.csv"),
-            "--num-features", "7", "--minsup-minconf", "0.2"]
+    def build(good, work):
+        for name, seed in (("train.csv", "9"), ("test.csv", "10")):
+            assert main(["synth", "--out", str(work / name), "--records", "600", "--noise", "5",
+                         "--signal", "2", "--seed", seed]) == 0
+        rows = _rows(work / "test.csv")
+        rows[7][rows[0].index("f01")] = text
+        _write(work / "test.csv", rows)
+        return ["--train", str(work / "train.csv"), "--test", str(work / "test.csv"),
+                "--num-features", "7", "--minsup-minconf", "0.2"]
+    return build
 
 
 def _check_no_report(report, model, engines):
@@ -400,7 +419,12 @@ DEGENERATE = [
      _check_f00_kind("numeric")),
     # a finite cell too far from every mean for float64 scores -inf, without
     # a RuntimeWarning, which pytest turns into an error
-    ("1e300_in_test", _huge_test_value, ["em", "nb", "lr"], 0, _check_f01_fed_to_engines),
+    ("1e300_in_test", _huge_test_value("1e300"), ["em", "nb", "lr"], 0,
+     _check_f01_fed_to_engines),
+    # 1.7e308 standardizes past float64 (f01's training std is about 0.6):
+    # the encoder gives that cell +inf, again without a RuntimeWarning
+    ("1.7e308_in_test", _huge_test_value("1.7e308"), ["em", "nb", "lr"], 0,
+     _check_f01_fed_to_engines),
 ]
 
 
@@ -423,9 +447,12 @@ def test_degenerate_input_exit_code_and_no_stray_files(
 
 
 def test_module_entrypoint_smoke(tmp_path):
+    # pytest's pythonpath setting does not reach a child process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "cparm", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "cparm" in result.stdout

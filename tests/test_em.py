@@ -1,12 +1,12 @@
-from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cparm.engines import em
 from cparm.engines.em import (
-    EMConfig,
     VARIANCE_FLOOR,
     em_fit,
     em_predict,
@@ -37,7 +37,7 @@ def two_blobs(seed=0, n=100, centers=(-5.0, 5.0), sigma=0.5):
 class TestFit:
     def test_recovers_two_blobs(self):
         x, _ = two_blobs()
-        model = em_fit(matrix_from(x), EMConfig(seed=3))
+        model = em_fit(matrix_from(x), 3)
         means = sorted(float(m[0]) for m in model.means)
         assert abs(means[0] - (-5.0)) < 0.3
         assert abs(means[1] - 5.0) < 0.3
@@ -46,7 +46,7 @@ class TestFit:
 
     def test_identical_points_survive(self):
         x = np.full((10, 2), 3.0)
-        model = em_fit(matrix_from(x), EMConfig(seed=1))
+        model = em_fit(matrix_from(x), 1)
         assert np.isfinite(model.ll_trace[-1])
         assert np.all(model.variances == VARIANCE_FLOOR)
         assert np.allclose(model.means, 3.0)
@@ -55,37 +55,37 @@ class TestFit:
         rng = np.random.default_rng(8)
         for seed in range(5):
             x = rng.normal(size=(60, 2))
-            model = em_fit(matrix_from(x), EMConfig(seed=seed))
+            model = em_fit(matrix_from(x), seed)
             trace = np.array(model.ll_trace)
             assert np.all(np.diff(trace) >= -1e-9)
 
     def test_responsibilities_rows_sum_to_one(self):
         x, _ = two_blobs(seed=5)
-        model = em_fit(matrix_from(x), EMConfig(seed=5))
+        model = em_fit(matrix_from(x), 5)
         resp = responsibilities(model, x)
         assert np.all(np.abs(resp.sum(axis=1) - 1.0) < 1e-12)
 
     def test_weights_positive_and_normalized(self):
         x, _ = two_blobs(seed=2)
-        model = em_fit(matrix_from(x), EMConfig(seed=2))
+        model = em_fit(matrix_from(x), 2)
         assert np.all(model.weights > 0)
         assert abs(float(model.weights.sum()) - 1.0) < 1e-12
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRowsError):
-            em_fit(matrix_from(np.zeros((3, 1))), EMConfig())
+            em_fit(matrix_from(np.zeros((3, 1))))
 
     def test_deterministic_per_seed(self):
         x, _ = two_blobs(seed=7)
-        a = em_fit(matrix_from(x), EMConfig(seed=11))
-        b = em_fit(matrix_from(x), EMConfig(seed=11))
+        a = em_fit(matrix_from(x), 11)
+        b = em_fit(matrix_from(x), 11)
         assert a.ll_trace == b.ll_trace
         assert np.array_equal(a.means, b.means)
 
     def test_labels_play_no_part_in_the_fit(self):
         x, labels = two_blobs(seed=12)
-        a = em_fit(matrix_from(x, labels), EMConfig(seed=12))
-        b = em_fit(matrix_from(x, 1 - labels), EMConfig(seed=12))
+        a = em_fit(matrix_from(x, labels), 12)
+        b = em_fit(matrix_from(x, 1 - labels), 12)
         assert a.ll_trace == b.ll_trace
         assert a.means.tobytes() == b.means.tobytes()
         assert a.variances.tobytes() == b.variances.tobytes()
@@ -94,8 +94,10 @@ class TestFit:
 
 @st.composite
 def em_cases(draw):
-    """(matrix, config): labelled rows drawn with duplicates, all distinct or
-    all identical, and optionally a first column that holds both 0.0 and -0.0."""
+    """(matrix, seed, max_iterations, restarts): labelled rows drawn with
+    duplicates, all distinct or all identical, and optionally a first column
+    that holds both 0.0 and -0.0; the last two values stand in for the EM
+    module's constants."""
     n = draw(st.integers(4, 40))
     width = draw(st.integers(1, 4))
     cell = st.integers(-3, 3).map(float)
@@ -113,43 +115,49 @@ def em_cases(draw):
     if draw(st.booleans()):
         signs = draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
         x[:, 0] = [0.0, -0.0] + [-0.0 if s else 0.0 for s in signs]
-    config = EMConfig(
-        max_iterations=draw(st.integers(1, 30)),
-        seed=draw(st.integers(0, 3)),
-        restarts=draw(st.integers(1, 4)),
-    )
+    seed = draw(st.integers(0, 3))
+    max_iterations = draw(st.integers(1, 30))
+    restarts = draw(st.integers(1, 4))
     labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    return matrix_from(x, labels), config
+    return matrix_from(x, labels), seed, max_iterations, restarts
 
 
 class TestReference:
     @settings(deadline=None, max_examples=150)
     @given(em_cases())
     def test_equals_the_fit_on_every_row(self, case):
-        matrix, config = case
-        model = em_fit(matrix, config)
-        (weights, means, variances, trace), restart, hard = em_fit_reference(matrix.rows, config)
-        assert model.weights.tobytes() == weights.tobytes()
-        assert model.means.tobytes() == means.tobytes()
-        assert model.variances.tobytes() == variances.tobytes()
-        assert np.array(model.ll_trace).tobytes() == np.array(trace).tobytes()
-        # the restart chosen: em_fit picks restart `restart` of the reference,
-        # so it beats every earlier restart and no later one replaces it
-        assert em_fit(matrix, replace(config, restarts=restart + 1)).ll_trace == model.ll_trace
-        if restart:
-            assert em_fit(matrix, replace(config, restarts=restart)).ll_trace[-1] < trace[-1]
-        assert model.cluster_labels == map_clusters(hard, matrix.labels, config.k)
+        matrix, seed, max_iterations, restarts = case
+        # patch.object and not the monkeypatch fixture, which would undo its
+        # patches only after the last example
+        with patch.object(em, "MAX_ITERATIONS", max_iterations):
+            with patch.object(em, "RESTARTS", restarts):
+                model = em_fit(matrix, seed)
+                best, restart, hard = em_fit_reference(matrix.rows, seed)
+            weights, means, variances, trace = best
+            assert model.weights.tobytes() == weights.tobytes()
+            assert model.means.tobytes() == means.tobytes()
+            assert model.variances.tobytes() == variances.tobytes()
+            assert np.array(model.ll_trace).tobytes() == np.array(trace).tobytes()
+            # the restart chosen: em_fit picks restart `restart` of the
+            # reference, so it beats every earlier restart and no later one
+            # replaces it
+            with patch.object(em, "RESTARTS", restart + 1):
+                assert em_fit(matrix, seed).ll_trace == model.ll_trace
+            if restart:
+                with patch.object(em, "RESTARTS", restart):
+                    assert em_fit(matrix, seed).ll_trace[-1] < trace[-1]
+        assert model.cluster_labels == map_clusters(hard, matrix.labels)
 
 
 class TestClusterMapping:
     def test_majority_mapping(self):
         x, labels = two_blobs(seed=4)
-        model = em_fit(matrix_from(x, labels), EMConfig(seed=4))
+        model = em_fit(matrix_from(x, labels), 4)
         assert sorted(model.cluster_labels) == [0, 1]
 
     def test_planted_blobs_reach_high_accuracy(self):
         x, labels = two_blobs(seed=6)
-        model = em_fit(matrix_from(x, labels), EMConfig(seed=6))
+        model = em_fit(matrix_from(x, labels), 6)
         preds, prob_1 = em_predict(model, x)
         accuracy = float((preds == labels).mean())
         assert accuracy >= 0.95
@@ -159,7 +167,7 @@ class TestClusterMapping:
         # both clusters lean label 0; the one with more attacks must map to 1
         x = np.vstack([np.full((10, 1), -4.0), np.full((10, 1), 4.0)])
         labels = np.array([0] * 9 + [1] + [0] * 6 + [1] * 4)
-        model = em_fit(matrix_from(x, labels), EMConfig(seed=0))
+        model = em_fit(matrix_from(x, labels), 0)
         assert sorted(model.cluster_labels) == [0, 1]
         resp = responsibilities(model, x)
         hard = resp.argmax(axis=1)
@@ -170,7 +178,7 @@ class TestClusterMapping:
         # (1e300 - mean) ** 2 overflows float64: every component scores -inf,
         # so the row's responsibilities are equal
         x, labels = two_blobs(seed=13)
-        model = em_fit(matrix_from(x, labels), EMConfig(seed=13))
+        model = em_fit(matrix_from(x, labels), 13)
         assert responsibilities(model, np.array([[1e300]])).tolist() == [[0.5, 0.5]]
         _, prob_1 = em_predict(model, np.array([[1e300], [5.0]]))
         assert prob_1[0] == 0.5 and prob_1[1] > 0.99
@@ -178,10 +186,10 @@ class TestClusterMapping:
     def test_mapping_rules(self):
         hard = np.array([0, 0, 1, 1, 1])
         # majorities 1 and 0
-        assert map_clusters(hard, np.array([1, 1, 0, 0, 1]), 2) == (1, 0)
+        assert map_clusters(hard, np.array([1, 1, 0, 0, 1])) == (1, 0)
         # an exact tie counts as attack: cluster 0 is [0, 1]
-        assert map_clusters(hard, np.array([0, 1, 0, 0, 0]), 2) == (1, 0)
+        assert map_clusters(hard, np.array([0, 1, 0, 0, 0])) == (1, 0)
         # both clusters lean attack: the one with the larger attack share keeps 1
-        assert map_clusters(hard, np.array([1, 1, 1, 1, 0]), 2) == (1, 0)
+        assert map_clusters(hard, np.array([1, 1, 1, 1, 0])) == (1, 0)
         # a cluster that claims no row has attack share 0
-        assert map_clusters(np.zeros(4, dtype=int), np.array([1, 1, 1, 0]), 2) == (1, 0)
+        assert map_clusters(np.zeros(4, dtype=int), np.array([1, 1, 1, 0])) == (1, 0)

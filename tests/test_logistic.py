@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cparm.engines import logistic
 from cparm.engines.encoding import ColumnSpec, FeatureMatrix
 from cparm.engines.logistic import (
-    LRHyperParams,
     LRModel,
     lr_fit,
     lr_predict,
@@ -37,8 +37,9 @@ class TestFit:
         assert labels.tolist() == preds
         assert probs.tolist() == [lr_predict(model, row[None])[1][0] for row in matrix.rows]
 
-    def test_zero_iterations_is_the_zero_model(self):
-        model = lr_fit(separable_matrix(), LRHyperParams(max_iterations=0))
+    def test_zero_iterations_is_the_zero_model(self, monkeypatch):
+        monkeypatch.setattr(logistic, "MAX_ITERATIONS", 0)
+        model = lr_fit(separable_matrix())
         assert model.weights.tolist() == [0.0]
         assert model.bias == 0.0
         (label,), (prob,) = lr_predict(model, np.array([3.0])[None])
@@ -48,20 +49,24 @@ class TestFit:
         with pytest.raises(SingleClassTrainingError):
             lr_fit(matrix_1d([1.0, 2.0], [1, 1]))
 
-    def test_diverged_loss_detected(self):
+    def test_diverged_loss_detected(self, monkeypatch):
+        monkeypatch.setattr(logistic, "LEARNING_RATE", 1e160)
+        monkeypatch.setattr(logistic, "MAX_ITERATIONS", 10)
         with pytest.raises(DivergedLossError):
-            lr_fit(separable_matrix(), LRHyperParams(learning_rate=1e160, max_iterations=10))
+            lr_fit(separable_matrix())
 
-    def test_loss_non_increasing_at_small_learning_rate(self):
+    def test_loss_non_increasing_at_small_learning_rate(self, monkeypatch):
         matrix = separable_matrix()
-        losses = [
-            lr_fit(matrix, LRHyperParams(learning_rate=0.1, max_iterations=k, tolerance=0.0)).final_loss
-            for k in range(0, 30, 3)
-        ]
+        monkeypatch.setattr(logistic, "LEARNING_RATE", 0.1)
+        monkeypatch.setattr(logistic, "TOLERANCE", 0.0)
+        losses = []
+        for k in range(0, 30, 3):
+            monkeypatch.setattr(logistic, "MAX_ITERATIONS", k)
+            losses.append(lr_fit(matrix).final_loss)
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-12
 
-    def test_equals_gradient_descent_on_the_reference_functions(self):
+    def test_equals_gradient_descent_on_the_reference_functions(self, monkeypatch):
         # lr_fit evaluates its per-row terms once per distinct (row, label)
         # and shares one x @ w + b between a loss and the next gradient; the
         # result must be bit-identical to calling nll_gradient and nll_loss,
@@ -69,6 +74,11 @@ class TestFit:
         # on rows that never repeat
         rng = np.random.default_rng(3)
         n = 200
+        monkeypatch.setattr(logistic, "MAX_ITERATIONS", 2000)
+        monkeypatch.setattr(logistic, "TOLERANCE", 1e-5)
+        rate, cap, l2, tolerance = (
+            logistic.LEARNING_RATE, logistic.MAX_ITERATIONS, logistic.L2, logistic.TOLERANCE
+        )
 
         def one_hot_and_count(count):
             # a one-hot block and a standardized integer-valued numeric
@@ -84,20 +94,19 @@ class TestFit:
             assert len(np.unique(x, axis=0)) == distinct
             y = (x @ np.array([1.0, -2.0, 0.5, 1.5]) + rng.normal(size=n) > 0).astype(int)
             columns = tuple(ColumnSpec(f"x{i}", "numeric") for i in range(4))
-            hyper = LRHyperParams(max_iterations=2000, tolerance=1e-5)
-            model = lr_fit(FeatureMatrix(columns, x, y), hyper)
+            model = lr_fit(FeatureMatrix(columns, x, y))
 
             yf = y.astype(float)
-            assert model.final_loss == nll_loss(model.weights, model.bias, x, yf, hyper.l2)
+            assert model.final_loss == nll_loss(model.weights, model.bias, x, yf, l2)
             w, b = np.zeros(4), 0.0
-            loss = nll_loss(w, b, x, yf, hyper.l2)
-            for iterations in range(1, hyper.max_iterations + 1):
-                grad_w, grad_b = nll_gradient(w, b, x, yf, hyper.l2)
-                w, b = w - hyper.learning_rate * grad_w, b - hyper.learning_rate * grad_b
-                loss, previous = nll_loss(w, b, x, yf, hyper.l2), loss
-                if abs(previous - loss) < hyper.tolerance:
+            loss = nll_loss(w, b, x, yf, l2)
+            for iterations in range(1, cap + 1):
+                grad_w, grad_b = nll_gradient(w, b, x, yf, l2)
+                w, b = w - rate * grad_w, b - rate * grad_b
+                loss, previous = nll_loss(w, b, x, yf, l2), loss
+                if abs(previous - loss) < tolerance:
                     break
-            assert 0 < model.iterations == iterations < hyper.max_iterations
+            assert 0 < model.iterations == iterations < cap
             assert model.weights.tobytes() == w.tobytes()
             assert model.bias == b and model.final_loss == loss
 
@@ -119,6 +128,15 @@ class TestPredict:
         model = LRModel(np.array([50.0]), 0.0, 0, 0.0, ("x",))
         _, (prob,) = lr_predict(model, np.array([20.0])[None])
         assert prob > 1 - 1e-12
+
+    def test_infinite_cell(self):
+        # a test cell past float64 once standardized encodes as +-inf; its
+        # logit saturates the probability without a RuntimeWarning
+        model = LRModel(np.array([2.0, -1.0]), 0.5, 0, 0.0, ("a", "b"))
+        x = np.array([[np.inf, 0.0], [-np.inf, 0.0], [0.0, np.inf], [1.0, 1.0]])
+        labels, prob = lr_predict(model, x)
+        assert prob[:3].tolist() == [1.0, 0.0, 0.0]
+        assert labels.tolist() == [1, 0, 0, 1]
 
     def test_width_mismatch(self):
         model = LRModel(np.zeros(2), 0.0, 0, 0.0, ("a", "b"))

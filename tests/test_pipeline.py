@@ -4,7 +4,7 @@ import pytest
 
 from cparm.arm import Item, Rule
 from cparm.central_points import CentralPoint, CentralPointsTable
-from cparm.dataset import split, synth_dataset, write_csv, SplitSpec
+from cparm.dataset import split, synth_dataset, write_csv
 from cparm.errors import (
     ConfigError,
     NoFeaturesSelectedError,
@@ -110,8 +110,8 @@ class TestRunPipeline:
     def test_selection_ignores_test_set(self, tmp_path):
         # same training file, two different test files: identical selection
         full, _ = synth_dataset(1200, 6, 2, seed=21)
-        train, rest = split(full, SplitSpec(0.5, seed=21))
-        test_a, test_b = split(rest, SplitSpec(0.5, seed=22))
+        train, rest = split(full, 0.5, seed=21)
+        test_a, test_b = split(rest, 0.5, seed=22)
         for name, ds in [("train", train), ("ta", test_a), ("tb", test_b)]:
             write_csv(ds, tmp_path / f"{name}.csv")
         report_a = run_pipeline(
