@@ -91,15 +91,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     options = vars(args)  # only the options given, each under its PipelineConfig field
     del options["command"]
     train, test, path = (options.pop(key, None) for key in ("train", "test", "input"))
-    fraction = options.pop("fraction", DEFAULT_FRACTION)
     if train or test:
         if not (train and test):
             raise ConfigError("--train and --test must be given together")
         if path:
             raise ConfigError("--input conflicts with --train/--test")
+        if "fraction" in options:
+            raise ConfigError("--split-ratio applies only to --input")
         source = SourceFiles(train, test)
     elif path:
-        source = SourceSplit(path, fraction)
+        source = SourceSplit(path, options.pop("fraction", DEFAULT_FRACTION))
     else:
         raise ConfigError("give either --train/--test or --input")
     config = PipelineConfig(source=source, **options)

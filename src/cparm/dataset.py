@@ -8,7 +8,9 @@ ASCII digits, sign, period and exponent that float64 holds, so ``nan``,
 categorical column is int32 codes into the column's vocabulary, a sorted
 tuple of distinct tokens, with -1 for a missing cell. Cells become Python
 values (``float``, ``str`` or ``None``) only at the edges: CSV text, dumps
-and reports.
+and reports. A CSV file is read and typed a chunk of rows at a time, so its
+text never exists whole; a column that turns out to be categorical only
+after its first chunk costs one more read of the file.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import json
 import math
 import random
 import re
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -148,30 +152,8 @@ def map_label(token: str) -> int | None:
     return None
 
 
-def _read_raw_csv(path: str | Path) -> tuple[list[str], list[tuple[str, ...]]]:
-    """The header and the text of every column, the label column included."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            rows = [row for row in reader if row]  # skip blank trailing lines
-        except UnicodeDecodeError as exc:
-            detail = f"byte 0x{exc.object[exc.start]:02x}, {exc.reason}"
-            raise UnreadableCsvError(f"{path} is not UTF-8 text ({detail})") from None
-        except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise UnreadableCsvError(f"{path}, line {reader.line_num}: {exc}") from None
-    if header is None:
-        raise EmptyDatasetError(f"{path} is empty")
-    width = len(header)
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise MalformedCsvError(i, f"expected {width} fields, got {len(row)}")
-    if not rows:
-        raise EmptyDatasetError(f"{path} has a header but no data rows")
-    return header, list(zip(*rows))
+_READ_ROWS = 4096  # data rows read and typed at a time
+_WRITE_ROWS = 8192  # rows turned into text at a time
 
 
 def load_csv(
@@ -179,54 +161,165 @@ def load_csv(
 ) -> Dataset:
     """Load a headered CSV, pulling ``label_column`` out as the binary label.
 
-    Column kinds are inferred from the text unless ``schema`` gives them. A
-    test file is typed from its own text under the training kinds, so a
-    token such as ``0`` stays ``0`` in a categorical column. A column of
-    numbers that is not typed categorical is parsed cell by cell in one
-    pass; every other column is coded once, and under a numeric kind each
-    distinct token parsed once.
-    """
-    header, text = _read_raw_csv(path)
-    if label_column not in header:
-        raise UnknownLabelColumnError(label_column, header)
-    label_idx = header.index(label_column)
+    The file is read ``_READ_ROWS`` data rows at a time, and each chunk's
+    columns are typed as soon as they are read, so the text of the whole
+    table never exists at once. Column kinds are inferred from the whole
+    column unless ``schema`` gives them. A test file is typed from its own
+    text under the training kinds, so a token such as ``0`` stays ``0`` in a
+    categorical column. A column inferred from numbers that meets a
+    non-number in a later chunk is categorical; its earlier text is gone by
+    then, so the file is read once more for such columns only.
 
-    label_text = text.pop(label_idx)
-    labels = [map_label(token) for token in label_text]
+    Faults are reported in file order: the header's, then each data row's.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    with closing(_read_chunks(path)) as chunks:
+        header = next(chunks)
+        if label_column not in header:
+            raise UnknownLabelColumnError(label_column, header)
+        label_idx = header.index(label_column)
+        names = [h for j, h in enumerate(header) if j != label_idx]
+        if not names:
+            raise EmptyDatasetError(f"{path} has no column besides {label_column!r}")
+        if schema is None:
+            columns = [_Column(None) for _ in names]
+        else:
+            columns = [_Column(a.kind) for a in _reference(tuple(names), schema)]
+        label_parts = []
+        for first, text in chunks:
+            label_parts.append(_labels(text.pop(label_idx), first))
+            for column, cells in zip(columns, text):
+                column.add(cells)
+    if not label_parts:
+        raise EmptyDatasetError(f"{path} has a header but no data rows")
+    labels = np.concatenate(label_parts)
+    late = {j: _Column(CATEGORICAL) for j, column in enumerate(columns) if column.late}
+    if late:
+        _read_again(path, header, label_idx, late, len(labels))
+        columns = [late.get(j, column) for j, column in enumerate(columns)]
+    typed, vocabularies, kinds = zip(*(column.typed() for column in columns))
+    return Dataset(tuple(map(AttributeSchema, names, kinds)), typed, vocabularies, labels)
+
+
+def _read_chunks(path: Path) -> Iterator:
+    """The header, then ``(first, text)`` for each chunk of up to
+    ``_READ_ROWS`` non-blank data rows: the number of data rows before the
+    chunk, and its cells as one tuple per column.
+
+    The rows before a ragged row are yielded as a chunk of their own, so a
+    bad label among them is reported first; the ragged row then raises
+    MalformedCsvError.
+    """
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDatasetError(f"{path} is empty")
+            yield header
+            width, first = len(header), 0
+            rows = filter(None, reader)  # skip blank lines
+            while chunk := list(islice(rows, _READ_ROWS)):
+                ragged = next((i for i, row in enumerate(chunk) if len(row) != width), None)
+                if ragged is not None:
+                    if ragged:
+                        yield first, list(zip(*chunk[:ragged]))
+                    detail = f"expected {width} fields, got {len(chunk[ragged])}"
+                    raise MalformedCsvError(first + ragged + 1, detail)
+                yield first, list(zip(*chunk))
+                first += len(chunk)
+        except UnicodeDecodeError as exc:
+            detail = f"byte 0x{exc.object[exc.start]:02x}, {exc.reason}"
+            raise UnreadableCsvError(f"{path} is not UTF-8 text ({detail})") from None
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise UnreadableCsvError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
+def _read_again(
+    path: Path, header: list[str], label_idx: int, late: dict[int, _Column], n_rows: int
+) -> None:
+    """Type the ``late`` columns (keyed by position, the label column left
+    out) from a second read of the file, which must hold the same rows."""
+    rows = 0
+    with closing(_read_chunks(path)) as chunks:
+        if next(chunks) == header:  # a changed header reads as no rows
+            for _, text in chunks:
+                del text[label_idx]
+                for j, column in late.items():
+                    column.add(text[j])
+                rows += len(text[0])
+    if rows != n_rows:
+        raise UnreadableCsvError(f"{path} changed while it was read")
+
+
+def _labels(tokens: Sequence[str], first: int) -> np.ndarray:
+    """A chunk's 0/1 labels; ``first`` data rows come before the chunk."""
+    labels = [map_label(token) for token in tokens]
     if None in labels:
         i = labels.index(None)
-        raise UnmappableLabelError(i + 1, label_text[i])
+        raise UnmappableLabelError(first + i + 1, tokens[i])
+    return np.array(labels, dtype=np.int64)
 
-    names = [h for j, h in enumerate(header) if j != label_idx]
-    if not names:
-        raise EmptyDatasetError(f"{path} has no column besides {label_column!r}")
-    if schema is None:
-        kinds = [None] * len(names)
-    else:
-        kinds = [a.kind for a in _reference(tuple(names), schema)]
-    columns, vocabularies, kinds = zip(*map(_type_column, text, kinds))
-    return Dataset(tuple(map(AttributeSchema, names, kinds)), columns, vocabularies, labels)
+
+class _Column:
+    """One column, typed a chunk of text at a time.
+
+    With ``kind`` None the column is numeric while every non-empty token is a
+    number (vacuously so when there is none). Under a numeric kind a token
+    that is no number becomes missing. A chunk of numbers is parsed cell by
+    cell in one pass; any other chunk is coded against the column's growing
+    vocabulary, and under a numeric kind each of its distinct tokens parsed
+    once.
+    """
+
+    def __init__(self, kind: Kind | None):
+        self.kind = kind  # None while every token so far is a number
+        self.parts: list[np.ndarray] = []
+        self.index = {"": -1}  # token -> code, in first-seen order
+        self.late = False  # a non-number came after numbers whose text is gone
+
+    def add(self, text: Sequence[str]) -> None:
+        if self.late:
+            return
+        if self.kind != CATEGORICAL:
+            numbers = _plain_numbers(text)
+            if numbers is None and self.kind == NUMERIC:
+                numbers = _parse_tokens(text)
+            if numbers is not None:
+                self.parts.append(numbers)
+                return
+            if self.parts:
+                self.late, self.parts = True, []
+                return
+            self.kind = CATEGORICAL
+        index = self.index
+        for token in dict.fromkeys(text):
+            index.setdefault(token, len(index) - 1)
+        self.parts.append(np.fromiter(map(index.__getitem__, text), np.int32, len(text)))
+
+    def typed(self) -> tuple[np.ndarray, tuple[str, ...], Kind]:
+        """The column's array, vocabulary and kind."""
+        column = np.concatenate(self.parts)
+        if self.kind == CATEGORICAL:
+            return *_sorted_codes(column, list(self.index)[1:]), CATEGORICAL
+        return column, (), NUMERIC
 
 
 def _type_column(
     text: Sequence[str], kind: Kind | None
 ) -> tuple[np.ndarray, tuple[str, ...], Kind]:
-    """A text column's array, vocabulary and kind.
+    """A whole text column's array, vocabulary and kind, typed as one chunk."""
+    column = _Column(kind)
+    column.add(text)
+    return column.typed()
 
-    With ``kind`` None the column is numeric iff every non-empty token is a
-    number (vacuously so when there is none). Under a numeric kind a token
-    that is no number becomes missing. A column of numbers is parsed cell by
-    cell in one pass; any other column is coded once, and under a numeric
-    kind each distinct token parsed once.
-    """
-    if kind != CATEGORICAL:
-        numbers = _plain_numbers(text)
-        if numbers is not None:
-            return numbers, (), NUMERIC
+
+def _parse_tokens(text: Sequence[str]) -> np.ndarray:
+    """Each cell's number, NaN where it is none, each distinct token parsed once."""
     codes, tokens = _code_tokens(text)
-    if kind == NUMERIC:  # a last NaN for code -1 (missing) to index
-        return np.array([*map(_number, tokens), math.nan])[codes], (), kind
-    return *_sorted_codes(codes, tokens), CATEGORICAL
+    return np.array([*map(_number, tokens), math.nan])[codes]  # the last NaN is code -1's
 
 
 def _number(token: str) -> float:
@@ -280,9 +373,6 @@ def format_cell(value: Value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-_WRITE_ROWS = 8192  # rows turned into text at a time
 
 
 def write_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -> None:

@@ -7,15 +7,26 @@ the implementation can only agree by computing the same thing.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from cparm.arm import Item, Transaction
 from cparm.engines import em
-from cparm.dataset import AttributeSchema, Dataset
+from cparm.dataset import AttributeSchema, Dataset, map_label
+from cparm.errors import (
+    EmptyDatasetError,
+    MalformedCsvError,
+    SchemaMismatchError,
+    UnknownLabelColumnError,
+    UnmappableLabelError,
+    UnreadableCsvError,
+)
 
 
 def transpose(table):
@@ -63,6 +74,79 @@ def table(ds):
     """A Dataset's schema, plain cells and labels: two datasets hold the same
     table when these are equal."""
     return ds.schema, cells(ds), tuple(ds.labels.tolist())
+
+
+# The strict numeric syntax, written out independently of the loader's:
+# ASCII digits only, so "٣" and "1\n", which float() accepts, are no numbers.
+STRICT_NUMBER = r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+
+
+def is_finite_number(token):
+    """Whether a cell's text is a number: it follows the strict syntax and
+    float64 holds it."""
+    return bool(re.fullmatch(STRICT_NUMBER, token)) and math.isfinite(float(token))
+
+
+def load_csv_reference(path, label_column, schema=None):
+    """load_csv from the text of the whole file at once: every row is read,
+    then every column typed from all of its tokens.
+
+    Faults are checked in this order, each over the whole file: an unreadable
+    file, an empty one, a ragged row, no data rows, the label column, a label
+    token, no other column, and the schema's names.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+        except UnicodeDecodeError as exc:
+            detail = f"byte 0x{exc.object[exc.start]:02x}, {exc.reason}"
+            raise UnreadableCsvError(f"{path} is not UTF-8 text ({detail})") from None
+        except csv.Error as exc:
+            raise UnreadableCsvError(f"{path}, line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise EmptyDatasetError(f"{path} is empty")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise MalformedCsvError(i, f"expected {len(header)} fields, got {len(row)}")
+    if not rows:
+        raise EmptyDatasetError(f"{path} has a header but no data rows")
+    if label_column not in header:
+        raise UnknownLabelColumnError(label_column, header)
+    label_idx = header.index(label_column)
+    text = list(zip(*rows))
+    label_text = text.pop(label_idx)
+    labels = [map_label(token) for token in label_text]
+    if None in labels:
+        i = labels.index(None)
+        raise UnmappableLabelError(i + 1, label_text[i])
+    names = tuple(h for j, h in enumerate(header) if j != label_idx)
+    if not names:
+        raise EmptyDatasetError(f"{path} has no column besides {label_column!r}")
+    if schema is None:
+        kinds = [None] * len(names)
+    else:
+        if names != tuple(a.name for a in schema):
+            raise SchemaMismatchError(
+                f"column names differ: {names} vs {tuple(a.name for a in schema)}"
+            )
+        kinds = [a.kind for a in schema]
+    typed = []
+    for column, kind in zip(text, kinds):
+        if kind is None:
+            numbers = all(is_finite_number(t) for t in column if t)
+            kind = "numeric" if numbers else "categorical"
+        if kind == "numeric":
+            cells = [float(t) if is_finite_number(t) else None for t in column]
+        else:
+            cells = [t or None for t in column]
+        typed.append((kind, *typed_column(cells, kind)))
+    kinds, columns, vocabularies = zip(*typed)
+    return Dataset(tuple(map(AttributeSchema, names, kinds)), columns, vocabularies, labels)
 
 
 def row_major_synth(n_records, n_noise, n_signal, seed):

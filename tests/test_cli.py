@@ -98,6 +98,16 @@ class TestRunCommand:
         ])
         assert code == 2
 
+    def test_split_ratio_with_train_and_test_exits_2(self, synth_csv, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        code = main([
+            "run", "--train", str(synth_csv), "--test", str(synth_csv),
+            "--split-ratio", "0.5", "--report", str(report),
+        ])
+        assert code == 2
+        assert "--split-ratio applies only to --input" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_source_required(self, tmp_path):
         assert main(["run", "--report", str(tmp_path / "r.json")]) == 2
 

@@ -1,15 +1,18 @@
 import csv
+import io
 import json
 import math
 import random
 import re
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cparm import dataset as loader
 from cparm.dataset import (
     AttributeSchema,
     SynthManifest,
@@ -22,6 +25,7 @@ from cparm.dataset import (
     write_csv,
 )
 from cparm.errors import (
+    CparmError,
     EmptyDatasetError,
     InvalidSpecError,
     MalformedCsvError,
@@ -29,11 +33,15 @@ from cparm.errors import (
     TooFewRecordsError,
     UnknownLabelColumnError,
     UnmappableLabelError,
+    UnreadableCsvError,
 )
 from oracles import (
+    STRICT_NUMBER,
     cells,
     dataset,
     histogram_mutual_information,
+    is_finite_number,
+    load_csv_reference,
     row_major_synth,
     table,
     transpose,
@@ -302,17 +310,6 @@ NAMES = st.lists(
     st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True).filter(lambda s: s != "label"),
     min_size=1, max_size=4, unique=True,
 )
-# The strict numeric syntax, written out independently of the loader's:
-# ASCII digits only, so "٣" and "1\n", which float() accepts, are no numbers.
-STRICT_NUMBER = r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
-
-
-def is_finite_number(token):
-    """Whether a cell's text is a number: it follows the strict syntax and
-    float64 holds it."""
-    return bool(re.fullmatch(STRICT_NUMBER, token)) and math.isfinite(float(token))
-
-
 # Tokens of plain-number characters only, some numbers and some not.
 PLAIN_TEXT = st.text("0123456789+-.eE", min_size=1, max_size=8)
 PLAIN_EDGES = st.sampled_from(
@@ -457,3 +454,140 @@ class TestStageProperties:
         assert table(once) == table(direct)
         assert table(conform(once, ref)) == table(once)
         assert table(load_csv(path, "label", ref)) == table(direct)
+
+
+# --- chunked reading: the same dataset as the whole-file read -----------------
+
+# Tokens that are no number: a word, a number float64 cannot hold, plain
+# characters that make none, and NSL-KDD's missing-value mark.
+NON_NUMBERS = st.sampled_from(["x", "1e400", ".", "?"]) | WORD
+NUMBER_TEXT = st.just("") | FINITE.map(repr) | st.integers(-99, 99).map(str)
+LABEL_TEXT = st.sampled_from(["0", "1", "normal", "attack", "neptune"])
+
+
+def csv_line(cells):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(cells)
+    return out.getvalue()
+
+
+@st.composite
+def chunked_files(draw):
+    """(file bytes, column names, training kinds or None). Columns of numbers
+    and blanks, some with non-numbers at any row; blank lines anywhere; a
+    BOM or none; LF or CRLF; the label column at any position."""
+    names = draw(NAMES)
+    n = draw(st.integers(1, 16))
+    columns = []
+    for _ in names:
+        column = draw(st.lists(NUMBER_TEXT, min_size=n, max_size=n))
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            column[i] = draw(NON_NUMBERS)
+        columns.append(column)
+    labels = draw(st.lists(LABEL_TEXT, min_size=n, max_size=n))
+    at = draw(st.integers(0, len(names)))
+    lines = [csv_line([*names[:at], "label", *names[at:]])]
+    for *cells, label in zip(*columns, labels):
+        lines += [""] * draw(st.integers(0, 2))
+        lines.append(csv_line([*cells[:at], label, *cells[at:]]))
+    lines += [""] * draw(st.integers(0, 2))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + end
+    kinds = draw(st.none() | st.lists(
+        st.sampled_from(["numeric", "categorical"]), min_size=len(names), max_size=len(names)
+    ))
+    return text.encode("utf-8"), names, kinds
+
+
+def assert_identical(got, want):
+    """The same schema, vocabularies, and array dtypes and bytes."""
+    assert got.schema == want.schema
+    assert got.vocabularies == want.vocabularies
+    for a, b in zip((*got.columns, got.labels), (*want.columns, want.labels)):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+
+def rows_with(row, cells):
+    """Twelve data rows of dur,proto,label, with data row ``row`` replaced."""
+    rows = [[str(i), ("tcp", "udp")[i % 2], str(i % 2)] for i in range(12)]
+    rows[row - 1] = cells
+    return rows
+
+
+def write_rows(path, rows, blank_before, encoding="utf-8"):
+    """The rows under their header, two blank lines before data row
+    ``blank_before``."""
+    lines = ["dur,proto,label"]
+    for i, row in enumerate(rows, start=1):
+        lines += ["", ""] * (i == blank_before)
+        lines.append(",".join(row))
+    path.write_bytes(("\n".join(lines) + "\n").encode(encoding))
+    return path
+
+
+class TestChunkedRead:
+    @settings(deadline=None, max_examples=300)
+    @example((b"a,label\n1,0\n\n2,1\n1e400,0\n", ["a"], None), 2)  # a late overflow
+    @example((b"\xef\xbb\xbfa,label\r\n?,0\r\n\r\n2,1\r\n.,0\r\n", ["a"], ["numeric"]), 1)
+    @given(chunked_files(), st.integers(1, 5))
+    def test_equals_the_whole_file_read(self, tmp_path_factory, spec, read_rows):
+        data, names, kinds = spec
+        path = tmp_path_factory.mktemp("chunks") / "data.csv"
+        path.write_bytes(data)
+        schema = None if kinds is None else tuple(map(AttributeSchema, names, kinds))
+        # monkeypatch would span every example of the test, so patch per example
+        with patch.object(loader, "_READ_ROWS", read_rows):
+            got = load_csv(path, "label", schema)
+        assert_identical(got, load_csv_reference(path, "label", schema))
+
+    @pytest.mark.parametrize("read_rows", [1, 3, 4096])
+    @pytest.mark.parametrize("cells, encoding, message", [
+        (["7", "tcp"], "utf-8", "at data row 8: expected 3 fields, got 2"),
+        (["7", "tcp", "martian"], "utf-8", "at data row 8 is not mappable"),
+        (["7", "café", "1"], "latin-1", "is not UTF-8 text (byte 0xe9"),
+        (["7", "x" * (csv.field_size_limit() + 1), "1"], "utf-8", "line 11: field larger"),
+    ], ids=["ragged_row", "unmappable_label", "latin1_byte", "oversized_field"])
+    def test_one_fault_in_a_later_chunk_reads_as_before(
+        self, tmp_path, monkeypatch, read_rows, cells, encoding, message
+    ):
+        path = write_rows(tmp_path / "data.csv", rows_with(8, cells), 8, encoding)
+        monkeypatch.setattr(loader, "_READ_ROWS", read_rows)
+        with pytest.raises(CparmError) as got:
+            load_csv(path, "label")
+        with pytest.raises(CparmError) as want:
+            load_csv_reference(path, "label")
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert message in str(got.value)
+
+    @pytest.mark.parametrize("read_rows", [1, 3, 4096])
+    def test_the_first_of_several_faults_is_reported(self, tmp_path, monkeypatch, read_rows):
+        # a bad label at data row 5 comes before a ragged row at 6, which the
+        # whole-file read reported first
+        rows = rows_with(5, ["4", "tcp", "martian"])
+        rows[5] = ["5", "udp"]
+        path = write_rows(tmp_path / "data.csv", rows, 5)
+        monkeypatch.setattr(loader, "_READ_ROWS", read_rows)
+        with pytest.raises(UnmappableLabelError) as err:
+            load_csv(path, "label")
+        assert err.value.row_index == 5
+        with pytest.raises(MalformedCsvError):
+            load_csv_reference(path, "label")
+
+    def test_a_file_that_changes_before_its_second_read_is_refused(self, tmp_path, monkeypatch):
+        # the late "x" makes column a categorical, so its text is read again
+        path = write(tmp_path, "a,label\n1,0\n2,1\nx,0\n")
+        monkeypatch.setattr(loader, "_READ_ROWS", 2)
+        read_chunks, calls = loader._read_chunks, []
+
+        def grow_then_read(p):
+            calls.append(p)
+            if len(calls) == 2:
+                with p.open("a", encoding="utf-8") as fh:
+                    fh.write("y,1\n")
+            return read_chunks(p)
+
+        monkeypatch.setattr(loader, "_read_chunks", grow_then_read)
+        with pytest.raises(UnreadableCsvError, match="changed while it was read"):
+            load_csv(path, "label")
+        assert len(calls) == 2
