@@ -9,8 +9,9 @@ categorical column is int32 codes into the column's vocabulary, a sorted
 tuple of distinct tokens, with -1 for a missing cell. Cells become Python
 values (``float``, ``str`` or ``None``) only at the edges: CSV text, dumps
 and reports. A CSV file is read and typed a chunk of rows at a time, so its
-text never exists whole; a column that turns out to be categorical only
-after its first chunk costs one more read of the file.
+text never exists whole. A column that turns out to be categorical only
+after its first chunk costs one more typed read of the whole file, and
+that read is the one returned.
 """
 
 from __future__ import annotations
@@ -168,13 +169,28 @@ def load_csv(
     text under the training kinds, so a token such as ``0`` stays ``0`` in a
     categorical column. A column inferred from numbers that meets a
     non-number in a later chunk is categorical; its earlier text is gone by
-    then, so the file is read once more for such columns only.
+    then, so the whole file is read once more under the inferred kinds, and
+    that read is the one returned.
 
     Faults are reported in file order: the header's, then each data row's.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    names, columns, labels = _read(path, label_column, schema)
+    if any(column.late for column in columns):
+        kinds = [CATEGORICAL if c.late else c.kind or NUMERIC for c in columns]
+        del columns, labels  # so the second read's peak is one read's
+        schema = tuple(map(AttributeSchema, names, kinds))
+        names, columns, labels = _read(path, label_column, schema)
+    typed, vocabularies, kinds = zip(*(column.typed() for column in columns))
+    return Dataset(tuple(map(AttributeSchema, names, kinds)), typed, vocabularies, labels)
+
+
+def _read(
+    path: Path, label_column: str, schema: Sequence[AttributeSchema] | None
+) -> tuple[list[str], list[_Column], np.ndarray]:
+    """One read of the file: its column names, typed columns and labels."""
     with closing(_read_chunks(path)) as chunks:
         header = next(chunks)
         if label_column not in header:
@@ -194,13 +210,7 @@ def load_csv(
                 column.add(cells)
     if not label_parts:
         raise EmptyDatasetError(f"{path} has a header but no data rows")
-    labels = np.concatenate(label_parts)
-    late = {j: _Column(CATEGORICAL) for j, column in enumerate(columns) if column.late}
-    if late:
-        _read_again(path, header, label_idx, late, len(labels))
-        columns = [late.get(j, column) for j, column in enumerate(columns)]
-    typed, vocabularies, kinds = zip(*(column.typed() for column in columns))
-    return Dataset(tuple(map(AttributeSchema, names, kinds)), typed, vocabularies, labels)
+    return names, columns, np.concatenate(label_parts)
 
 
 def _read_chunks(path: Path) -> Iterator:
@@ -237,23 +247,6 @@ def _read_chunks(path: Path) -> Iterator:
             raise UnreadableCsvError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
-def _read_again(
-    path: Path, header: list[str], label_idx: int, late: dict[int, _Column], n_rows: int
-) -> None:
-    """Type the ``late`` columns (keyed by position, the label column left
-    out) from a second read of the file, which must hold the same rows."""
-    rows = 0
-    with closing(_read_chunks(path)) as chunks:
-        if next(chunks) == header:  # a changed header reads as no rows
-            for _, text in chunks:
-                del text[label_idx]
-                for j, column in late.items():
-                    column.add(text[j])
-                rows += len(text[0])
-    if rows != n_rows:
-        raise UnreadableCsvError(f"{path} changed while it was read")
-
-
 def _labels(tokens: Sequence[str], first: int) -> np.ndarray:
     """A chunk's 0/1 labels; ``first`` data rows come before the chunk."""
     labels = [map_label(token) for token in tokens]
@@ -269,9 +262,9 @@ class _Column:
     With ``kind`` None the column is numeric while every non-empty token is a
     number (vacuously so when there is none). Under a numeric kind a token
     that is no number becomes missing. A chunk of numbers is parsed cell by
-    cell in one pass; any other chunk is coded against the column's growing
-    vocabulary, and under a numeric kind each of its distinct tokens parsed
-    once.
+    cell in one pass; under a numeric kind any other chunk has each of its
+    distinct tokens parsed once, and a categorical chunk is coded against the
+    column's growing vocabulary.
     """
 
     def __init__(self, kind: Kind | None):
@@ -307,19 +300,10 @@ class _Column:
         return column, (), NUMERIC
 
 
-def _type_column(
-    text: Sequence[str], kind: Kind | None
-) -> tuple[np.ndarray, tuple[str, ...], Kind]:
-    """A whole text column's array, vocabulary and kind, typed as one chunk."""
-    column = _Column(kind)
-    column.add(text)
-    return column.typed()
-
-
 def _parse_tokens(text: Sequence[str]) -> np.ndarray:
     """Each cell's number, NaN where it is none, each distinct token parsed once."""
-    codes, tokens = _code_tokens(text)
-    return np.array([*map(_number, tokens), math.nan])[codes]  # the last NaN is code -1's
+    number = {token: _number(token) for token in set(text)}  # "" parses to NaN
+    return np.fromiter(map(number.__getitem__, text), np.float64, len(text))
 
 
 def _number(token: str) -> float:
@@ -345,16 +329,6 @@ def _plain_numbers(text: Sequence[str]) -> np.ndarray | None:
     except ValueError:  # plain characters that make no number, such as "1e" or "."
         return None
     return None if np.isinf(numbers).any() else numbers  # "1e400" overflows
-
-
-def _code_tokens(tokens: Sequence[str]) -> tuple[np.ndarray, list[str]]:
-    """Codes into the distinct non-empty tokens, in first-seen order; "" is -1."""
-    distinct = dict.fromkeys(tokens)
-    distinct.pop("", None)
-    index = {tok: j for j, tok in enumerate(distinct)}
-    index[""] = -1
-    codes = np.fromiter(map(index.__getitem__, tokens), dtype=np.int32, count=len(tokens))
-    return codes, list(distinct)
 
 
 def _sorted_codes(codes: np.ndarray, tokens: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -409,11 +383,12 @@ def conform(dataset: Dataset, schema: Sequence[AttributeSchema]) -> Dataset:
     ref = _reference(dataset.attribute_names(), schema)
     if tuple(a.kind for a in dataset.schema) == tuple(a.kind for a in ref):
         return dataset
-    columns, vocabularies = zip(*(
-        (col, vocab) if have.kind == want.kind
-        else _type_column(_column_text(col, vocab), want.kind)[:2]
-        for col, vocab, have, want in zip(dataset.columns, dataset.vocabularies, dataset.schema, ref)
-    ))
+    columns, vocabularies = list(dataset.columns), list(dataset.vocabularies)
+    for j, (have, want) in enumerate(zip(dataset.schema, ref)):
+        if have.kind != want.kind:
+            column = _Column(want.kind)
+            column.add(_column_text(columns[j], vocabularies[j]))
+            columns[j], vocabularies[j], _ = column.typed()
     return Dataset(ref, columns, vocabularies, dataset.labels)
 
 

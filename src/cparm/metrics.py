@@ -37,16 +37,6 @@ class MetricsReport:
     precision: float | None
     recall: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "fpr": self.fpr,
-            "fnr": self.fnr,
-            "far": self.far,
-            "precision": self.precision,
-            "recall": self.recall,
-        }
-
 
 def confusion(
     predictions: Sequence[int] | np.ndarray, truth: Sequence[int] | np.ndarray

@@ -13,7 +13,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -225,11 +225,6 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
         names = [name for name, _ in selected]
         train, test = project(train, names), project(test, names)
 
-    if config.dump_centres:
-        _dump_centres(table, config.dump_centres)
-    if config.dump_rules:
-        _dump_rules(sweep.rules, config.dump_rules)
-
     requested = [e for e in ENGINE_ORDER if e in config.engines]
     if "em" in requested or "lr" in requested:
         with _stage("encode", timings):
@@ -253,11 +248,16 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
             labels, _ = predict(model, test_input)
         cm = confusion(labels, test.labels)
         engine_results[engine] = {
-            "confusion": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},
-            "metrics": compute_metrics(cm).to_dict(),
+            "confusion": asdict(cm),
+            "metrics": asdict(compute_metrics(cm)),
         }
         model_dumps[engine] = model.to_dict()
 
+    # written only once every engine has run, so a failed run leaves none
+    if config.dump_centres:
+        _dump_centres(table, config.dump_centres)
+    if config.dump_rules:
+        _dump_rules(sweep.rules, config.dump_rules)
     if config.dump_model:
         _write_json(model_dumps, config.dump_model)
 

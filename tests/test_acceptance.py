@@ -8,6 +8,7 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -100,7 +101,7 @@ def test_c04_metric_identities():
                 assert report.far == (report.fpr + report.fnr) / 2  # bitwise
             assert Fraction(cm.tp + cm.tn, cm.total) + Fraction(cm.fp + cm.fn, cm.total) == 1
             assert abs(report.accuracy + (cm.fp + cm.fn) / cm.total - 1.0) < 1e-15
-            for value in report.to_dict().values():
+            for value in asdict(report).values():
                 if value is not None:
                     assert 0.0 <= value <= 1.0
         fixture = compute_metrics(ConfusionMatrix(tp=50, tn=40, fp=5, fn=5))

@@ -452,6 +452,8 @@ def test_degenerate_input_exit_code_and_no_stray_files(
             "--dump-rules", str(work / "rules.csv"), "--dump-model", str(work / "model.json")]
     assert main(argv) == want
     assert not list(work.glob("*.tmp"))
+    if want:  # a failed run writes no dump
+        assert not [p for p in ("centres.csv", "rules.csv", "model.json") if (work / p).exists()]
     model = work / "model.json"  # json.loads refuses the inf.0 or nan.0 of an overflow
     check(*(json.loads(p.read_text()) if p.exists() else None for p in (report, model)), engines)
 

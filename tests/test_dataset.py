@@ -33,7 +33,6 @@ from cparm.errors import (
     TooFewRecordsError,
     UnknownLabelColumnError,
     UnmappableLabelError,
-    UnreadableCsvError,
 )
 from oracles import (
     STRICT_NUMBER,
@@ -574,8 +573,9 @@ class TestChunkedRead:
         with pytest.raises(MalformedCsvError):
             load_csv_reference(path, "label")
 
-    def test_a_file_that_changes_before_its_second_read_is_refused(self, tmp_path, monkeypatch):
-        # the late "x" makes column a categorical, so its text is read again
+    def test_a_late_column_returns_the_second_read_whole(self, tmp_path, monkeypatch):
+        # the late "x" makes column a categorical, so the file is read again,
+        # and that read, of the grown file, is the one returned
         path = write(tmp_path, "a,label\n1,0\n2,1\nx,0\n")
         monkeypatch.setattr(loader, "_READ_ROWS", 2)
         read_chunks, calls = loader._read_chunks, []
@@ -588,6 +588,25 @@ class TestChunkedRead:
             return read_chunks(p)
 
         monkeypatch.setattr(loader, "_read_chunks", grow_then_read)
-        with pytest.raises(UnreadableCsvError, match="changed while it was read"):
-            load_csv(path, "label")
+        got = load_csv(path, "label")
         assert len(calls) == 2
+        want = load_csv_reference(path, "label", [AttributeSchema("a", "categorical")])
+        assert_identical(got, want)
+        assert got.n_records == 4  # Dataset holds every column to the labels' length
+
+    @pytest.mark.parametrize("text, schema, reads", [
+        ("a,b,label\n1,u,0\n2,v,1\n3,w,0\n", None, 1),
+        ("a,b,label\n1,u,0\n2,v,1\n3,w,0\n", [("a", "categorical"), ("b", "numeric")], 1),
+        ("a,b,label\n1,u,0\n2,v,1\nx,w,0\n", None, 2),
+    ], ids=["inferred", "under_a_schema", "late_column"])
+    def test_only_a_late_column_reads_the_file_twice(
+        self, tmp_path, monkeypatch, text, schema, reads
+    ):
+        path = write(tmp_path, text)
+        monkeypatch.setattr(loader, "_READ_ROWS", 2)
+        read_chunks, calls = loader._read_chunks, []
+        monkeypatch.setattr(loader, "_read_chunks", lambda p: calls.append(p) or read_chunks(p))
+        if schema is not None:
+            schema = [AttributeSchema(*a) for a in schema]
+        assert_identical(load_csv(path, "label", schema), load_csv_reference(path, "label", schema))
+        assert len(calls) == reads

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -114,6 +115,6 @@ class TestComputeMetrics:
             if cm.total == 0:
                 continue
             report = compute_metrics(cm)
-            for value in report.to_dict().values():
+            for value in asdict(report).values():
                 if value is not None:
                     assert 0.0 <= value <= 1.0
