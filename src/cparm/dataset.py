@@ -8,10 +8,10 @@ ASCII digits, sign, period and exponent that float64 holds, so ``nan``,
 categorical column is int32 codes into the column's vocabulary, a sorted
 tuple of distinct tokens, with -1 for a missing cell. Cells become Python
 values (``float``, ``str`` or ``None``) only at the edges: CSV text, dumps
-and reports. A CSV file is read and typed a chunk of rows at a time, so its
-text never exists whole. A column that turns out to be categorical only
-after its first chunk costs one more typed read of the whole file, and
-that read is the one returned.
+and reports. A CSV file is read and typed a block of rows at a time, about
+``_BLOCK_CELLS`` cells whatever its width, so its text never exists whole.
+A column that turns out to be categorical only after its first block costs
+one more typed read of the whole file, and that read is the one returned.
 """
 
 from __future__ import annotations
@@ -153,8 +153,9 @@ def map_label(token: str) -> int | None:
     return None
 
 
-_READ_ROWS = 4096  # data rows read and typed at a time
-_WRITE_ROWS = 8192  # rows turned into text at a time
+# CSV cells read and typed, or turned into text, at a time: a block of a
+# file ``width`` fields wide holds max(1, _BLOCK_CELLS // width) rows.
+_BLOCK_CELLS = 1 << 15
 
 
 def load_csv(
@@ -162,15 +163,17 @@ def load_csv(
 ) -> Dataset:
     """Load a headered CSV, pulling ``label_column`` out as the binary label.
 
-    The file is read ``_READ_ROWS`` data rows at a time, and each chunk's
-    columns are typed as soon as they are read, so the text of the whole
-    table never exists at once. Column kinds are inferred from the whole
-    column unless ``schema`` gives them. A test file is typed from its own
-    text under the training kinds, so a token such as ``0`` stays ``0`` in a
-    categorical column. A column inferred from numbers that meets a
-    non-number in a later chunk is categorical; its earlier text is gone by
-    then, so the whole file is read once more under the inferred kinds, and
-    that read is the one returned.
+    The file is read a block of about ``_BLOCK_CELLS`` cells at a time (780
+    data rows at 42 fields), and each block's columns are typed as soon as
+    they are read, so the text of the whole table never exists at once, and
+    the text held is bounded whatever the file's width. Column kinds are
+    inferred from the whole column unless ``schema`` gives them. A test file
+    is typed from its own text under the training kinds, so a token such as
+    ``0`` stays ``0`` in a categorical column. A column inferred from numbers
+    that meets a non-number in a later block is categorical; its earlier
+    text is gone by then, so the whole file is read once more under the
+    inferred kinds, and that read is the one returned. The smaller the
+    block, the earlier in a file a first non-number costs that second read.
 
     Faults are reported in file order: the header's, then each data row's.
     """
@@ -206,8 +209,8 @@ def _read(
         label_parts = []
         for first, text in chunks:
             label_parts.append(_labels(text.pop(label_idx), first))
-            for column, cells in zip(columns, text):
-                column.add(cells)
+            for column in columns:
+                column.add(text.pop(0))  # the block's text goes as it is typed
     if not label_parts:
         raise EmptyDatasetError(f"{path} has a header but no data rows")
     return names, columns, np.concatenate(label_parts)
@@ -215,8 +218,10 @@ def _read(
 
 def _read_chunks(path: Path) -> Iterator:
     """The header, then ``(first, text)`` for each chunk of up to
-    ``_READ_ROWS`` non-blank data rows: the number of data rows before the
-    chunk, and its cells as one tuple per column.
+    ``max(1, _BLOCK_CELLS // width)`` non-blank data rows, where ``width`` is
+    the header's field count: the number of data rows before the chunk, and
+    its cells as a list of one tuple per column. Nothing here holds a chunk
+    once the next is read: the consumer may empty ``text`` as it goes.
 
     The rows before a ragged row are yielded as a chunk of their own, so a
     bad label among them is reported first; the ragged row then raises
@@ -230,16 +235,20 @@ def _read_chunks(path: Path) -> Iterator:
                 raise EmptyDatasetError(f"{path} is empty")
             yield header
             width, first = len(header), 0
+            block = max(1, _BLOCK_CELLS // width)
             rows = filter(None, reader)  # skip blank lines
-            while chunk := list(islice(rows, _READ_ROWS)):
+            while chunk := list(islice(rows, block)):
                 ragged = next((i for i, row in enumerate(chunk) if len(row) != width), None)
                 if ragged is not None:
                     if ragged:
                         yield first, list(zip(*chunk[:ragged]))
                     detail = f"expected {width} fields, got {len(chunk[ragged])}"
                     raise MalformedCsvError(first + ragged + 1, detail)
-                yield first, list(zip(*chunk))
-                first += len(chunk)
+                text, n = list(zip(*chunk)), len(chunk)
+                del chunk  # the rows' cells now live only in text
+                yield first, text
+                del text
+                first += n
         except UnicodeDecodeError as exc:
             detail = f"byte 0x{exc.object[exc.start]:02x}, {exc.reason}"
             raise UnreadableCsvError(f"{path} is not UTF-8 text ({detail})") from None
@@ -295,6 +304,7 @@ class _Column:
     def typed(self) -> tuple[np.ndarray, tuple[str, ...], Kind]:
         """The column's array, vocabulary and kind."""
         column = np.concatenate(self.parts)
+        self.parts = []  # so the columns joined so far are the only copy
         if self.kind == CATEGORICAL:
             return *_sorted_codes(column, list(self.index)[1:]), CATEGORICAL
         return column, (), NUMERIC
@@ -352,14 +362,15 @@ def format_cell(value: Value) -> str:
 def write_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -> None:
     """Serialize so that load_csv reads back an identical dataset.
 
-    Rows are written a block at a time, so the text of the whole table never
-    exists at once.
+    Rows are written a block of about ``_BLOCK_CELLS`` cells at a time, so
+    the text of the whole table never exists at once.
     """
+    rows = max(1, _BLOCK_CELLS // (dataset.n_attributes + 1))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(dataset.attribute_names()) + [label_column])
-        for start in range(0, dataset.n_records, _WRITE_ROWS):
-            block = slice(start, start + _WRITE_ROWS)
+        for start in range(0, dataset.n_records, rows):
+            block = slice(start, start + rows)
             text = [
                 _column_text(col[block], vocab)
                 for col, vocab in zip(dataset.columns, dataset.vocabularies)

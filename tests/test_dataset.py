@@ -4,7 +4,9 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
+from contextlib import closing
 from unittest.mock import patch
 
 import numpy as np
@@ -534,8 +536,9 @@ class TestChunkedRead:
         path = tmp_path_factory.mktemp("chunks") / "data.csv"
         path.write_bytes(data)
         schema = None if kinds is None else tuple(map(AttributeSchema, names, kinds))
-        # monkeypatch would span every example of the test, so patch per example
-        with patch.object(loader, "_READ_ROWS", read_rows):
+        # monkeypatch would span every example of the test, so patch per example;
+        # a budget of read_rows rows of the file's width (the label too)
+        with patch.object(loader, "_BLOCK_CELLS", read_rows * (len(names) + 1)):
             got = load_csv(path, "label", schema)
         assert_identical(got, load_csv_reference(path, "label", schema))
 
@@ -550,7 +553,7 @@ class TestChunkedRead:
         self, tmp_path, monkeypatch, read_rows, cells, encoding, message
     ):
         path = write_rows(tmp_path / "data.csv", rows_with(8, cells), 8, encoding)
-        monkeypatch.setattr(loader, "_READ_ROWS", read_rows)
+        monkeypatch.setattr(loader, "_BLOCK_CELLS", read_rows * 3)  # dur,proto,label
         with pytest.raises(CparmError) as got:
             load_csv(path, "label")
         with pytest.raises(CparmError) as want:
@@ -566,7 +569,7 @@ class TestChunkedRead:
         rows = rows_with(5, ["4", "tcp", "martian"])
         rows[5] = ["5", "udp"]
         path = write_rows(tmp_path / "data.csv", rows, 5)
-        monkeypatch.setattr(loader, "_READ_ROWS", read_rows)
+        monkeypatch.setattr(loader, "_BLOCK_CELLS", read_rows * 3)  # dur,proto,label
         with pytest.raises(UnmappableLabelError) as err:
             load_csv(path, "label")
         assert err.value.row_index == 5
@@ -577,7 +580,7 @@ class TestChunkedRead:
         # the late "x" makes column a categorical, so the file is read again,
         # and that read, of the grown file, is the one returned
         path = write(tmp_path, "a,label\n1,0\n2,1\nx,0\n")
-        monkeypatch.setattr(loader, "_READ_ROWS", 2)
+        monkeypatch.setattr(loader, "_BLOCK_CELLS", 2 * 2)  # two rows of a,label
         read_chunks, calls = loader._read_chunks, []
 
         def grow_then_read(p):
@@ -603,10 +606,54 @@ class TestChunkedRead:
         self, tmp_path, monkeypatch, text, schema, reads
     ):
         path = write(tmp_path, text)
-        monkeypatch.setattr(loader, "_READ_ROWS", 2)
+        monkeypatch.setattr(loader, "_BLOCK_CELLS", 2 * 3)  # two rows of a,b,label
         read_chunks, calls = loader._read_chunks, []
         monkeypatch.setattr(loader, "_read_chunks", lambda p: calls.append(p) or read_chunks(p))
         if schema is not None:
             schema = [AttributeSchema(*a) for a in schema]
         assert_identical(load_csv(path, "label", schema), load_csv_reference(path, "label", schema))
         assert len(calls) == reads
+
+    @pytest.mark.parametrize("budget, rows", [
+        (1, [1] * 10), (3, [1] * 10), (5, [1] * 10), (6, [2] * 5), (7, [2] * 5),
+        (12, [4, 4, 2]), (30, [10]),
+    ])
+    def test_a_block_holds_the_budget_over_the_width(self, tmp_path, monkeypatch, budget, rows):
+        path = write_rows(tmp_path / "data.csv", [[str(i), "tcp", "0"] for i in range(10)], 4)
+        monkeypatch.setattr(loader, "_BLOCK_CELLS", budget)
+        with closing(loader._read_chunks(path)) as chunks:
+            assert len(next(chunks)) == 3
+            assert [len(text[0]) for _, text in chunks] == rows
+
+    def test_the_default_block_of_a_42_field_file_is_780_rows(self, tmp_path):
+        ds, _ = synth_dataset(2000, 37, 4, seed=3)
+        write_csv(ds, tmp_path / "data.csv")
+        with closing(loader._read_chunks(tmp_path / "data.csv")) as chunks:
+            assert len(next(chunks)) == 42
+            assert [(first, len(text[0])) for first, text in chunks] == [
+                (0, 780), (780, 780), (1560, 440)
+            ]
+
+    def test_a_load_holds_about_one_block_of_text(self, tmp_path):
+        # 8,000 x 42 cells: the typed arrays are about 2 MB and one block of
+        # 32,768 cells of text about 2.4 MB; with 4,096-row blocks, and with
+        # each block's text held while the next was read, this load's traced
+        # peak was over 20 MB
+        ds, _ = synth_dataset(8000, 37, 4, seed=0)
+        write_csv(ds, tmp_path / "data.csv")
+        tracemalloc.start()
+        try:
+            got = load_csv(tmp_path / "data.csv", "label")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        typed = sum(column.nbytes for column in got.columns) + got.labels.nbytes
+        assert peak < typed + 4_000_000
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    def test_write_csv_text_does_not_depend_on_the_block(self, tmp_path, monkeypatch, budget):
+        ds, _ = synth_dataset(50, 3, 2, seed=11)
+        write_csv(ds, tmp_path / "whole.csv")  # 50 rows of 6 fields: one block
+        monkeypatch.setattr(loader, "_BLOCK_CELLS", budget)
+        write_csv(ds, tmp_path / "blocks.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
