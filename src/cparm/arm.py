@@ -24,7 +24,7 @@ class Item(NamedTuple):
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     items: frozenset[Item]
     label: int
@@ -81,10 +81,12 @@ def rule_sort_key(rule: Rule):
 
 def build_transactions(table: CentralPointsTable) -> list[Transaction]:
     """One transaction per partition, items taken from its central points and
-    labelled with the partition's label."""
+    labelled with the partition's label. Equal items are one shared object."""
     per_partition: list[list[Item]] = [[] for _ in range(table.p)]
+    shared: dict[Item, Item] = {}
     for cp in table.entries:
-        per_partition[cp.partition_index].append(Item(cp.attribute, cp.value))
+        item = Item(cp.attribute, cp.value)
+        per_partition[cp.partition_index].append(shared.setdefault(item, item))
     return [
         Transaction(frozenset(items), label)
         for items, label in zip(per_partition, table.labels)

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset, Value, group_by_label, is_missing
+from .dataset import CATEGORICAL, Dataset, Value, is_missing
 from .errors import TooManyPartitionsError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CentralPoint:
     attribute: str
     partition_index: int
@@ -55,58 +55,75 @@ def partition_count(n_records: int, n_attributes: int) -> int:
 
 def partition_index(n_records: int, p: int) -> np.ndarray:
     """Every row's partition: the first p-1 get n // p rows, the last the rest."""
+    return np.minimum(np.arange(n_records) // _partition_size(n_records, p), p - 1)
+
+
+def _partition_size(n_records: int, p: int) -> int:
+    """n // p, the rows of each partition but the last."""
     if p > n_records:
         raise TooManyPartitionsError(p, n_records)
     if p < 1 or n_records < 1:
         raise ValueError("record and partition counts must be positive")
-    return np.minimum(np.arange(n_records) // (n_records // p), p - 1)
+    return n_records // p
 
 
-def partition_modes(
-    column: np.ndarray, partition: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mode of ``column`` within each partition that has a non-missing cell.
+def partition_modes(column: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mode of ``column`` within each of its p equal partitions (as laid
+    out by ``partition_index``) that has a non-missing cell.
 
-    ``partition`` gives every row's partition index. Returns three arrays in
-    increasing partition order: the partition, the row where its mode first
-    occurs (so the value kept is the first one seen: 0.0 and -0.0 are one
-    value), and the mode's count.
+    Returns three arrays in increasing partition order: the partition, the
+    row where its mode first occurs (so the value kept is the first one seen:
+    0.0 and -0.0 are one value), and the mode's count.
     """
-    rows = np.flatnonzero(~is_missing(column))
+    size = _partition_size(len(column), p)
+    cut = (p - 1) * size
+    # the first p-1 partitions as the rows of one block, the last on its own
+    head = _row_modes(column[:cut].reshape(p - 1, size))
+    tail = _row_modes(column[cut:].reshape(1, -1))
+    return (
+        np.r_[head[0], tail[0] + (p - 1)],
+        np.r_[head[0] * size + head[1], tail[1] + cut],
+        np.r_[head[2], tail[2]],
+    )
+
+
+def _row_modes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column of the mode's first occurrence, count) for every row of
+    ``block`` that has a non-missing cell."""
+    width = block.shape[1]
+    # stable: each run of equal values lists its cells in column order, so a
+    # run's first cell is the value's first occurrence
+    order = np.argsort(block, axis=1, kind="stable")
+    ordered = np.take_along_axis(block, order, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    runs = np.flatnonzero(starts)
+    counts = np.diff(np.r_[runs, ordered.size])
+    kept = ~is_missing(ordered.ravel()[runs])
+    runs, counts = runs[kept], counts[kept]
+    rows = runs // width
     if not rows.size:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty, empty
-    if column.dtype == np.float64:
-        _, codes = np.unique(column[rows], return_inverse=True)
-    else:
-        codes = column[rows]
-    part = partition[rows]
-    key = part * (int(codes.max()) + 1) + codes
-    # stable: every (partition, value) run lists its rows in row order
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    counts = np.diff(np.r_[starts, key.size])
-    firsts = rows[order[starts]]
-    groups = part[order[starts]]
-    # per partition, the largest count and then the latest first occurrence
-    # sort last: keep the last run of each partition
-    best = np.lexsort((firsts, counts, groups))
-    ranked = groups[best]
-    win = best[np.r_[ranked[1:] != ranked[:-1], True]]
-    return groups[win], firsts[win], counts[win]
+        return rows, rows, rows
+    # per row, the largest count and then the latest first occurrence
+    score = counts * width + order.ravel()[runs]
+    bounds = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    best = np.maximum.reduceat(score, bounds)
+    return rows[bounds], best % width, best // width
 
 
 def central_points(dataset: Dataset, p: int) -> CentralPointsTable:
     """Mode of every attribute and the majority label within every one of p
     equal partitions of the rows grouped by class."""
     partition = partition_index(dataset.n_records, p)
-    dataset = group_by_label(dataset)
-    ones = np.bincount(partition[dataset.labels == 1], minlength=p)
+    # every label-0 row, then every label-1 row, each class in row order;
+    # one column at a time is gathered in this order
+    grouped = np.argsort(dataset.labels, kind="stable")
+    ones = np.bincount(partition[dataset.labels[grouped] == 1], minlength=p)
     labels = (2 * ones >= np.bincount(partition, minlength=p)).astype(int).tolist()
     entries: list[CentralPoint] = []
     for attr, column, vocab in zip(dataset.schema, dataset.columns, dataset.vocabularies):
-        groups, firsts, counts = partition_modes(column, partition)
+        column = column[grouped]
+        groups, firsts, counts = partition_modes(column, p)
         values = column[firsts].tolist()
         if attr.kind == CATEGORICAL:
             values = [vocab[code] for code in values]

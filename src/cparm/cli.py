@@ -19,6 +19,7 @@ from .pipeline import (
     PipelineConfig,
     SourceFiles,
     SourceSplit,
+    check_output_path,
     emit_report,
     run_pipeline,
 )
@@ -110,10 +111,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    dataset, manifest = synth_dataset(args.records, args.noise, args.signal, args.seed)
     out = Path(args.out)
-    write_csv(dataset, out)
+    check_output_path(out)  # before with_suffix, which refuses a path like "."
     manifest_path = out.with_suffix(".manifest.json")
+    check_output_path(manifest_path)
+    dataset, manifest = synth_dataset(args.records, args.noise, args.signal, args.seed)
+    write_csv(dataset, out)
     manifest_path.write_text(manifest.to_json() + "\n", encoding="utf-8")
     print(f"wrote {dataset.n_records} records x {dataset.n_attributes} attributes to {out}")
     print(f"manifest: {manifest_path}")

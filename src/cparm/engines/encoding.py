@@ -141,7 +141,7 @@ def encode(train: Dataset) -> tuple[FeatureMatrix, FeatureEncoder]:
     specs: list[ColumnSpec] = []
     for attr, column, vocab in zip(train.schema, train.columns, train.vocabularies):
         # the column's mode, with the central points' tie rule
-        _, first, _ = partition_modes(column, np.zeros(column.shape, dtype=np.intp))
+        _, first, _ = partition_modes(column, 1)
         if attr.kind == NUMERIC:
             impute = column[first[0]].item() if first.size else 0.0
             with np.errstate(over="ignore", invalid="ignore"):  # checked just below

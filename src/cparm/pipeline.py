@@ -69,6 +69,15 @@ class SourceSynthetic:
     fraction: float = DEFAULT_FRACTION
 
 
+def check_output_path(path: str | Path) -> None:
+    """Raise ConfigError unless ``path`` can name a file to write: its
+    directory exists and it is not a directory itself."""
+    if not Path(path).parent.is_dir():
+        raise ConfigError(f"cannot write {path}: its directory does not exist")
+    if Path(path).is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     source: SourceFiles | SourceSplit | SourceSynthetic
@@ -102,10 +111,7 @@ class PipelineConfig:
         check_seed_and_fraction(self.seed, getattr(self.source, "fraction", None))
         for path in filter(None, (self.report_path, self.dump_centres, self.dump_rules,
                                   self.dump_model)):
-            if not Path(path).parent.is_dir():
-                raise ConfigError(f"cannot write {path}: its directory does not exist")
-            if Path(path).is_dir():
-                raise ConfigError(f"cannot write {path}: it is a directory")
+            check_output_path(path)
 
     def source_echo(self) -> dict:
         if isinstance(self.source, SourceFiles):

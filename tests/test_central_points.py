@@ -1,12 +1,19 @@
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cparm.central_points import central_points, partition_count, partition_index
-from cparm.dataset import AttributeSchema, Dataset, group_by_label
+from cparm.central_points import (
+    central_points,
+    partition_count,
+    partition_index,
+    partition_modes,
+)
+from cparm.dataset import AttributeSchema, Dataset, group_by_label, synth_dataset
 from cparm.errors import TooManyPartitionsError
 from oracles import dataset, latest_first_occurrence_mode, mode_of
 
@@ -86,6 +93,56 @@ class TestMakePlan:
             assert len(bounds) == p  # one contiguous run per partition
             sizes = {e - s for s, e in bounds[:-1]}
             assert sizes <= {n // p}  # all but the last share one length
+
+
+@st.composite
+def typed_columns(draw):
+    """(column, p): a float64 column (NaN missing, -0.0 beside 0.0) or an
+    int32 code column (-1 missing), and a partition count from 1 to n. The
+    last partition holds n // p + n % p rows, so it may be many times the
+    others' length."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        cell = st.sampled_from([math.nan, 0.0, -0.0, 1.0, 2.5]) | st.floats(allow_nan=False)
+        column = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=np.float64)
+    else:
+        column = np.array(draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)),
+                          dtype=np.int32)
+    return column, draw(st.integers(1, n))
+
+
+class TestPartitionModes:
+    @settings(deadline=None, max_examples=500)
+    @given(typed_columns())
+    def test_matches_the_tie_rule_oracle_on_every_partition(self, drawn):
+        column, p = drawn
+        missing = np.isnan(column) if column.dtype == np.float64 else column < 0
+        cells = [None if m else v for v, m in zip(column.tolist(), missing.tolist())]
+        want = []
+        for k, (start, end) in enumerate(slices(partition_index(column.size, p))):
+            part = cells[start:end]
+            found = latest_first_occurrence_mode(part)
+            if found is not None:
+                first = next(i for i, v in enumerate(part) if v is not None and v == found[0])
+                want.append((k, start + first, found[1], repr(found[0])))
+        groups, firsts, counts = partition_modes(column, p)
+        got = [
+            (k, first, count, repr(value))
+            for k, first, count, value in zip(
+                groups.tolist(), firsts.tolist(), counts.tolist(), column[firsts].tolist()
+            )
+        ]
+        assert got == want
+
+    def test_zero_keeps_its_first_spelling(self):
+        column = np.array([-0.0, 1.0, 0.0, 1.0, 0.0, math.nan], dtype=np.float64)
+        groups, firsts, counts = partition_modes(column, 1)
+        assert (groups.tolist(), firsts.tolist(), counts.tolist()) == ([0], [0], [3])
+        assert repr(column[firsts].tolist()) == "[-0.0]"
+
+    def test_too_many_partitions(self):
+        with pytest.raises(TooManyPartitionsError):
+            partition_modes(np.zeros(2), 3)
 
 
 def column_mode(values):
@@ -279,6 +336,19 @@ class TestCentralPoints:
         assert [(e.attribute, e.partition_index) for e in table.entries] == [
             ("a0", 0), ("a0", 1), ("a1", 0), ("a1", 1),
         ]
+
+    def test_holds_less_than_the_table(self):
+        # one gathered column at a time and slotted entries: the step's
+        # peak stays below the columns it reads, where a grouped copy of
+        # the table alone would reach them
+        ds, _ = synth_dataset(8000, 38, 3, seed=0)
+        tracemalloc.start()
+        try:
+            central_points(ds, partition_count(ds.n_records, ds.n_attributes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(column.nbytes for column in ds.columns)
 
     @settings(deadline=None)
     @given(partitioned_datasets(labelled=True))

@@ -36,6 +36,23 @@ class TestSynthCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out, directory, bad", [
+        ("nodir/x.csv", None, "nodir/x.csv"),
+        ("adir", "adir", "adir"),
+        (".", None, "."),
+        ("x.csv", "x.manifest.json", "x.manifest.json"),
+    ], ids=["missing_directory", "out_is_a_directory", "out_is_dot", "manifest_is_a_directory"])
+    def test_unwritable_output_exits_2_before_writing(self, tmp_path, monkeypatch, capsys, out,
+                                                      directory, bad):
+        monkeypatch.chdir(tmp_path)
+        if directory:
+            (tmp_path / directory).mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["synth", "--out", out, "--records", "10", "--noise", "2", "--signal", "1"])
+        assert code == 2
+        assert f"cannot write {bad}:" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestInspectCommand:
     def test_prints_schema_and_partitions(self, synth_csv, capsys):
@@ -283,6 +300,15 @@ def _split_ratio(value):
     return build
 
 
+def _diffuse(good, work):
+    """--input of a file of continuous unique values: every central point has
+    frequency 1, so no rule passes and the arm stage selects no feature."""
+    rows = "".join(f"{i}.125,{i}.25,{i % 2}\n" for i in range(40))
+    path = work / "diffuse.csv"
+    path.write_text("x,y,label\n" + rows, encoding="utf-8")
+    return ["--input", str(path), "--split-ratio", "0.5"]
+
+
 def _renamed_columns(rows):
     rows[0] = [name if name == "label" else f"x{name}" for name in rows[0]]
     return rows
@@ -304,6 +330,7 @@ FAULTS = [
     ("report_is_a_directory", _directory("--report"), 2),
     ("model_is_a_directory", _directory("--dump-model"), 2),
     ("split_ratio_of_one", _split_ratio("1.0"), 2),
+    ("no_rule_passes", _diffuse, 3),
 ]
 
 
@@ -318,8 +345,8 @@ def test_fault_injection_exit_code_and_no_stray_files(synth_csv, tmp_path, capsy
     assert not list(work.glob("*.tmp"))  # pathlib's * also matches dotfiles
     if want == 2:  # a bad value or output path, named and refused before loading
         assert args[-1] in capsys.readouterr().err
-        assert sorted(work.rglob("*")) == before
     if want != 0:
+        assert sorted(work.rglob("*")) == before
         assert not report.exists()
         return
     assert _run(["--input", str(synth_csv)], tmp_path / "reference.json") == 0
