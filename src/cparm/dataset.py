@@ -10,6 +10,8 @@ tuple of distinct tokens, with -1 for a missing cell. Cells become Python
 values (``float``, ``str`` or ``None``) only at the edges: CSV text, dumps
 and reports. A CSV file is read and typed a block of rows at a time, about
 ``_BLOCK_CELLS`` cells whatever its width, so its text never exists whole.
+A block with no quote is split at its commas; ``csv.reader`` reads the
+header and, from the first block that holds a quote, the rest of the file.
 A column that turns out to be categorical only after its first block costs
 one more typed read of the whole file, and that read is the one returned.
 """
@@ -23,9 +25,9 @@ import random
 import re
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
@@ -144,13 +146,12 @@ def check_seed_and_fraction(seed: int, fraction: float | None = None) -> None:
         raise InvalidSpecError(f"split fraction must be in (0, 1), got {fraction}")
 
 
+_LABEL_CODES = {**dict.fromkeys(ATTACK_LABEL_TOKENS, 1), **dict.fromkeys(NORMAL_LABEL_TOKENS, 0)}
+
+
 def map_label(token: str) -> int | None:
     """Return 0/1 for a recognized label token, None if unmappable."""
-    if token in NORMAL_LABEL_TOKENS:
-        return 0
-    if token in ATTACK_LABEL_TOKENS:
-        return 1
-    return None
+    return _LABEL_CODES.get(token)
 
 
 # CSV cells read and typed, or turned into text, at a time: a block of a
@@ -166,7 +167,10 @@ def load_csv(
     The file is read a block of about ``_BLOCK_CELLS`` cells at a time (780
     data rows at 42 fields), and each block's columns are typed as soon as
     they are read, so the text of the whole table never exists at once, and
-    the text held is bounded whatever the file's width. Column kinds are
+    the text held is bounded whatever the file's width. A block that
+    ``csv.reader`` would read as plain comma-separated fields, as a file
+    ``write_csv`` writes is, is split with ``str.split`` instead; from the
+    first block that is not, ``csv.reader`` reads the rest. Column kinds are
     inferred from the whole column unless ``schema`` gives them. A test file
     is typed from its own text under the training kinds, so a token such as
     ``0`` stays ``0`` in a categorical column. A column inferred from numbers
@@ -220,15 +224,21 @@ def _read_chunks(path: Path) -> Iterator:
     """The header, then ``(first, text)`` for each chunk of up to
     ``max(1, _BLOCK_CELLS // width)`` non-blank data rows, where ``width`` is
     the header's field count: the number of data rows before the chunk, and
-    its cells as a list of one tuple per column. Nothing here holds a chunk
-    once the next is read: the consumer may empty ``text`` as it goes.
+    its cells as a list of one sequence per column. Nothing here holds a
+    chunk once the next is read: the consumer may empty ``text`` as it goes.
+
+    ``csv.reader`` reads the header. Then each block of lines up to the next
+    chunk's last row is split at its commas when ``_plain_columns`` finds
+    that ``csv.reader`` would read it so; the first block that is not so
+    (a quote, a ragged row, ...) and the rest of the file go to
+    ``csv.reader``, so a quoted field may span lines and blocks.
 
     The rows before a ragged row are yielded as a chunk of their own, so a
     bad label among them is reported first; the ragged row then raises
-    MalformedCsvError.
+    MalformedCsvError. A ``csv.Error`` names its line in the whole file.
     """
     with path.open(newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
-        reader = csv.reader(fh)
+        reader, before = csv.reader(fh), 0  # before: the file's lines ahead of reader's
         try:
             header = next(reader, None)
             if header is None:
@@ -236,6 +246,14 @@ def _read_chunks(path: Path) -> Iterator:
             yield header
             width, first = len(header), 0
             block = max(1, _BLOCK_CELLS // width)
+            read = reader.line_num  # the lines read so far
+            while (lines := _next_lines(fh, block)) and (text := _plain_columns(lines, width)):
+                read, n = read + len(lines), len(text[0])
+                del lines
+                yield first, text
+                del text
+                first += n
+            reader, before = csv.reader(chain(lines, fh)), read
             rows = filter(None, reader)  # skip blank lines
             while chunk := list(islice(rows, block)):
                 ragged = next((i for i, row in enumerate(chunk) if len(row) != width), None)
@@ -253,12 +271,58 @@ def _read_chunks(path: Path) -> Iterator:
             detail = f"byte 0x{exc.object[exc.start]:02x}, {exc.reason}"
             raise UnreadableCsvError(f"{path} is not UTF-8 text ({detail})") from None
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise UnreadableCsvError(f"{path}, line {reader.line_num}: {exc}") from None
+            raise UnreadableCsvError(f"{path}, line {before + reader.line_num}: {exc}") from None
+
+
+# The lines csv.reader reads as no row.
+_BLANK_LINES = ("\n", "\r\n", "\r")
+
+
+def _next_lines(fh: TextIO, rows: int) -> list[str]:
+    """The lines of ``fh`` up to its next ``rows``-th non-blank one or its end."""
+    lines = list(islice(fh, rows))
+    while (short := rows - len(lines) + sum(map(lines.count, _BLANK_LINES))) > 0:
+        more = list(islice(fh, short))
+        if not more:
+            break
+        lines += more
+    return lines
+
+
+def _plain_columns(lines: list[str], width: int) -> list[list[str]] | None:
+    """The cells of the non-blank ``lines``, one list per column, if
+    ``csv.reader`` reads each of them as ``width`` fields split at every
+    comma; otherwise None.
+
+    It does so when the lines hold no quote, NUL or ``\\r`` but in a
+    ``\\r\\n`` ending, none is longer than ``csv.field_size_limit()``, at
+    least one is not blank and each of those has ``width - 1`` commas.
+    """
+    text = "".join(lines)
+    if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    n = len(lines) - lines.count("\n") - lines.count("\r\n")
+    if n < len(lines):
+        text = "".join(line for line in lines if line not in _BLANK_LINES)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if not text.endswith("\n"):  # the file's last line
+        text += "\n"
+    # each line's fields, then "\n": every (width + 1)-th cell if none is ragged
+    text = text.replace("\n", ",\n,")  # so the text is held once as it is split
+    flat = text.split(",")
+    del text, flat[-1]
+    stride = width + 1
+    if not n or len(flat) != n * stride or flat[width::stride].count("\n") != n:
+        return None
+    return [flat[j::stride] for j in range(width)]
 
 
 def _labels(tokens: Sequence[str], first: int) -> np.ndarray:
     """A chunk's 0/1 labels; ``first`` data rows come before the chunk."""
-    labels = [map_label(token) for token in tokens]
+    labels = list(map(_LABEL_CODES.get, tokens))  # map_label on each token
     if None in labels:
         i = labels.index(None)
         raise UnmappableLabelError(first + i + 1, tokens[i])
@@ -271,9 +335,9 @@ class _Column:
     With ``kind`` None the column is numeric while every non-empty token is a
     number (vacuously so when there is none). Under a numeric kind a token
     that is no number becomes missing. A chunk of numbers is parsed cell by
-    cell in one pass; under a numeric kind any other chunk has each of its
-    distinct tokens parsed once, and a categorical chunk is coded against the
-    column's growing vocabulary.
+    cell in one pass, in one numpy call if no cell is blank; under a numeric
+    kind any other chunk has each of its distinct tokens parsed once, and a
+    categorical chunk is coded against the column's growing vocabulary.
     """
 
     def __init__(self, kind: Kind | None):
@@ -333,9 +397,12 @@ def _plain_numbers(text: Sequence[str]) -> np.ndarray | None:
     otherwise None. This is ``_number`` over a whole column in one pass."""
     if not _PLAIN_TEXT_RE.fullmatch("".join(text)):
         return None
-    cells = map(_MISSING_TEXT.get, text, text)  # "" becomes NaN, a token stays itself
     try:
-        numbers = np.fromiter(map(float, cells), np.float64, len(text))
+        if "" in text:
+            cells = map(_MISSING_TEXT.get, text, text)  # "" becomes NaN, a token stays itself
+            numbers = np.fromiter(map(float, cells), np.float64, len(text))
+        else:
+            numbers = np.array(text, dtype=np.float64)  # float() on each str
     except ValueError:  # plain characters that make no number, such as "1e" or "."
         return None
     return None if np.isinf(numbers).any() else numbers  # "1e400" overflows

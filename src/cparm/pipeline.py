@@ -222,6 +222,7 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
     with _stage("arm", timings):
         transactions = build_transactions(table)
         sweep = run_threshold_sweep(transactions, config.num_features, config.thresholds)
+        del transactions  # nothing reads them after the sweep
         selected = sweep.merged
         if not selected:
             raise NoFeaturesSelectedError(

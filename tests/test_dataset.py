@@ -429,6 +429,22 @@ class TestStageProperties:
         bits = np.array([math.nan if want is None else want, math.nan]).view(np.uint64)
         assert (parsed.view(np.uint64) == bits).all()
 
+    @settings(max_examples=300)
+    @given(st.lists(
+        PLAIN_TEXT | PLAIN_EDGES.filter(bool) | LONG_MANTISSAS | FINITE.map(repr)
+        | st.integers(-10**20, 10**20).map(str),
+        min_size=1, max_size=8,
+    ))
+    def test_blank_free_plain_numbers_are_each_tokens_number(self, tokens):
+        # a chunk with no blank cell is parsed by numpy in one call; it must
+        # give _number's bits for every token, or None if any token is none
+        numbers = np.array([loader._number(t) for t in tokens])
+        parsed = _plain_numbers(tokens)
+        if np.isnan(numbers).any():
+            assert parsed is None
+        else:
+            assert parsed.view(np.uint64).tolist() == numbers.view(np.uint64).tolist()
+
     @settings(deadline=None)
     @given(st.data())
     def test_conform_is_idempotent_and_types_directly(self, tmp_path_factory, data):
@@ -459,24 +475,32 @@ class TestStageProperties:
 
 # --- chunked reading: the same dataset as the whole-file read -----------------
 
+# A cell the writer quotes: it holds quotes, commas and line breaks, so its
+# field may span lines, and those lines may span blocks.
+QUOTED = st.lists(st.sampled_from(['"', ",", "\n", "\r\n", "q"]), min_size=1, max_size=4).map(
+    "".join
+)
 # Tokens that are no number: a word, a number float64 cannot hold, plain
-# characters that make none, and NSL-KDD's missing-value mark.
-NON_NUMBERS = st.sampled_from(["x", "1e400", ".", "?"]) | WORD
+# characters that make none, NSL-KDD's missing-value mark and a quoted cell.
+NON_NUMBERS = st.sampled_from(["x", "1e400", ".", "?"]) | WORD | QUOTED
 NUMBER_TEXT = st.just("") | FINITE.map(repr) | st.integers(-99, 99).map(str)
 LABEL_TEXT = st.sampled_from(["0", "1", "normal", "attack", "neptune"])
 
 
-def csv_line(cells):
+def csv_line(cells, quoting=csv.QUOTE_MINIMAL):
+    """One record without its line ending; a cell holding a quote, a comma or
+    a line break is quoted (with ``quoting`` QUOTE_ALL, every cell)."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="").writerow(cells)
-    return out.getvalue()
+    csv.writer(out, quoting=quoting).writerow(cells)  # its "\r\n" ending quotes "\r" and "\n"
+    return out.getvalue().removesuffix("\r\n")
 
 
 @st.composite
 def chunked_files(draw):
     """(file bytes, column names, training kinds or None). Columns of numbers
-    and blanks, some with non-numbers at any row; blank lines anywhere; a
-    BOM or none; LF or CRLF; the label column at any position."""
+    and blanks, some with non-numbers at any row, quoted cells among them;
+    now and then a row with every cell quoted; blank lines anywhere; a BOM
+    or none; LF, CRLF or CR endings; the label column at any position."""
     names = draw(NAMES)
     n = draw(st.integers(1, 16))
     columns = []
@@ -490,9 +514,10 @@ def chunked_files(draw):
     lines = [csv_line([*names[:at], "label", *names[at:]])]
     for *cells, label in zip(*columns, labels):
         lines += [""] * draw(st.integers(0, 2))
-        lines.append(csv_line([*cells[:at], label, *cells[at:]]))
+        quoting = csv.QUOTE_ALL if draw(st.integers(0, 7)) == 0 else csv.QUOTE_MINIMAL
+        lines.append(csv_line([*cells[:at], label, *cells[at:]], quoting))
     lines += [""] * draw(st.integers(0, 2))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + end
     kinds = draw(st.none() | st.lists(
         st.sampled_from(["numeric", "categorical"]), min_size=len(names), max_size=len(names)
@@ -542,6 +567,32 @@ class TestChunkedRead:
             got = load_csv(path, "label", schema)
         assert_identical(got, load_csv_reference(path, "label", schema))
 
+    @pytest.mark.parametrize("read_rows", [1, 2, 4096])
+    @pytest.mark.parametrize("data", [
+        b"a,b,label\r1,x,0\r\r2,y,1\r3,z,0\r",
+        b"a,b,label\n1,x,0\n2,y\x00,1\n3,z,0\n",
+        b"a,b,label\n1,x,0\n2,y,1\n3,\x00,0",
+    ], ids=["cr_endings", "nul_byte", "nul_in_the_last_line"])
+    def test_a_cr_or_nul_file_reads_as_the_whole_file_read(self, tmp_path, data, read_rows):
+        # whatever this Python's csv module makes of a NUL (a character or an
+        # error), both reads make the same of it
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+
+        def outcome(load):
+            try:
+                return load(path, "label")
+            except CparmError as exc:
+                return type(exc), str(exc)
+
+        with patch.object(loader, "_BLOCK_CELLS", read_rows * 3):
+            got = outcome(load_csv)
+        want = outcome(load_csv_reference)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_identical(got, want)
+
     @pytest.mark.parametrize("read_rows", [1, 3, 4096])
     @pytest.mark.parametrize("cells, encoding, message", [
         (["7", "tcp"], "utf-8", "at data row 8: expected 3 fields, got 2"),
@@ -575,6 +626,18 @@ class TestChunkedRead:
         assert err.value.row_index == 5
         with pytest.raises(MalformedCsvError):
             load_csv_reference(path, "label")
+
+    @pytest.mark.parametrize("read_rows", [2, 4096])
+    def test_a_long_row_and_a_short_row_are_no_two_rows(self, tmp_path, monkeypatch, read_rows):
+        # data rows 3 and 4 hold two rows' worth of fields between them
+        rows = rows_with(3, ["2", "tcp", "0", "x"])
+        rows[3] = ["3", "1"]
+        path = write_rows(tmp_path / "data.csv", rows, 0)
+        monkeypatch.setattr(loader, "_BLOCK_CELLS", read_rows * 3)  # dur,proto,label
+        with pytest.raises(MalformedCsvError) as err:
+            load_csv(path, "label")
+        assert err.value.row_index == 3
+        assert "expected 3 fields, got 4" in str(err.value)
 
     def test_a_late_column_returns_the_second_read_whole(self, tmp_path, monkeypatch):
         # the late "x" makes column a categorical, so the file is read again,
@@ -649,6 +712,50 @@ class TestChunkedRead:
             tracemalloc.stop()
         typed = sum(column.nbytes for column in got.columns) + got.labels.nbytes
         assert peak < typed + 4_000_000
+
+    @pytest.fixture
+    def csv_rows(self, monkeypatch):
+        """The rows ``csv.reader`` yields while the test runs."""
+        rows, reader = [], csv.reader
+
+        class Spy:
+            def __init__(self, lines):
+                self.inner = reader(lines)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                rows.append(next(self.inner))
+                return rows[-1]
+
+            line_num = property(lambda self: self.inner.line_num)
+
+        monkeypatch.setattr(csv, "reader", Spy)
+        return rows
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_a_written_file_is_split_after_its_header(self, tmp_path, csv_rows, end):
+        ds, _ = synth_dataset(2000, 37, 4, seed=3)  # 3 blocks of 42 fields
+        write_csv(ds, tmp_path / "data.csv")
+        path = tmp_path / "data.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
+        got = load_csv(path, "label")
+        assert csv_rows == [[*ds.attribute_names(), "label"]]
+        assert table(got) == table(ds)
+
+    def test_the_block_with_the_first_quote_and_the_rest_go_to_csv_reader(
+        self, tmp_path, monkeypatch, csv_rows
+    ):
+        # two-row blocks; the first quote is in data row 5, the third block,
+        # and blank lines before data row 3 are split in the second
+        rows = rows_with(5, ["4", '"t,cp"', "0"])
+        path = write_rows(tmp_path / "data.csv", rows, 3)
+        monkeypatch.setattr(loader, "_BLOCK_CELLS", 2 * 3)  # dur,proto,label
+        got = load_csv(path, "label")
+        want = [["dur", "proto", "label"], ["4", "t,cp", "0"], *rows[5:]]
+        assert csv_rows == want
+        assert_identical(got, load_csv_reference(path, "label"))
 
     @pytest.mark.parametrize("budget", [1, 7])
     def test_write_csv_text_does_not_depend_on_the_block(self, tmp_path, monkeypatch, budget):
