@@ -4,7 +4,8 @@ A dataset is a column-major table, one typed numpy array per attribute,
 plus a binary label per row (0 = normal traffic, 1 = attack). A numeric
 column is float64 with NaN for a missing cell; a number is a token of
 ASCII digits, sign, period and exponent that float64 holds, so ``nan``,
-``inf`` and a token that overflows are none, and every value is finite. A
+``inf`` and a token that overflows are none, and every value is finite.
+``_plain_numbers`` is the one function that applies that rule. A
 categorical column is int32 codes into the column's vocabulary, a sorted
 tuple of distinct tokens, with -1 for a missing cell. Cells become Python
 values (``float``, ``str`` or ``None``) only at the edges: CSV text, dumps
@@ -54,7 +55,6 @@ CATEGORICAL = "categorical"
 # strict syntax: ASCII digits, a period decimal separator, an optional sign
 # and exponent.
 _PLAIN_TEXT_RE = re.compile(r"[0-9+\-.eE]*")
-_MISSING_TEXT = {"": math.nan}
 
 # Tokens accepted in the label column. Attack names cover the NSL-KDD
 # label vocabulary (training and test variants) plus its four categories.
@@ -147,11 +147,6 @@ def check_seed_and_fraction(seed: int, fraction: float | None = None) -> None:
 
 
 _LABEL_CODES = {**dict.fromkeys(ATTACK_LABEL_TOKENS, 1), **dict.fromkeys(NORMAL_LABEL_TOKENS, 0)}
-
-
-def map_label(token: str) -> int | None:
-    """Return 0/1 for a recognized label token, None if unmappable."""
-    return _LABEL_CODES.get(token)
 
 
 # CSV cells read and typed, or turned into text, at a time: a block of a
@@ -322,7 +317,7 @@ def _plain_columns(lines: list[str], width: int) -> list[list[str]] | None:
 
 def _labels(tokens: Sequence[str], first: int) -> np.ndarray:
     """A chunk's 0/1 labels; ``first`` data rows come before the chunk."""
-    labels = list(map(_LABEL_CODES.get, tokens))  # map_label on each token
+    labels = list(map(_LABEL_CODES.get, tokens))
     if None in labels:
         i = labels.index(None)
         raise UnmappableLabelError(first + i + 1, tokens[i])
@@ -334,16 +329,16 @@ class _Column:
 
     With ``kind`` None the column is numeric while every non-empty token is a
     number (vacuously so when there is none). Under a numeric kind a token
-    that is no number becomes missing. A chunk of numbers is parsed cell by
-    cell in one pass, in one numpy call if no cell is blank; under a numeric
-    kind any other chunk has each of its distinct tokens parsed once, and a
-    categorical chunk is coded against the column's growing vocabulary.
+    that is no number becomes missing: each distinct token is checked by
+    ``_plain_numbers`` alone and the chunk is parsed once more with the
+    failing ones blank. A categorical chunk is coded against the column's
+    growing vocabulary, one dict lookup per cell.
     """
 
     def __init__(self, kind: Kind | None):
         self.kind = kind  # None while every token so far is a number
         self.parts: list[np.ndarray] = []
-        self.index = {"": -1}  # token -> code, in first-seen order
+        self.index = _Codes({"": -1})  # token -> code, in first-seen order
         self.late = False  # a non-number came after numbers whose text is gone
 
     def add(self, text: Sequence[str]) -> None:
@@ -352,7 +347,8 @@ class _Column:
         if self.kind != CATEGORICAL:
             numbers = _plain_numbers(text)
             if numbers is None and self.kind == NUMERIC:
-                numbers = _parse_tokens(text)
+                kept = {t: t if _plain_numbers([t]) is not None else "" for t in set(text)}
+                numbers = _plain_numbers(list(map(kept.__getitem__, text)))
             if numbers is not None:
                 self.parts.append(numbers)
                 return
@@ -360,10 +356,7 @@ class _Column:
                 self.late, self.parts = True, []
                 return
             self.kind = CATEGORICAL
-        index = self.index
-        for token in dict.fromkeys(text):
-            index.setdefault(token, len(index) - 1)
-        self.parts.append(np.fromiter(map(index.__getitem__, text), np.int32, len(text)))
+        self.parts.append(np.fromiter(map(self.index.__getitem__, text), np.int32, len(text)))
 
     def typed(self) -> tuple[np.ndarray, tuple[str, ...], Kind]:
         """The column's array, vocabulary and kind."""
@@ -374,35 +367,23 @@ class _Column:
         return column, (), NUMERIC
 
 
-def _parse_tokens(text: Sequence[str]) -> np.ndarray:
-    """Each cell's number, NaN where it is none, each distinct token parsed once."""
-    number = {token: _number(token) for token in set(text)}  # "" parses to NaN
-    return np.fromiter(map(number.__getitem__, text), np.float64, len(text))
+class _Codes(dict):
+    """token -> code, where a token not yet seen takes the next code."""
 
-
-def _number(token: str) -> float:
-    """The token's number, or NaN if it is none."""
-    if _PLAIN_TEXT_RE.fullmatch(token):
-        try:
-            number = float(token)
-        except ValueError:  # plain characters that make no number, such as "1e" or "."
-            return math.nan
-        if math.isfinite(number):  # "1e400" overflows
-            return number
-    return math.nan
+    def __missing__(self, token: str) -> int:
+        self[token] = code = len(self) - 1  # the "" -> -1 entry takes no code
+        return code
 
 
 def _plain_numbers(text: Sequence[str]) -> np.ndarray | None:
     """Every cell's number, NaN for "", if each non-empty token is a number;
-    otherwise None. This is ``_number`` over a whole column in one pass."""
+    otherwise None. This is the one place that tells a number."""
     if not _PLAIN_TEXT_RE.fullmatch("".join(text)):
         return None
+    if "" in text:  # the check above let no "nan" through, so "nan" is a blank
+        text = [token or "nan" for token in text]
     try:
-        if "" in text:
-            cells = map(_MISSING_TEXT.get, text, text)  # "" becomes NaN, a token stays itself
-            numbers = np.fromiter(map(float, cells), np.float64, len(text))
-        else:
-            numbers = np.array(text, dtype=np.float64)  # float() on each str
+        numbers = np.array(text, dtype=np.float64)  # float() on each str
     except ValueError:  # plain characters that make no number, such as "1e" or "."
         return None
     return None if np.isinf(numbers).any() else numbers  # "1e400" overflows

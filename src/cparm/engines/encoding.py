@@ -84,48 +84,25 @@ def distinct_rows(
     Two rows are equal when every cell has the same float bit pattern, so
     0.0 and -0.0 stay apart; with ``labels``, rows with different labels
     are never equal. ``first`` holds each group's first row, ascending, so an
-    all-distinct matrix gives the identity. The key is built column by
-    column: a 1-D sort gives each cell its code among the column's values,
-    and the codes combine into one mixed-radix int64 key per row.
+    all-distinct matrix gives the identity. One stable ``np.lexsort`` over
+    the rows' int64 bit patterns (and labels) puts equal rows next to each
+    other, earliest first, and a group starts where a sorted row differs
+    from the one before.
     """
-    n = rows.shape[0]
-    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.int64)
-    columns = [bits[:, j] for j in range(bits.shape[1])]
+    keys = [*np.ascontiguousarray(rows, dtype=np.float64).view(np.int64).T]  # one per column
     if labels is not None:
-        columns.append(np.asarray(labels, dtype=np.int64))
-    key = np.zeros(n, dtype=np.int64)
-    radix = 1
-    for column in columns:
-        size, code = _codes(column)
-        if size == n:  # this column alone tells every row apart
-            return np.arange(n), np.arange(n)
-        if radix * size >= 2**62:  # renumber the keys so far before they overflow
-            radix, key = _codes(key)
-        key = key * size + code
-        radix *= size
-    order = np.argsort(key, kind="stable")
-    starts = _run_starts(key[order])
-    first = order[starts]  # each key's first row, in key order
+        keys.append(np.asarray(labels, dtype=np.int64))
+    order = np.lexsort(keys)
+    starts = np.ones(order.size, dtype=bool)
+    # a difference of two int64 is 0 only between equal values, even where it wraps
+    starts[1:] = np.any([np.diff(key[order]) != 0 for key in keys], axis=0)
+    first = order[starts]  # each group's first row, in sorted order
     by_first = np.argsort(first)
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(by_first.size)
-    inverse = np.empty(n, dtype=np.intp)
+    inverse = np.empty(order.size, dtype=np.intp)
     inverse[order] = rank[np.cumsum(starts) - 1]
     return first[by_first], inverse
-
-
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """True where a sorted array's value differs from the one before."""
-    starts = np.ones(ordered.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    return starts
-
-
-def _codes(column: np.ndarray) -> tuple[int, np.ndarray]:
-    """(number of distinct values, each cell's rank among them)."""
-    ordered = np.sort(column)
-    values = ordered[_run_starts(ordered)]
-    return values.size, np.searchsorted(values, column)
 
 
 def _filled(column: np.ndarray, impute: float) -> np.ndarray:

@@ -109,9 +109,16 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown engines {unknown}; choose from {ENGINE_ORDER}")
         check_seed_and_fraction(self.seed, getattr(self.source, "fraction", None))
-        for path in filter(None, (self.report_path, self.dump_centres, self.dump_rules,
-                                  self.dump_model)):
-            check_output_path(path)
+        inputs = (getattr(self.source, a, None) for a in ("train_path", "test_path", "path"))
+        taken = {Path(p).resolve(): "an input file" for p in inputs if p}
+        outputs = {"the report": self.report_path, "the centres dump": self.dump_centres,
+                   "the rules dump": self.dump_rules, "the model dump": self.dump_model}
+        for what, path in outputs.items():
+            if path:
+                check_output_path(path)
+                other = taken.setdefault(Path(path).resolve(), what)
+                if other != what:
+                    raise ConfigError(f"cannot write {path}: it is also {other}")
 
     def source_echo(self) -> dict:
         if isinstance(self.source, SourceFiles):

@@ -18,7 +18,7 @@ import numpy as np
 
 from cparm.arm import Item, Transaction
 from cparm.engines import em
-from cparm.dataset import AttributeSchema, Dataset, map_label
+from cparm.dataset import ATTACK_LABEL_TOKENS, NORMAL_LABEL_TOKENS, AttributeSchema, Dataset
 from cparm.errors import (
     EmptyDatasetError,
     MalformedCsvError,
@@ -87,6 +87,27 @@ def is_finite_number(token):
     return bool(re.fullmatch(STRICT_NUMBER, token)) and math.isfinite(float(token))
 
 
+def label_class(token):
+    """A label token's class: 1 for an attack token, 0 for a normal one,
+    None for any other."""
+    if token in ATTACK_LABEL_TOKENS:
+        return 1
+    return 0 if token in NORMAL_LABEL_TOKENS else None
+
+
+def distinct_rows_reference(rows, labels=None):
+    """distinct_rows as (first, inverse) lists: a dict keyed by each row's
+    bytes (and its label) numbers the groups in first-occurrence order."""
+    group, first, inverse = {}, [], []
+    for i, row in enumerate(np.asarray(rows, dtype=np.float64)):
+        key = (row.tobytes(), None if labels is None else int(labels[i]))
+        if key not in group:
+            group[key] = len(first)
+            first.append(i)
+        inverse.append(group[key])
+    return first, inverse
+
+
 def load_csv_reference(path, label_column, schema=None):
     """load_csv from the text of the whole file at once: every row is read,
     then every column typed from all of its tokens.
@@ -120,7 +141,7 @@ def load_csv_reference(path, label_column, schema=None):
     label_idx = header.index(label_column)
     text = list(zip(*rows))
     label_text = text.pop(label_idx)
-    labels = [map_label(token) for token in label_text]
+    labels = [label_class(token) for token in label_text]
     if None in labels:
         i = labels.index(None)
         raise UnmappableLabelError(i + 1, label_text[i])

@@ -293,6 +293,19 @@ def _directory(flag):
     return build
 
 
+def _report_over_input(good, work):
+    """--input of the good rows copied into the work directory, with --report
+    naming that copy."""
+    path = str(_write(work / "data.csv", _rows(good)))
+    return ["--input", path, "--report", path]
+
+
+def _rules_over_report(good, work):
+    """--input of the good CSV, with --report and --dump-rules naming one file."""
+    path = str(work / "out.json")
+    return ["--input", str(good), "--report", path, "--dump-rules", path]
+
+
 def _split_ratio(value):
     """--input of the good CSV, with ``value`` as its training fraction."""
     def build(good, work):
@@ -329,6 +342,8 @@ FAULTS = [
     ("rules_in_missing_directory", _missing_directory("--dump-rules"), 2),
     ("report_is_a_directory", _directory("--report"), 2),
     ("model_is_a_directory", _directory("--dump-model"), 2),
+    ("report_over_input", _report_over_input, 2),
+    ("rules_over_report", _rules_over_report, 2),
     ("split_ratio_of_one", _split_ratio("1.0"), 2),
     ("no_rule_passes", _diffuse, 3),
 ]
@@ -340,17 +355,22 @@ def test_fault_injection_exit_code_and_no_stray_files(synth_csv, tmp_path, capsy
     work.mkdir()
     report = work / "report.json"
     args = build(synth_csv, work)
-    before = sorted(work.rglob("*"))
+    before = _contents(work)
     assert _run(args, report) == want
     assert not list(work.glob("*.tmp"))  # pathlib's * also matches dotfiles
     if want == 2:  # a bad value or output path, named and refused before loading
         assert args[-1] in capsys.readouterr().err
     if want != 0:
-        assert sorted(work.rglob("*")) == before
+        assert _contents(work) == before
         assert not report.exists()
         return
     assert _run(["--input", str(synth_csv)], tmp_path / "reference.json") == 0
     assert _report_body(report) == _report_body(tmp_path / "reference.json")
+
+
+def _contents(directory):
+    """Each path under ``directory`` with its bytes (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in directory.rglob("*")}
 
 
 def _blank(names):

@@ -367,6 +367,7 @@ class TestStageProperties:
         assert train.n_records == min(max(1, math.ceil(ds.n_records * fraction)), ds.n_records - 1)
         assert train.schema == test.schema == ds.schema
 
+    @pytest.mark.parametrize("typed_by", ["conform", "load_csv"])
     @settings(deadline=None, max_examples=300)
     @example(["٣", "3"])
     @given(st.lists(
@@ -374,13 +375,22 @@ class TestStageProperties:
         | st.text("0123456789.+-eE \n_nai\u0663", min_size=1, max_size=6),
         min_size=1, max_size=8,
     ))
-    def test_numeric_text_follows_the_strict_syntax(self, tokens):
+    def test_numeric_text_follows_the_strict_syntax(self, tmp_path_factory, typed_by, tokens):
         # tokens near the strict number syntax, some only of its characters
         # ("1e", "+", "-.") and some with characters float() accepts but the
         # syntax does not (" 1", "1_0", "nan", "\n1"); a number that
-        # overflows float64 ("9e999") is missing too
-        ds = dataset((AttributeSchema("x", "categorical"),), [tokens], [0] * len(tokens))
-        numeric = conform(ds, (AttributeSchema("x", "numeric"),))
+        # overflows float64 ("9e999") is missing too, typed by conform or
+        # by load_csv under a numeric schema
+        schema = (AttributeSchema("x", "numeric"),)
+        if typed_by == "conform":
+            ds = dataset((AttributeSchema("x", "categorical"),), [tokens], [0] * len(tokens))
+            numeric = conform(ds, schema)
+        else:
+            path = tmp_path_factory.mktemp("numeric") / "data.csv"
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")  # quotes "1\n"
+                writer.writerows([["x", "label"]] + [[t, "0"] for t in tokens])
+            numeric = load_csv(path, "label", schema)
         want = [float(t) if is_finite_number(t) else None for t in tokens]
         assert [repr(v) for v in cells(numeric)[0]] == [repr(v) for v in want]
 
@@ -437,12 +447,12 @@ class TestStageProperties:
     ))
     def test_blank_free_plain_numbers_are_each_tokens_number(self, tokens):
         # a chunk with no blank cell is parsed by numpy in one call; it must
-        # give _number's bits for every token, or None if any token is none
-        numbers = np.array([loader._number(t) for t in tokens])
+        # give float()'s bits for every token, or None if any token is none
         parsed = _plain_numbers(tokens)
-        if np.isnan(numbers).any():
+        if not all(map(is_finite_number, tokens)):
             assert parsed is None
         else:
+            numbers = np.array([float(t) for t in tokens])
             assert parsed.view(np.uint64).tolist() == numbers.view(np.uint64).tolist()
 
     @settings(deadline=None)

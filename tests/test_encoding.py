@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cparm.dataset import AttributeSchema, project
 from cparm.engines import encode
 from cparm.engines.encoding import distinct_rows
 from cparm.errors import NonFiniteStatisticError, SchemaMismatchError
-from oracles import dataset
+from oracles import dataset, distinct_rows_reference
 
 
 def two_column_dataset(numeric, categorical, labels):
@@ -126,11 +128,29 @@ class TestDistinctRows:
         assert inverse.tolist() == [0, 1, 0, 1]
         assert distinct_rows(rows)[0].tolist() == [0]
 
-    def test_wide_keys_are_renumbered_before_they_overflow(self):
-        # 70 columns of 2 values each span 2**70 keys
+    def test_wide_rows_group_by_content(self):
+        # 70 columns of 2 values each: more combinations than an int64 holds
         rng = np.random.default_rng(5)
         rows = rng.integers(0, 2, size=(300, 70)).astype(float)
         rows[150:] = rows[:150]
         first, inverse = distinct_rows(rows)
         assert rows[first][inverse].tobytes() == rows.tobytes()
         assert len(first) == len({r.tobytes() for r in rows}) == 150
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_equals_the_reference(self, data):
+        # duplicated rows up to 80 cells wide, twins that differ only in the
+        # signs of their zeros, with and without labels
+        width = data.draw(st.integers(1, 80))
+        cell = st.sampled_from([0.0, -0.0, 1.0, -1.5, 5e-324, 1e300])
+        pool = data.draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1,
+                                  max_size=12))
+        rows = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
+        n = rows.shape[0]
+        flip = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        rows[flip] = np.where(rows[flip] == 0, -rows[flip], rows[flip])
+        labels = data.draw(st.none() | st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        labels = None if labels is None else np.array(labels)
+        first, inverse = distinct_rows(rows, labels)
+        assert (first.tolist(), inverse.tolist()) == distinct_rows_reference(rows, labels)
