@@ -16,7 +16,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .central_points import CentralPointsTable
 from .dataset import Value
-from .errors import EmptyTransactionsError
 
 
 class Item(NamedTuple):
@@ -101,8 +100,6 @@ def generate_rules(
     A rule's label is the majority label of the transactions containing both
     of its items, ties resolved toward 1 (attack).
     """
-    if not transactions:
-        raise EmptyTransactionsError("cannot mine rules from zero transactions")
     n = len(transactions)
 
     # A pair is never more frequent than either of its items (Agrawal &

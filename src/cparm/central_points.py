@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CATEGORICAL, Dataset, Value, is_missing
-from .errors import TooManyPartitionsError
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,10 +59,8 @@ def partition_index(n_records: int, p: int) -> np.ndarray:
 
 def _partition_size(n_records: int, p: int) -> int:
     """n // p, the rows of each partition but the last."""
-    if p > n_records:
-        raise TooManyPartitionsError(p, n_records)
-    if p < 1 or n_records < 1:
-        raise ValueError("record and partition counts must be positive")
+    if not 1 <= p <= n_records:
+        raise ValueError(f"cannot split {n_records} records into {p} partitions")
     return n_records // p
 
 

@@ -1,7 +1,7 @@
 """Command-line interface: `run` the pipeline, `synth` a dataset, `inspect` a CSV.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 data error,
-4 runtime or numeric error.
+4 runtime error, such as a failed write.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except (CparmError, FileNotFoundError, OSError) as exc:
+    except (CparmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
 

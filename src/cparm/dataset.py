@@ -101,6 +101,8 @@ class Dataset:
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         if not self.labels.size:
             raise EmptyDatasetError("dataset has no records")
+        if self.labels.min() < 0 or self.labels.max() > 1:
+            raise SchemaMismatchError("labels must be 0 or 1")
         names = [a.name for a in self.schema]
         if len(set(names)) != len(names):
             raise SchemaMismatchError("duplicate attribute names in schema")
@@ -177,8 +179,6 @@ def load_csv(
     Faults are reported in file order: the header's, then each data row's.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
     names, columns, labels = _read(path, label_column, schema)
     if any(column.late for column in columns):
         kinds = [CATEGORICAL if c.late else c.kind or NUMERIC for c in columns]
@@ -232,7 +232,13 @@ def _read_chunks(path: Path) -> Iterator:
     bad label among them is reported first; the ragged row then raises
     MalformedCsvError. A ``csv.Error`` names its line in the whole file.
     """
-    with path.open(newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
+    try:
+        fh = path.open(newline="", encoding="utf-8-sig")  # drops a leading BOM
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no such file: {path}") from None
+    except OSError as exc:  # such as a directory, or a name too long
+        raise UnreadableCsvError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         reader, before = csv.reader(fh), 0  # before: the file's lines ahead of reader's
         try:
             header = next(reader, None)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all pipeline stages.
 
-The three bases map onto CLI exit codes: ConfigError -> 2, DataError -> 3,
-NumericError -> 4.
+The two bases map onto CLI exit codes: ConfigError -> 2, DataError -> 3;
+anything else, such as a failed write -> 4.
 """
 
 
@@ -17,10 +17,6 @@ class DataError(CparmError):
     """Input data violates a contract (malformed file, bad labels, ...)."""
 
 
-class NumericError(CparmError):
-    """A numeric procedure failed at runtime (divergence, overflow, ...)."""
-
-
 # --- dataset ---------------------------------------------------------------
 
 class MalformedCsvError(DataError):
@@ -31,7 +27,8 @@ class MalformedCsvError(DataError):
 
 
 class UnreadableCsvError(DataError):
-    """The file is not UTF-8 text, or not CSV that the csv module reads."""
+    """The file cannot be opened, is not UTF-8 text, or is not CSV that the
+    csv module reads."""
 
 
 class UnknownLabelColumnError(DataError):
@@ -63,18 +60,7 @@ class SchemaMismatchError(DataError):
     pass
 
 
-# --- central points ---------------------------------------------------------
-
-class TooManyPartitionsError(DataError):
-    def __init__(self, p: int, n_records: int):
-        super().__init__(f"cannot split {n_records} records into {p} partitions")
-
-
 # --- rule mining -------------------------------------------------------------
-
-class EmptyTransactionsError(DataError):
-    pass
-
 
 class NoFeaturesSelectedError(DataError):
     """The rule miner produced no passing rules, so no features can be fed downstream."""
@@ -87,10 +73,6 @@ class SingleClassTrainingError(DataError):
         super().__init__("training data contains only one class; need both 0 and 1")
 
 
-class DivergedLossError(NumericError):
-    pass
-
-
 class TooFewRowsError(DataError):
     pass
 
@@ -101,18 +83,6 @@ class NonFiniteStatisticError(DataError):
     def __init__(self, column: str):
         super().__init__(f"numeric column {column!r} holds numbers too large to fit: "
                          "its mean or variance is not finite")
-
-
-class EmptyInputError(DataError):
-    pass
-
-
-class NonBinaryLabelError(DataError):
-    """A prediction or truth label handed to the metrics is not 0 or 1."""
-
-
-class LengthMismatchError(DataError):
-    """The metrics got different numbers of predictions and truth labels."""
 
 
 class StageError(CparmError):

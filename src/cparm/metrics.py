@@ -13,8 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, LengthMismatchError, NonBinaryLabelError
-
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -41,16 +39,9 @@ class MetricsReport:
 def confusion(
     predictions: Sequence[int] | np.ndarray, truth: Sequence[int] | np.ndarray
 ) -> ConfusionMatrix:
-    """Counts of the four (prediction, truth) cells; both must hold only 0 and 1."""
+    """Counts of the four (prediction, truth) cells of two equally long 0/1
+    sequences."""
     pred, true = np.asarray(predictions), np.asarray(truth)
-    if pred.shape != true.shape or pred.ndim != 1:
-        raise LengthMismatchError(f"{pred.size} predictions for {true.size} truth labels")
-    if not pred.size:
-        raise EmptyInputError("cannot evaluate zero predictions")
-    for name, values in (("prediction", pred), ("truth label", true)):
-        outside = (values != 0) & (values != 1)
-        if outside.any():
-            raise NonBinaryLabelError(f"{name} {values[outside][0].item()!r} is not 0 or 1")
     # cell 2*truth + prediction: 0 = tn, 1 = fp, 2 = fn, 3 = tp
     tn, fp, fn, tp = np.bincount(2 * true.astype(np.int64) + pred.astype(np.int64), minlength=4)
     return ConfusionMatrix(int(tp), int(tn), int(fp), int(fn))
@@ -61,8 +52,6 @@ def _ratio(num: int, den: int) -> float | None:
 
 
 def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
-    if cm.total < 1:
-        raise EmptyInputError("confusion matrix is empty")
     accuracy = (cm.tp + cm.tn) / cm.total
     fpr = _ratio(cm.fp, cm.fp + cm.tn)
     fnr = _ratio(cm.fn, cm.fn + cm.tp)

@@ -72,10 +72,13 @@ class SourceSynthetic:
 def check_output_path(path: str | Path) -> None:
     """Raise ConfigError unless ``path`` can name a file to write: its
     directory exists and it is not a directory itself."""
-    if not Path(path).parent.is_dir():
-        raise ConfigError(f"cannot write {path}: its directory does not exist")
-    if Path(path).is_dir():
-        raise ConfigError(f"cannot write {path}: it is a directory")
+    try:
+        if not Path(path).parent.is_dir():
+            raise ConfigError(f"cannot write {path}: its directory does not exist")
+        if Path(path).is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+    except OSError as exc:  # such as a name too long for the file system
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 @dataclass(frozen=True)

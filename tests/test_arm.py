@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +15,6 @@ from cparm.arm import (
 )
 from cparm.central_points import CentralPoint, CentralPointsTable, central_points
 from cparm.dataset import AttributeSchema
-from cparm.errors import EmptyTransactionsError
 from oracles import brute_force_rules, dataset, random_transactions
 
 
@@ -176,10 +174,6 @@ class TestGenerateRules:
         transactions = [trans(("a", 1.0), ("b", 2.0)) for _ in range(2)]
         assert generate_rules(transactions, 1.01, 0.5) == []
 
-    def test_empty_transactions(self):
-        with pytest.raises(EmptyTransactionsError):
-            generate_rules([], 0.4, 0.4)
-
     def test_matches_oracle_on_random_sets(self):
         rng = random.Random(42)
         for _ in range(20):
@@ -304,10 +298,6 @@ class TestThresholdSweep:
         sweep = run_threshold_sweep(transactions, 2)
         # class 0 ranks a,b; class 1 ranks c,d; the union keeps the best 2
         assert [name for name, _ in sweep.merged] == ["a", "b"]  # higher support, hence importance
-
-    def test_empty_transactions(self):
-        with pytest.raises(EmptyTransactionsError):
-            run_threshold_sweep([], 3)
 
     @settings(deadline=None)
     @given(mining_cases(max_thresholds=4), st.integers(1, 6))

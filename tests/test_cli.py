@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ from cparm.pipeline import PipelineConfig, SourceSplit
 
 # one more character than the csv module's default field_size_limit()
 OVERSIZED_FIELD = "x" * 131_073
+# a file name longer than the 255 bytes most file systems allow
+LONG_NAME = "x" * 300
 
 
 @pytest.fixture()
@@ -41,7 +44,9 @@ class TestSynthCommand:
         ("adir", "adir", "adir"),
         (".", None, "."),
         ("x.csv", "x.manifest.json", "x.manifest.json"),
-    ], ids=["missing_directory", "out_is_a_directory", "out_is_dot", "manifest_is_a_directory"])
+        (f"{LONG_NAME}.csv", None, f"{LONG_NAME}.csv"),
+    ], ids=["missing_directory", "out_is_a_directory", "out_is_dot", "manifest_is_a_directory",
+            "name_too_long"])
     def test_unwritable_output_exits_2_before_writing(self, tmp_path, monkeypatch, capsys, out,
                                                       directory, bad):
         monkeypatch.chdir(tmp_path)
@@ -65,6 +70,10 @@ class TestInspectCommand:
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "nope.csv")]) == 3
+
+    def test_directory_exits_3(self, tmp_path, capsys):
+        assert main(["inspect", str(tmp_path)]) == 3
+        assert f"cannot read {tmp_path}: Is a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell, encoding, message", [
         ("café", "latin-1", "is not UTF-8 text (byte 0xe9"),
@@ -286,11 +295,18 @@ def _missing_directory(flag):
 
 
 def _directory(flag):
-    """--input of the good CSV, with ``flag`` naming an existing directory."""
+    """--input of the good CSV, with ``flag`` naming an existing directory
+    (a second --input overrides the first)."""
     def build(good, work):
         (work / "adir").mkdir()
         return ["--input", str(good), flag, str(work / "adir")]
     return build
+
+
+def _long_report_name(good, work):
+    """--input of the good CSV, with --report naming a file whose name is too
+    long for the file system."""
+    return ["--input", str(good), "--report", str(work / f"{LONG_NAME}.json")]
 
 
 def _report_over_input(good, work):
@@ -327,12 +343,29 @@ def _renamed_columns(rows):
     return rows
 
 
+def _unknown_label_column(good, work):
+    return ["--input", str(good), "--label-column", "nope"]
+
+
+def _three_train_rows(good, work):
+    """Two normal rows and one attack as train, under every engine: both
+    classes, but fewer rows than EM's two components need."""
+    header, *rows = _rows(good)
+    train = [header] + [r for r in rows if r[-1] == "0"][:2] + [r for r in rows if r[-1] == "1"][:1]
+    path = _write(work / "train.csv", train)
+    return ["--train", str(path), "--test", str(good), "--engines", "em,nb,lr"]
+
+
 # (case, source arguments built from the good CSV, exit code)
 FAULTS = [
     ("ragged_row", _input(_ragged), 3),
     ("header_only", _input(lambda rows: rows[:1]), 3),
     ("label_column_only", _input(lambda rows: [row[-1:] for row in rows]), 3),
     ("unknown_label", _input(_unknown_label), 3),
+    ("unknown_label_column", _unknown_label_column, 3),
+    ("one_data_row", _input(lambda rows: rows[:2]), 3),
+    ("three_train_rows", _three_train_rows, 3),
+    ("input_is_a_directory", _directory("--input"), 3),
     ("single_class", _input(_single_class), 3),
     ("renamed_test_columns", _files(_renamed_columns), 3),
     ("latin1_byte", _input(_cells([7], "café"), encoding="latin-1"), 3),
@@ -341,6 +374,7 @@ FAULTS = [
     ("report_in_missing_directory", _missing_directory("--report"), 2),
     ("rules_in_missing_directory", _missing_directory("--dump-rules"), 2),
     ("report_is_a_directory", _directory("--report"), 2),
+    ("report_name_too_long", _long_report_name, 2),
     ("model_is_a_directory", _directory("--dump-model"), 2),
     ("report_over_input", _report_over_input, 2),
     ("rules_over_report", _rules_over_report, 2),
@@ -515,3 +549,17 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert result.returncode == 0
     assert "cparm" in result.stdout
+
+
+def test_failed_write_exits_4_and_leaves_no_file(synth_csv, tmp_path, monkeypatch, capsys):
+    # a failed write is the one failure left to exit 4, and no input causes
+    # one, so os.replace fails here as on a full disk
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setattr(os, "replace", full_disk)
+    assert _run(["--input", str(synth_csv)], work / "report.json") == 4
+    assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert not list(work.iterdir())  # neither the report nor its temp file

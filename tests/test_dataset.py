@@ -168,6 +168,12 @@ class TestDatasetInvariants:
         with pytest.raises(SchemaMismatchError):
             dataset(schema, transpose(((1.0, 2.0),)), (0,))
 
+    @pytest.mark.parametrize("labels", [(0, 2), (-1, 0)])
+    def test_labels_are_zero_or_one(self, labels):
+        schema = (AttributeSchema("a", "numeric"),)
+        with pytest.raises(SchemaMismatchError, match="labels must be 0 or 1"):
+            dataset(schema, transpose(((1.0,), (2.0,))), labels)
+
 
 def make_dataset(n):
     schema = (AttributeSchema("x", "numeric"),)
