@@ -11,8 +11,9 @@ tuple of distinct tokens, with -1 for a missing cell. Cells become Python
 values (``float``, ``str`` or ``None``) only at the edges: CSV text, dumps
 and reports. A CSV file is read and typed a block of rows at a time, about
 ``_BLOCK_CELLS`` cells whatever its width, so its text never exists whole.
-A block with no quote is split at its commas; ``csv.reader`` reads the
-header and, from the first block that holds a quote, the rest of the file.
+A block with no quote and no blank line is split at its commas;
+``csv.reader`` reads the header and, from the first block that holds
+either, the rest of the file.
 A column that turns out to be categorical only after its first block costs
 one more typed read of the whole file, and that read is the one returned.
 """
@@ -28,7 +29,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Literal, Sequence, TextIO
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -161,20 +162,21 @@ def load_csv(
 ) -> Dataset:
     """Load a headered CSV, pulling ``label_column`` out as the binary label.
 
-    The file is read a block of about ``_BLOCK_CELLS`` cells at a time (780
-    data rows at 42 fields), and each block's columns are typed as soon as
+    The file is read a block of ``max(1, _BLOCK_CELLS // width)`` lines at
+    a time (780 at 42 fields), and each block's columns are typed as soon as
     they are read, so the text of the whole table never exists at once, and
     the text held is bounded whatever the file's width. A block that
     ``csv.reader`` would read as plain comma-separated fields, as a file
     ``write_csv`` writes is, is split with ``str.split`` instead; from the
-    first block that is not, ``csv.reader`` reads the rest. Column kinds are
-    inferred from the whole column unless ``schema`` gives them. A test file
-    is typed from its own text under the training kinds, so a token such as
-    ``0`` stays ``0`` in a categorical column. A column inferred from numbers
-    that meets a non-number in a later block is categorical; its earlier
-    text is gone by then, so the whole file is read once more under the
-    inferred kinds, and that read is the one returned. The smaller the
-    block, the earlier in a file a first non-number costs that second read.
+    first block that is not, such as one with a quote or a blank line,
+    ``csv.reader`` reads the rest. Column kinds are inferred from the whole
+    column unless ``schema`` gives them. A test file is typed from its own
+    text under the training kinds, so a token such as ``0`` stays ``0`` in
+    a categorical column. A column inferred from numbers that meets a
+    non-number in a later block is categorical; its earlier text is gone by
+    then, so the whole file is read once more under the inferred kinds, and
+    that read is the one returned. The smaller the block, the earlier in a
+    file a first non-number costs that second read.
 
     Faults are reported in file order: the header's, then each data row's.
     """
@@ -217,16 +219,16 @@ def _read(
 
 def _read_chunks(path: Path) -> Iterator:
     """The header, then ``(first, text)`` for each chunk of up to
-    ``max(1, _BLOCK_CELLS // width)`` non-blank data rows, where ``width`` is
+    ``max(1, _BLOCK_CELLS // width)`` data rows, where ``width`` is
     the header's field count: the number of data rows before the chunk, and
     its cells as a list of one sequence per column. Nothing here holds a
     chunk once the next is read: the consumer may empty ``text`` as it goes.
 
-    ``csv.reader`` reads the header. Then each block of lines up to the next
-    chunk's last row is split at its commas when ``_plain_columns`` finds
-    that ``csv.reader`` would read it so; the first block that is not so
-    (a quote, a ragged row, ...) and the rest of the file go to
-    ``csv.reader``, so a quoted field may span lines and blocks.
+    ``csv.reader`` reads the header. Then each block of as many lines is
+    split at its commas when ``_plain_columns`` finds that ``csv.reader``
+    would read it so; the first block that is not so (a quote, a blank
+    line, a ragged row, ...) and the rest of the file go to ``csv.reader``,
+    so a quoted field may span lines and blocks, and blank lines are skipped.
 
     The rows before a ragged row are yielded as a chunk of their own, so a
     bad label among them is reported first; the ragged row then raises
@@ -247,14 +249,14 @@ def _read_chunks(path: Path) -> Iterator:
             yield header
             width, first = len(header), 0
             block = max(1, _BLOCK_CELLS // width)
-            read = reader.line_num  # the lines read so far
-            while (lines := _next_lines(fh, block)) and (text := _plain_columns(lines, width)):
-                read, n = read + len(lines), len(text[0])
+            while (lines := list(islice(fh, block))) and (text := _plain_columns(lines, width)):
+                n = len(lines)
                 del lines
                 yield first, text
                 del text
                 first += n
-            reader, before = csv.reader(chain(lines, fh)), read
+            before = reader.line_num + first  # a plain block's lines are its rows
+            reader = csv.reader(chain(lines, fh))
             rows = filter(None, reader)  # skip blank lines
             while chunk := list(islice(rows, block)):
                 ragged = next((i for i, row in enumerate(chunk) if len(row) != width), None)
@@ -275,38 +277,21 @@ def _read_chunks(path: Path) -> Iterator:
             raise UnreadableCsvError(f"{path}, line {before + reader.line_num}: {exc}") from None
 
 
-# The lines csv.reader reads as no row.
-_BLANK_LINES = ("\n", "\r\n", "\r")
-
-
-def _next_lines(fh: TextIO, rows: int) -> list[str]:
-    """The lines of ``fh`` up to its next ``rows``-th non-blank one or its end."""
-    lines = list(islice(fh, rows))
-    while (short := rows - len(lines) + sum(map(lines.count, _BLANK_LINES))) > 0:
-        more = list(islice(fh, short))
-        if not more:
-            break
-        lines += more
-    return lines
-
-
 def _plain_columns(lines: list[str], width: int) -> list[list[str]] | None:
-    """The cells of the non-blank ``lines``, one list per column, if
-    ``csv.reader`` reads each of them as ``width`` fields split at every
-    comma; otherwise None.
+    """The cells of ``lines``, one list per column, if ``csv.reader`` reads
+    each of them as ``width`` fields split at every comma; otherwise None.
 
     It does so when the lines hold no quote, NUL or ``\\r`` but in a
-    ``\\r\\n`` ending, none is longer than ``csv.field_size_limit()``, at
-    least one is not blank and each of those has ``width - 1`` commas.
+    ``\\r\\n`` ending, none is blank or longer than ``csv.field_size_limit()``,
+    and each has ``width - 1`` commas.
     """
     text = "".join(lines)
-    if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+    if '"' in text or "\0" in text or "\n" in lines or "\r\n" in lines:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
         return None
     if "\r" in text and text.count("\r") != text.count("\r\n"):
         return None
-    n = len(lines) - lines.count("\n") - lines.count("\r\n")
-    if n < len(lines):
-        text = "".join(line for line in lines if line not in _BLANK_LINES)
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     if not text.endswith("\n"):  # the file's last line
@@ -315,8 +300,8 @@ def _plain_columns(lines: list[str], width: int) -> list[list[str]] | None:
     text = text.replace("\n", ",\n,")  # so the text is held once as it is split
     flat = text.split(",")
     del text, flat[-1]
-    stride = width + 1
-    if not n or len(flat) != n * stride or flat[width::stride].count("\n") != n:
+    n, stride = len(lines), width + 1
+    if len(flat) != n * stride or flat[width::stride].count("\n") != n:
         return None
     return [flat[j::stride] for j in range(width)]
 

@@ -103,15 +103,8 @@ def _init_means(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return x[chosen].copy()
 
 
-def _gather(a: np.ndarray, inverse: np.ndarray | slice) -> np.ndarray:
-    """The rows of ``a`` for each data row; np.take gathers them faster than
-    ``a[inverse]``."""
-    return a if isinstance(inverse, slice) else np.take(a, inverse, axis=0)
-
-
 def _fit_once(
-    x: np.ndarray, first: np.ndarray | slice, inverse: np.ndarray | slice, seed: int,
-    restart: int,
+    x: np.ndarray, first: np.ndarray, inverse: np.ndarray, seed: int, restart: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
     """One seeded EM run: (weights, means, variances, ll_trace). The E-step
     sees only the rows ``x[first]``."""
@@ -125,8 +118,8 @@ def _fit_once(
     trace: list[float] = []
     for _ in range(MAX_ITERATIONS):
         resp, row_ll = _normalize_log(_log_densities(distinct, weights, means, variances))
-        resp = _gather(resp, inverse)
-        trace.append(float(_gather(row_ll, inverse).sum()))
+        resp = np.take(resp, inverse, axis=0)  # faster than resp[inverse]
+        trace.append(float(row_ll[inverse].sum()))
         if len(trace) >= 2 and trace[-1] - trace[-2] < TOLERANCE:
             break
         nk = np.maximum(resp.sum(axis=0), 1e-12)
@@ -148,13 +141,11 @@ def em_fit(matrix: FeatureMatrix, seed: int = 0) -> EMModel:
     if x.shape[0] < 2 * K:
         raise TooFewRowsError(f"EM with k={K} needs at least {2 * K} rows")
     first, inverse = distinct_rows(x)
-    if first.size == x.shape[0]:
-        first = inverse = slice(None)  # every row distinct: no copy, no gather
     runs = (_fit_once(x, first, inverse, seed, r) for r in range(RESTARTS))
     # max keeps the first of equal final log-likelihoods
     weights, means, variances, trace = max(runs, key=lambda run: run[3][-1])
     resp, _ = _normalize_log(_log_densities(x[first], weights, means, variances))
-    hard = _gather(resp.argmax(axis=1), inverse)
+    hard = resp.argmax(axis=1)[inverse]
     return EMModel(weights, means, variances, trace, map_clusters(hard, matrix.labels))
 
 

@@ -88,8 +88,6 @@ def lr_fit(matrix: FeatureMatrix) -> LRModel:
         raise SingleClassTrainingError()
     x = matrix.rows
     first, inverse = distinct_rows(x, matrix.labels)
-    if first.size == x.shape[0]:
-        first = inverse = slice(None)  # every row distinct: no copy, no gather
     xg, yg = x[first], y[first]
     w = np.zeros(matrix.width, dtype=np.float64)
     b = 0.0

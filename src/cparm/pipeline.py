@@ -66,7 +66,6 @@ class SourceSynthetic:
     n_records: int
     n_noise: int
     n_signal: int
-    fraction: float = DEFAULT_FRACTION
 
 
 def check_output_path(path: str | Path) -> None:
@@ -133,7 +132,7 @@ class PipelineConfig:
             "n_records": self.source.n_records,
             "n_noise": self.source.n_noise,
             "n_signal": self.source.n_signal,
-            "fraction": self.source.fraction,
+            "fraction": DEFAULT_FRACTION,
         }
 
     def to_dict(self) -> dict:
@@ -195,7 +194,7 @@ def _acquire(config: PipelineConfig) -> tuple[Dataset, Dataset]:
         full = load_csv(src.path, config.label_column)
         return split(full, src.fraction, config.seed)
     full, _manifest = synth_dataset(src.n_records, src.n_noise, src.n_signal, config.seed)
-    return split(full, src.fraction, config.seed)
+    return split(full, DEFAULT_FRACTION, config.seed)
 
 
 def _sweep_echo(sweep: SweepResult) -> tuple:

@@ -7,7 +7,22 @@ from pathlib import Path
 
 import pytest
 
+from cparm import cli
 from cparm.cli import main
+from cparm.errors import (
+    ConfigError,
+    EmptyDatasetError,
+    InvalidSpecError,
+    MalformedCsvError,
+    NoFeaturesSelectedError,
+    SchemaMismatchError,
+    SingleClassTrainingError,
+    TooFewRecordsError,
+    TooFewRowsError,
+    UnknownLabelColumnError,
+    UnmappableLabelError,
+    UnreadableCsvError,
+)
 from cparm.pipeline import PipelineConfig, SourceSplit
 
 # one more character than the csv module's default field_size_limit()
@@ -356,41 +371,49 @@ def _three_train_rows(good, work):
     return ["--train", str(path), "--test", str(good), "--engines", "em,nb,lr"]
 
 
-# (case, source arguments built from the good CSV, exit code)
+# (case, source arguments built from the good CSV, exit code, the error the
+# run raises: the innermost cause of a StageError)
 FAULTS = [
-    ("ragged_row", _input(_ragged), 3),
-    ("header_only", _input(lambda rows: rows[:1]), 3),
-    ("label_column_only", _input(lambda rows: [row[-1:] for row in rows]), 3),
-    ("unknown_label", _input(_unknown_label), 3),
-    ("unknown_label_column", _unknown_label_column, 3),
-    ("one_data_row", _input(lambda rows: rows[:2]), 3),
-    ("three_train_rows", _three_train_rows, 3),
-    ("input_is_a_directory", _directory("--input"), 3),
-    ("single_class", _input(_single_class), 3),
-    ("renamed_test_columns", _files(_renamed_columns), 3),
-    ("latin1_byte", _input(_cells([7], "café"), encoding="latin-1"), 3),
-    ("oversized_field", _input(_cells([7], OVERSIZED_FIELD)), 3),
-    ("crlf", _input(lambda rows: rows, newline="\r\n"), 0),
-    ("report_in_missing_directory", _missing_directory("--report"), 2),
-    ("rules_in_missing_directory", _missing_directory("--dump-rules"), 2),
-    ("report_is_a_directory", _directory("--report"), 2),
-    ("report_name_too_long", _long_report_name, 2),
-    ("model_is_a_directory", _directory("--dump-model"), 2),
-    ("report_over_input", _report_over_input, 2),
-    ("rules_over_report", _rules_over_report, 2),
-    ("split_ratio_of_one", _split_ratio("1.0"), 2),
-    ("no_rule_passes", _diffuse, 3),
+    ("ragged_row", _input(_ragged), 3, MalformedCsvError),
+    ("header_only", _input(lambda rows: rows[:1]), 3, EmptyDatasetError),
+    ("label_column_only", _input(lambda rows: [row[-1:] for row in rows]), 3, EmptyDatasetError),
+    ("unknown_label", _input(_unknown_label), 3, UnmappableLabelError),
+    ("unknown_label_column", _unknown_label_column, 3, UnknownLabelColumnError),
+    ("one_data_row", _input(lambda rows: rows[:2]), 3, TooFewRecordsError),
+    ("three_train_rows", _three_train_rows, 3, TooFewRowsError),
+    ("input_is_a_directory", _directory("--input"), 3, UnreadableCsvError),
+    ("single_class", _input(_single_class), 3, SingleClassTrainingError),
+    ("renamed_test_columns", _files(_renamed_columns), 3, SchemaMismatchError),
+    ("latin1_byte", _input(_cells([7], "café"), encoding="latin-1"), 3, UnreadableCsvError),
+    ("oversized_field", _input(_cells([7], OVERSIZED_FIELD)), 3, UnreadableCsvError),
+    ("crlf", _input(lambda rows: rows, newline="\r\n"), 0, None),
+    ("blank_line", _input(lambda rows: rows[:300] + [[]] + rows[300:]), 0, None),
+    ("report_in_missing_directory", _missing_directory("--report"), 2, ConfigError),
+    ("rules_in_missing_directory", _missing_directory("--dump-rules"), 2, ConfigError),
+    ("report_is_a_directory", _directory("--report"), 2, ConfigError),
+    ("report_name_too_long", _long_report_name, 2, ConfigError),
+    ("model_is_a_directory", _directory("--dump-model"), 2, ConfigError),
+    ("report_over_input", _report_over_input, 2, ConfigError),
+    ("rules_over_report", _rules_over_report, 2, ConfigError),
+    ("split_ratio_of_one", _split_ratio("1.0"), 2, InvalidSpecError),
+    ("no_rule_passes", _diffuse, 3, NoFeaturesSelectedError),
 ]
 
 
-@pytest.mark.parametrize("build, want", [c[1:] for c in FAULTS], ids=[c[0] for c in FAULTS])
-def test_fault_injection_exit_code_and_no_stray_files(synth_csv, tmp_path, capsys, build, want):
+@pytest.mark.parametrize("build, want, error", [c[1:] for c in FAULTS],
+                         ids=[c[0] for c in FAULTS])
+def test_fault_injection_exit_code_and_no_stray_files(
+    synth_csv, tmp_path, monkeypatch, capsys, build, want, error
+):
     work = tmp_path / "work"
     work.mkdir()
     report = work / "report.json"
     args = build(synth_csv, work)
     before = _contents(work)
+    raised, exit_code_for = [], cli._exit_code_for
+    monkeypatch.setattr(cli, "_exit_code_for", lambda exc: raised.append(exc) or exit_code_for(exc))
     assert _run(args, report) == want
+    assert (type(raised[-1]) if raised else None) is error  # a StageError's cause comes last
     assert not list(work.glob("*.tmp"))  # pathlib's * also matches dotfiles
     if want == 2:  # a bad value or output path, named and refused before loading
         assert args[-1] in capsys.readouterr().err

@@ -763,14 +763,38 @@ class TestChunkedRead:
     def test_the_block_with_the_first_quote_and_the_rest_go_to_csv_reader(
         self, tmp_path, monkeypatch, csv_rows
     ):
-        # two-row blocks; the first quote is in data row 5, the third block,
-        # and blank lines before data row 3 are split in the second
+        # two-row blocks; the first quote is in data row 5, the third block
         rows = rows_with(5, ["4", '"t,cp"', "0"])
-        path = write_rows(tmp_path / "data.csv", rows, 3)
+        path = write_rows(tmp_path / "data.csv", rows, 0)
         monkeypatch.setattr(loader, "_BLOCK_CELLS", 2 * 3)  # dur,proto,label
         got = load_csv(path, "label")
         want = [["dur", "proto", "label"], ["4", "t,cp", "0"], *rows[5:]]
         assert csv_rows == want
+        assert_identical(got, load_csv_reference(path, "label"))
+
+    def test_a_blank_line_sends_its_block_and_the_rest_to_csv_reader(
+        self, tmp_path, monkeypatch, csv_rows
+    ):
+        # two-row blocks; the second holds data row 3 and the first of two
+        # blank lines, which csv.reader reads as no row
+        rows = rows_with(1, ["0", "tcp", "0"])  # data row 1 as it is
+        path = write_rows(tmp_path / "data.csv", rows, 4)
+        monkeypatch.setattr(loader, "_BLOCK_CELLS", 2 * 3)  # dur,proto,label
+        got = load_csv(path, "label")
+        assert csv_rows == [["dur", "proto", "label"], rows[2], [], [], *rows[3:]]
+        assert_identical(got, load_csv_reference(path, "label"))
+
+    def test_a_trailing_blank_line_sends_only_the_last_block_to_csv_reader(
+        self, tmp_path, monkeypatch, csv_rows
+    ):
+        # five-row blocks of twelve rows and a blank line: the third block
+        # holds data rows 11 and 12 and the blank line
+        rows = rows_with(1, ["0", "tcp", "0"])  # data row 1 as it is
+        path = write_rows(tmp_path / "data.csv", rows, 0)
+        path.write_bytes(path.read_bytes() + b"\n")
+        monkeypatch.setattr(loader, "_BLOCK_CELLS", 5 * 3)  # dur,proto,label
+        got = load_csv(path, "label")
+        assert csv_rows == [["dur", "proto", "label"], *rows[10:], []]
         assert_identical(got, load_csv_reference(path, "label"))
 
     @pytest.mark.parametrize("budget", [1, 7])
