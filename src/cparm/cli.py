@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .central_points import partition_count
-from .dataset import load_csv, synth_dataset, write_csv
+from .dataset import atomic_open, load_csv, synth_dataset, write_csv
 from .errors import ConfigError, CparmError, DataError, StageError
 from .pipeline import (
     DEFAULT_FRACTION,
@@ -117,7 +117,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     check_output_path(manifest_path)
     dataset, manifest = synth_dataset(args.records, args.noise, args.signal, args.seed)
     write_csv(dataset, out)
-    manifest_path.write_text(manifest.to_json() + "\n", encoding="utf-8")
+    with atomic_open(manifest_path) as fh:
+        fh.write(manifest.to_json() + "\n")
     print(f"wrote {dataset.n_records} records x {dataset.n_attributes} attributes to {out}")
     print(f"manifest: {manifest_path}")
     return EXIT_OK

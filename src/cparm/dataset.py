@@ -23,9 +23,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import random
 import re
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -405,7 +406,7 @@ def write_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -
     the text of the whole table never exists at once.
     """
     rows = max(1, _BLOCK_CELLS // (dataset.n_attributes + 1))
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(dataset.attribute_names()) + [label_column])
         for start in range(0, dataset.n_records, rows):
@@ -415,6 +416,25 @@ def write_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -
                 for col, vocab in zip(dataset.columns, dataset.vocabularies)
             ]
             writer.writerows(zip(*text, dataset.labels[block].tolist()))
+
+
+@contextmanager
+def atomic_open(path: str | Path):
+    """A text file that replaces ``path`` only once the block completes.
+
+    It is written as a temp file in the target's directory and moved over
+    ``path`` with os.replace, so a failure leaves neither a partial file nor
+    the temp file behind, and an older file at ``path`` stays as it was.
+    """
+    target = Path(path)
+    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _column_text(column: np.ndarray, vocabulary: tuple[str, ...]) -> list[str]:
@@ -550,20 +570,7 @@ def synth_dataset(
     m = n_noise_features + n_signal_features
     positions = list(range(m))
     r.shuffle(positions)
-    signal_positions = sorted(positions[:n_signal_features])
-    signal_set = set(signal_positions)
-
-    names = [f"f{i:02d}" for i in range(m)]
-    kinds: list[Kind] = []
-    sig_rank: dict[int, int] = {}
-    noise_rank: dict[int, int] = {}
-    for i in range(m):
-        if i in signal_set:
-            sig_rank[i] = len(sig_rank)
-            kinds.append(NUMERIC if sig_rank[i] % 2 == 0 else CATEGORICAL)
-        else:
-            noise_rank[i] = len(noise_rank)
-            kinds.append(NUMERIC if noise_rank[i] % 2 == 0 else CATEGORICAL)
+    signal_set = set(positions[:n_signal_features])
 
     # Every cell consumes one random() of r, in row-major order. numpy's
     # legacy generator is the same MT19937 with the same double recipe, so
@@ -574,31 +581,32 @@ def synth_dataset(
     draws = stream.random_sample((n_records, m))
 
     labels = np.arange(n_records) % 2
-    columns: list[np.ndarray] = []
-    vocabularies: list[tuple[str, ...]] = []
-    for i in range(m):
+    names = [f"f{i:02d}" for i in range(m)]
+    signal: list[str] = []
+    built: list[tuple[Kind, np.ndarray, tuple[str, ...]]] = []  # (kind, column, vocabulary)
+    for i, name in enumerate(names):
         u = draws[:, i]
         if i in signal_set:
-            k = sig_rank[i]
-            if kinds[i] == NUMERIC:
+            k = len(signal)
+            signal.append(name)
+            if k % 2 == 0:
                 # discrete triangular around an integer center; class 1 sits
                 # one step (3 pooled standard deviations, sd ~ 1/3) above
                 # class 0, and integer values keep partition modes repeatable
                 c = 10 + 4 * k + labels
-                columns.append(np.where(u < 0.05, c - 1, np.where(u >= 0.95, c + 1, c)).astype(np.float64))
-                vocabularies.append(())
+                column = np.where(u < 0.05, c - 1, np.where(u >= 0.95, c + 1, c))
+                built.append((NUMERIC, column.astype(np.float64), ()))
             else:
                 # 80/20 token skew for class 0, mirrored 20/80 for class 1
-                columns.append((u >= np.where(labels == 0, 0.8, 0.2)).astype(np.int32))
-                vocabularies.append((f"s{k}a", f"s{k}b"))
-        elif kinds[i] == NUMERIC:
-            columns.append(u.copy())
-            vocabularies.append(())
+                column = u >= np.where(labels == 0, 0.8, 0.2)
+                built.append((CATEGORICAL, column.astype(np.int32), (f"s{k}a", f"s{k}b")))
+        elif (i - len(signal)) % 2 == 0:  # i - len(signal) noise columns come before this one
+            built.append((NUMERIC, u.copy(), ()))
         else:
-            columns.append((u * 4).astype(np.int32))
-            vocabularies.append(("n0", "n1", "n2", "n3"))
+            built.append((CATEGORICAL, (u * 4).astype(np.int32), ("n0", "n1", "n2", "n3")))
     del draws
 
+    kinds, columns, vocabularies = zip(*built)
     dataset = Dataset(tuple(map(AttributeSchema, names, kinds)), columns, vocabularies, labels)
-    manifest = SynthManifest(tuple(names[i] for i in signal_positions), seed)
+    manifest = SynthManifest(tuple(signal), seed)
     return dataset, manifest

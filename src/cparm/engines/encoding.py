@@ -83,11 +83,11 @@ def distinct_rows(
 
     Two rows are equal when every cell has the same float bit pattern, so
     0.0 and -0.0 stay apart; with ``labels``, rows with different labels
-    are never equal. ``first`` holds each group's first row, ascending, so an
-    all-distinct matrix gives the identity. One stable ``np.lexsort`` over
-    the rows' int64 bit patterns (and labels) puts equal rows next to each
-    other, earliest first, and a group starts where a sorted row differs
-    from the one before.
+    are never equal. One stable ``np.lexsort`` over the rows' int64 bit
+    patterns (and labels) puts equal rows next to each other, earliest
+    first, and a group starts where a sorted row differs from the one
+    before. The groups come in that sorted order, and ``first[g]`` is the
+    earliest row of group g.
     """
     keys = [*np.ascontiguousarray(rows, dtype=np.float64).view(np.int64).T]  # one per column
     if labels is not None:
@@ -96,13 +96,9 @@ def distinct_rows(
     starts = np.ones(order.size, dtype=bool)
     # a difference of two int64 is 0 only between equal values, even where it wraps
     starts[1:] = np.any([np.diff(key[order]) != 0 for key in keys], axis=0)
-    first = order[starts]  # each group's first row, in sorted order
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
     inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = rank[np.cumsum(starts) - 1]
-    return first[by_first], inverse
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 def _filled(column: np.ndarray, impute: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..dataset import CATEGORICAL, Dataset, require_schema
+from ..dataset import CATEGORICAL, NUMERIC, Dataset, require_schema
 from ..errors import NonFiniteStatisticError, SingleClassTrainingError
 from .logistic import _sigmoid
 
@@ -24,30 +24,35 @@ LAPLACE_ALPHA = 1.0
 
 @dataclass(frozen=True)
 class CategoricalLikelihood:
-    vocabulary: tuple[str, ...]
-    tables: tuple[dict[str, float], dict[str, float]]  # token -> P(token | class)
+    kind = CATEGORICAL
+    tables: tuple[dict[str, float], dict[str, float]]  # token -> P(token | class), same tokens
 
     def log_likelihoods(self, codes: np.ndarray, vocabulary: Sequence[str]) -> np.ndarray:
         """(2, n) log P(cell | class) for codes into ``vocabulary``; a missing
         cell (code -1) contributes 0."""
-        # unseen token: uniform over the training vocabulary
-        unseen = math.log(1.0 / len(self.vocabulary) if self.vocabulary else 1.0)
+        # unseen token: uniform over the training tokens
+        unseen = math.log(1.0 / len(self.tables[0]) if self.tables[0] else 1.0)
         table = np.empty((2, len(vocabulary) + 1))
         for cls in (0, 1):
             logs = {tok: math.log(p) for tok, p in self.tables[cls].items()}
             table[cls] = [logs.get(tok, unseen) for tok in vocabulary] + [0.0]
         return table[:, codes]
 
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "tables": [dict(sorted(t.items())) for t in self.tables]}
+
 
 @dataclass(frozen=True)
 class GaussianLikelihood:
+    kind = NUMERIC
     means: tuple[float, float]
     variances: tuple[float, float]
 
-    def log_likelihoods(self, x: np.ndarray) -> np.ndarray:
-        """(2, n) log N(cell | class mean, class variance); a missing cell
-        (NaN) contributes 0, and a cell too far from a class mean for float64
-        gives that class -inf."""
+    def log_likelihoods(self, x: np.ndarray, vocabulary: Sequence[str]) -> np.ndarray:
+        """(2, n) log N(cell | class mean, class variance); ``vocabulary``,
+        empty for a numeric column, is not used. A missing cell (NaN)
+        contributes 0, and a cell too far from a class mean for float64 gives
+        that class -inf."""
         out = np.empty((2, x.shape[0]))
         with np.errstate(over="ignore"):
             for cls in (0, 1):
@@ -56,28 +61,23 @@ class GaussianLikelihood:
         out[:, np.isnan(x)] = 0.0
         return out
 
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "means": list(self.means), "variances": list(self.variances)}
+
 
 @dataclass(frozen=True)
 class NBModel:
     feature_names: tuple[str, ...]
-    kinds: tuple[str, ...]
     priors: tuple[float, float]
-    likelihoods: tuple[CategoricalLikelihood | GaussianLikelihood, ...]
+    likelihoods: tuple[CategoricalLikelihood | GaussianLikelihood, ...]  # one per feature
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        """Each feature's kind: its likelihood's."""
+        return tuple(lik.kind for lik in self.likelihoods)
 
     def to_dict(self) -> dict:
-        features = {}
-        for name, kind, lik in zip(self.feature_names, self.kinds, self.likelihoods):
-            if isinstance(lik, CategoricalLikelihood):
-                features[name] = {
-                    "kind": kind,
-                    "tables": [dict(sorted(t.items())) for t in lik.tables],
-                }
-            else:
-                features[name] = {
-                    "kind": kind,
-                    "means": list(lik.means),
-                    "variances": list(lik.variances),
-                }
+        features = {name: lik.to_dict() for name, lik in zip(self.feature_names, self.likelihoods)}
         return {"priors": list(self.priors), "features": features}
 
 
@@ -97,8 +97,7 @@ def nb_fit(train: Dataset) -> NBModel:
         else _fit_gaussian(attr.name, column, labels)
         for attr, column, vocab in zip(train.schema, train.columns, train.vocabularies)
     )
-    kinds = tuple(a.kind for a in train.schema)
-    return NBModel(train.attribute_names(), kinds, priors, likelihoods)
+    return NBModel(train.attribute_names(), priors, likelihoods)
 
 
 def _fit_tokens(codes: np.ndarray, vocab: tuple[str, ...], labels: np.ndarray) -> CategoricalLikelihood:
@@ -114,7 +113,7 @@ def _fit_tokens(codes: np.ndarray, vocab: tuple[str, ...], labels: np.ndarray) -
         tables.append(
             {tok: (c + LAPLACE_ALPHA) / total for tok, c in zip(tokens, counts[cls, used].tolist())}
         )
-    return CategoricalLikelihood(tokens, (tables[0], tables[1]))
+    return CategoricalLikelihood((tables[0], tables[1]))
 
 
 def _fit_gaussian(name: str, x: np.ndarray, labels: np.ndarray) -> GaussianLikelihood:
@@ -158,9 +157,6 @@ def nb_predict(model: NBModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
     logs = np.empty((2, test.n_records))
     logs[0], logs[1] = math.log(model.priors[0]), math.log(model.priors[1])
     for column, vocab, lik in zip(test.columns, test.vocabularies, model.likelihoods):
-        if isinstance(lik, CategoricalLikelihood):
-            logs += lik.log_likelihoods(column, vocab)
-        else:
-            logs += lik.log_likelihoods(column)
+        logs += lik.log_likelihoods(column, vocab)
     logs[:, np.isneginf(logs).all(axis=0)] = 0.0  # both classes -inf: a tie
     return (logs[1] >= logs[0]).astype(np.int64), _sigmoid(logs[1] - logs[0])

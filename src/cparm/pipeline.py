@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -21,6 +20,7 @@ from .arm import SweepResult, build_transactions, run_threshold_sweep
 from .central_points import CentralPointsTable, central_points, partition_count
 from .dataset import (
     Dataset,
+    atomic_open,
     check_seed_and_fraction,
     format_cell,
     load_csv,
@@ -319,32 +319,13 @@ def dumps_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-@contextmanager
-def _atomic_open(path: str | Path):
-    """A text file that replaces ``path`` only once the block completes.
-
-    It is written as a temp file in the target's directory and moved over
-    ``path`` with os.replace, so a failure leaves neither a partial file nor
-    the temp file behind, and an older file at ``path`` stays as it was.
-    """
-    target = Path(path)
-    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
-    try:
-        with tmp.open("w", newline="", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _write_json(obj, path: str | Path) -> None:
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.write(dumps_json(obj) + "\n")
 
 
 def _dump_centres(table: CentralPointsTable, path: str | Path) -> None:
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["attribute", "partition", "value", "frequency"])
         for cp in table.entries:
@@ -352,7 +333,7 @@ def _dump_centres(table: CentralPointsTable, path: str | Path) -> None:
 
 
 def _dump_rules(rules, path: str | Path) -> None:
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             [
@@ -379,14 +360,7 @@ def render_metrics_table(report: EvaluationReport) -> str:
     headers = ["engine", "accuracy", "far", "fpr", "fnr", "precision", "recall"]
     rows = [headers]
     for engine, result in report.engines.items():
-        m = result["metrics"]
-        rows.append(
-            [
-                engine,
-                pct(m["accuracy"]), pct(m["far"]), pct(m["fpr"]),
-                pct(m["fnr"]), pct(m["precision"]), pct(m["recall"]),
-            ]
-        )
+        rows.append([engine, *(pct(result["metrics"][name]) for name in headers[1:])])
     widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
     lines = []
     for r in rows:

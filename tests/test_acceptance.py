@@ -187,14 +187,10 @@ def test_c07_nb_matches_raw_probability_oracle():
                     raw = [rng.uniform(0.02, 1.0) for _ in vocab]
                     total = sum(raw)
                     tables.append({tok: v / total for tok, v in zip(vocab, raw)})
-                likelihoods.append(CategoricalLikelihood(vocab, (tables[0], tables[1])))
+                likelihoods.append(CategoricalLikelihood((tables[0], tables[1])))
             p1 = rng.uniform(0.05, 0.95)
-            model = NBModel(
-                tuple(f"f{i}" for i in range(n_features)),
-                ("categorical",) * n_features,
-                (1 - p1, p1),
-                tuple(likelihoods),
-            )
+            model = NBModel(tuple(f"f{i}" for i in range(n_features)), (1 - p1, p1),
+                            tuple(likelihoods))
             row = [rng.choice(vocab) for _ in range(n_features)]
             joint = [model.priors[0], model.priors[1]]
             for cls in (0, 1):

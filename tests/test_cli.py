@@ -73,6 +73,21 @@ class TestSynthCommand:
         assert f"cannot write {bad}:" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_failed_write_exits_4_and_keeps_the_earlier_files(self, synth_csv, monkeypatch,
+                                                             capsys):
+        # os.replace fails as on a full disk: the earlier run's CSV and
+        # manifest stay as they were, and no temp file is left beside them
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        before = {p.name: p.read_bytes() for p in synth_csv.parent.iterdir()}
+        monkeypatch.setattr(os, "replace", full_disk)
+        code = main(["synth", "--out", str(synth_csv), "--records", "5000", "--noise", "4",
+                     "--signal", "2", "--seed", "1"])
+        assert code == 4
+        assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in synth_csv.parent.iterdir()} == before
+
 
 class TestInspectCommand:
     def test_prints_schema_and_partitions(self, synth_csv, capsys):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -229,6 +230,18 @@ class TestSplit:
                 split(make_dataset(10), fraction, seed)
 
 
+# (records, noise, signal, seed) -> sha256 of write_csv's bytes and the
+# manifest's JSON, recorded before synth_dataset built its columns in one pass
+PINNED_SYNTH = {
+    (4, 0, 1, 0): "a4bc3f412cfbb6f13c49e681769a39cdf2e1b2666cf0e094a76521486844990a",
+    (50, 0, 5, 3): "009e3e265398d88c60cbc363721e9caa4d8186af1f5bf0234bdfe38a5d40bf82",
+    (50, 7, 3, 2**64 - 1): "d1c1100f83f28170a2921b8a77ee8f99a877d269faa5241555ae3bad927c1a51",
+    (301, 9, 4, 11): "5f606088cf6fa5b7b6a7b46490218e5354baa590dba2b2955c507d7ea3b47c3f",
+    (1000, 3, 6, 12345): "a3f844d367803a39589f82139b5514460d480206519fa2906b0d954f32e0358e",
+    (2000, 16, 4, 7): "be3d2b05ac87b89f36c86e1fcbf09319a8e5d553c5ca73f0ca523a2432b9d216",
+}
+
+
 class TestSynthDataset:
     def test_counts(self):
         ds, manifest = synth_dataset(1000, 16, 4, seed=7)
@@ -288,6 +301,13 @@ class TestSynthDataset:
         assert [list(map(repr, c)) for c in got] == [list(map(repr, c)) for c in columns]
         assert tuple(ds.labels) == labels
         assert manifest == SynthManifest(signal, seed)
+
+    @pytest.mark.parametrize("spec", PINNED_SYNTH, ids=lambda spec: "-".join(map(str, spec)))
+    def test_synth_output_is_pinned(self, tmp_path, spec):
+        ds, manifest = synth_dataset(*spec)
+        write_csv(ds, tmp_path / "synth.csv")
+        data = (tmp_path / "synth.csv").read_bytes() + manifest.to_json().encode()
+        assert hashlib.sha256(data).hexdigest() == PINNED_SYNTH[spec]
 
     def test_synth_roundtrips_through_csv(self, tmp_path):
         ds, _ = synth_dataset(50, 3, 2, seed=11)

@@ -94,6 +94,14 @@ def test_overflowing_statistics_name_the_column(values):
         encode(ds)
 
 
+def grouping(first, inverse):
+    """distinct_rows' (first, inverse) as lists, with the groups numbered in
+    the order of their first rows, as distinct_rows_reference numbers them."""
+    ordered = sorted(first.tolist())
+    rank = {row: g for g, row in enumerate(ordered)}
+    return ordered, [rank[row] for row in first[inverse].tolist()]
+
+
 class TestDistinctRows:
     def test_gathers_back_to_the_rows_bitwise(self):
         rng = np.random.default_rng(4)
@@ -103,29 +111,22 @@ class TestDistinctRows:
         assert rows[first][inverse].tobytes() == rows.tobytes()
         assert len(first) == len({r.tobytes() for r in rows})
 
-    def test_groups_in_first_occurrence_order(self):
+    def test_groups_equal_rows_under_their_earliest_row(self):
         rows = np.array([[2.0], [1.0], [2.0], [3.0], [1.0]])
-        first, inverse = distinct_rows(rows)
-        assert first.tolist() == [0, 1, 3]
-        assert inverse.tolist() == [0, 1, 0, 2, 1]
+        assert grouping(*distinct_rows(rows)) == ([0, 1, 3], [0, 1, 0, 2, 1])
 
-    def test_all_distinct_is_the_identity(self):
+    def test_all_distinct_rows_are_groups_of_one(self):
         # told apart by one column, and only by the columns together
         for rows in ([[3.0, 0.0], [1.0, 0.0], [2.0, 5.0]], [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]):
-            first, inverse = distinct_rows(np.array(rows))
-            assert first.tolist() == inverse.tolist() == [0, 1, 2]
+            assert grouping(*distinct_rows(np.array(rows))) == ([0, 1, 2], [0, 1, 2])
 
     def test_signed_zeros_are_separate_groups(self):
         rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
-        first, inverse = distinct_rows(rows)
-        assert first.tolist() == [0, 1]
-        assert inverse.tolist() == [0, 1, 0]
+        assert grouping(*distinct_rows(rows)) == ([0, 1], [0, 1, 0])
 
     def test_labels_split_groups(self):
         rows = np.ones((4, 2))
-        first, inverse = distinct_rows(rows, np.array([1, 0, 1, 0]))
-        assert first.tolist() == [0, 1]
-        assert inverse.tolist() == [0, 1, 0, 1]
+        assert grouping(*distinct_rows(rows, np.array([1, 0, 1, 0]))) == ([0, 1], [0, 1, 0, 1])
         assert distinct_rows(rows)[0].tolist() == [0]
 
     def test_wide_rows_group_by_content(self):
@@ -152,5 +153,4 @@ class TestDistinctRows:
         rows[flip] = np.where(rows[flip] == 0, -rows[flip], rows[flip])
         labels = data.draw(st.none() | st.lists(st.integers(0, 1), min_size=n, max_size=n))
         labels = None if labels is None else np.array(labels)
-        first, inverse = distinct_rows(rows, labels)
-        assert (first.tolist(), inverse.tolist()) == distinct_rows_reference(rows, labels)
+        assert grouping(*distinct_rows(rows, labels)) == distinct_rows_reference(rows, labels)

@@ -92,11 +92,8 @@ def predict(model, columns):
 
 
 def hand_model(p_x0=0.9, p_x1=0.1, priors=(0.5, 0.5)):
-    lik = CategoricalLikelihood(
-        vocabulary=("x", "y"),
-        tables=({"x": p_x0, "y": 1 - p_x0}, {"x": p_x1, "y": 1 - p_x1}),
-    )
-    return NBModel(("f0",), ("categorical",), priors, (lik,))
+    lik = CategoricalLikelihood(({"x": p_x0, "y": 1 - p_x0}, {"x": p_x1, "y": 1 - p_x1}))
+    return NBModel(("f0",), priors, (lik,))
 
 
 class TestPredict:
@@ -119,7 +116,7 @@ class TestPredict:
     def test_cell_too_far_for_both_classes_is_a_tie(self):
         # (1e300 - mean) ** 2 overflows float64: both classes score -inf
         gauss = GaussianLikelihood(means=(0.0, 1.0), variances=(1.0, 1.0))
-        model = NBModel(("f0",), ("numeric",), (0.9, 0.1), (gauss,))
+        model = NBModel(("f0",), (0.9, 0.1), (gauss,))
         labels, posterior_1 = predict(model, transpose([[1e300], [0.0]]))
         assert labels.tolist() == [1, 0]
         assert posterior_1[0] == 0.5
@@ -170,14 +167,10 @@ class TestPredict:
                     raw = [rng.uniform(0.05, 1.0) for _ in vocab]
                     total = sum(raw)
                     tables.append({tok: w / total for tok, w in zip(vocab, raw)})
-                likelihoods.append(CategoricalLikelihood(vocab, (tables[0], tables[1])))
+                likelihoods.append(CategoricalLikelihood((tables[0], tables[1])))
             p1 = rng.uniform(0.1, 0.9)
-            model = NBModel(
-                tuple(f"f{i}" for i in range(n_features)),
-                ("categorical",) * n_features,
-                (1 - p1, p1),
-                tuple(likelihoods),
-            )
+            model = NBModel(tuple(f"f{i}" for i in range(n_features)), (1 - p1, p1),
+                            tuple(likelihoods))
             row = [rng.choice(vocab) for _ in range(n_features)]
 
             # oracle: multiply raw probabilities, no logs
@@ -201,7 +194,7 @@ def per_row_log_posteriors(model, row):
             continue
         for cls in (0, 1):
             if isinstance(lik, CategoricalLikelihood):
-                logs[cls] += math.log(lik.tables[cls].get(value, 1.0 / len(lik.vocabulary)))
+                logs[cls] += math.log(lik.tables[cls].get(value, 1.0 / len(lik.tables[cls])))
             else:
                 mu, var = lik.means[cls], lik.variances[cls]
                 logs[cls] += -0.5 * math.log(2.0 * math.pi * var) - (value - mu) ** 2 / (2.0 * var)
