@@ -29,6 +29,7 @@ from .arm import (
     Item,
     Rule,
     Transaction,
+    Transactions,
     build_transactions,
     generate_rules,
     run_threshold_sweep,
@@ -62,6 +63,7 @@ __all__ = [
     "Item",
     "Rule",
     "Transaction",
+    "Transactions",
     "build_transactions",
     "generate_rules",
     "run_threshold_sweep",

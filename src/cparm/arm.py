@@ -1,18 +1,23 @@
 """Pairwise association-rule mining over central-point transactions.
 
 Each partition becomes one transaction whose items are its central points
-(attribute=value pairs). Rules are ordered pairs of items with distinct
-attributes; a rule survives when support >= minsup and confidence >= minconf,
-and is ranked by importance = (support + confidence) / 2. A ranking is a
-tuple of (attribute, importance) pairs, best first, with names breaking ties.
+(attribute=value pairs). The transactions are held as a (p, m) matrix of item
+codes, one column per attribute, with -1 where a partition has no central
+point; ``Transaction`` objects are built only when a row is asked for. Rules
+are ordered pairs of items with distinct attributes, counted one attribute
+pair at a time over the items that pass minsup; a rule survives
+when support >= minsup and confidence >= minconf, and is ranked by
+importance = (support + confidence) / 2. A ranking is a tuple of
+(attribute, importance) pairs, best first, with names breaking ties.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 from .central_points import CentralPointsTable
 from .dataset import Value
@@ -78,69 +83,105 @@ def rule_sort_key(rule: Rule):
     )
 
 
-def build_transactions(table: CentralPointsTable) -> list[Transaction]:
+@dataclass(frozen=True, eq=False)
+class Transactions(Sequence[Transaction]):
+    """One transaction per row of a (transactions, attributes) code matrix.
+
+    ``codes[t, j]`` is the code of transaction t's item for attribute j, an
+    index into ``values[j]``, or -1 when t holds no item for j. Equal items
+    share one code. Indexing builds row i's ``Transaction``.
+    """
+
+    attributes: tuple[str, ...]
+    values: tuple[tuple[Value, ...], ...]  # each attribute's item values, by code
+    codes: np.ndarray  # (n, len(attributes)) int
+    labels: np.ndarray  # (n,) int
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int) -> Transaction:
+        items = zip(self.attributes, self.values, self.codes[i].tolist())
+        return Transaction(
+            frozenset(Item(a, values[c]) for a, values, c in items if c >= 0),
+            int(self.labels[i]),
+        )
+
+
+def build_transactions(table: CentralPointsTable) -> Transactions:
     """One transaction per partition, items taken from its central points and
-    labelled with the partition's label. Equal items are one shared object."""
-    per_partition: list[list[Item]] = [[] for _ in range(table.p)]
-    shared: dict[Item, Item] = {}
-    for cp in table.entries:
-        item = Item(cp.attribute, cp.value)
-        per_partition[cp.partition_index].append(shared.setdefault(item, item))
-    return [
-        Transaction(frozenset(items), label)
-        for items, label in zip(per_partition, table.labels)
-    ]
+    labelled with the partition's label.
+
+    Each attribute's modes are coded by one ``np.unique``: values that compare
+    equal (0.0 and -0.0) are one item, spelled as its earliest partition's.
+    """
+    codes = np.full((table.p, len(table.attributes)), -1, dtype=np.int64)
+    values = []
+    for j, attr in enumerate(table.attributes):
+        _, first, inverse = np.unique(attr.modes, return_index=True, return_inverse=True)
+        codes[attr.partitions, j] = inverse
+        values.append(tuple(attr.values(first)))
+    return Transactions(
+        tuple(a.name for a in table.attributes), tuple(values), codes, np.array(table.labels)
+    )
 
 
-def generate_rules(
-    transactions: Sequence[Transaction], minsup: float, minconf: float
-) -> list[Rule]:
+def generate_rules(transactions: Transactions, minsup: float, minconf: float) -> list[Rule]:
     """All passing ordered-pair rules, sorted by rule_sort_key.
 
     A rule's label is the majority label of the transactions containing both
     of its items, ties resolved toward 1 (attack).
     """
     n = len(transactions)
+    labels = transactions.labels
 
     # A pair is never more frequent than either of its items (Agrawal &
     # Srikant, VLDB 1994), so an item with count / n < minsup cannot be in a
-    # passing rule: drop it before pair counting. The survivors are interned
-    # to integers so pair counting touches only small tuples.
-    item_counts = Counter(item for t in transactions for item in t.items)
-    item_ids: dict[Item, int] = {}
-    for item, count in item_counts.items():
-        if count / n >= minsup:
-            item_ids[item] = len(item_ids)
-    items_by_id = list(item_ids)
+    # passing rule: its cells become -1 before pair counting, and an
+    # attribute left with no item takes no part.
+    kept = []  # (attribute, values, item counts, codes with pruned items -1)
+    for attribute, values, codes in zip(
+        transactions.attributes, transactions.values, transactions.codes.T
+    ):
+        counts = np.bincount(codes[codes >= 0], minlength=len(values))
+        frequent = counts / n >= minsup
+        if frequent.any():
+            # an absent cell reads frequent[-1] but stays -1 either way
+            kept.append((attribute, values, counts, np.where(frequent[codes], codes, -1)))
 
-    pair_counts: Counter[tuple[int, int]] = Counter()
-    pair_attacks: Counter[tuple[int, int]] = Counter()
-    for t in transactions:
-        pairs = permutations([item_ids[i] for i in t.items if i in item_ids], 2)
-        if t.label == 1:
-            pairs = list(pairs)
-            pair_attacks.update(pairs)
-        pair_counts.update(pairs)
-
+    # Zaki's vertical counting (IEEE TKDE 2000) one attribute pair at a time:
+    # the rows holding a kept item of both attributes, keyed by the item pair,
+    # give each pair's count and its attack-labelled count.
     rules = []
-    for (a, c), both in pair_counts.items():
-        sup = both / n
-        if sup < minsup:
-            continue
-        conf = both / item_counts[items_by_id[a]]
-        if conf < minconf:
-            continue
-        label = 1 if 2 * pair_attacks[(a, c)] >= both else 0
-        rules.append(
-            Rule(
-                antecedent=items_by_id[a],
-                consequent=items_by_id[c],
-                support=sup,
-                confidence=conf,
-                importance=(sup + conf) / 2,
-                label=label,
-            )
-        )
+    for j, (attribute1, values1, counts1, codes1) in enumerate(kept):
+        for attribute2, values2, counts2, codes2 in kept[j + 1:]:
+            rows = (codes1 >= 0) & (codes2 >= 0)
+            keys = codes1[rows] * len(values2) + codes2[rows]
+            pairs, inverse, together = np.unique(keys, return_inverse=True, return_counts=True)
+            attacks = np.bincount(inverse[labels[rows] == 1], minlength=len(pairs))
+            frequent = together / n >= minsup
+            for key, pair, pair_attacks in zip(
+                pairs[frequent].tolist(), together[frequent].tolist(), attacks[frequent].tolist()
+            ):
+                code1, code2 = divmod(key, len(values2))
+                item1, item2 = Item(attribute1, values1[code1]), Item(attribute2, values2[code2])
+                sup = pair / n
+                label = 1 if 2 * pair_attacks >= pair else 0
+                for antecedent, consequent, count in (
+                    (item1, item2, int(counts1[code1])), (item2, item1, int(counts2[code2]))
+                ):
+                    conf = pair / count
+                    if conf >= minconf:
+                        rules.append(
+                            Rule(
+                                antecedent=antecedent,
+                                consequent=consequent,
+                                support=sup,
+                                confidence=conf,
+                                importance=(sup + conf) / 2,
+                                label=label,
+                            )
+                        )
     rules.sort(key=rule_sort_key)
     return rules
 

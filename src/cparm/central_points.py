@@ -12,15 +12,20 @@ categorical attributes go through the same frequency count; numeric equality
 is exact value equality, never epsilon bucketing. Among equally frequent
 values the one whose first occurrence in the slice comes latest wins, so
 ['tcp', 'udp', 'tcp', 'udp'] resolves to ('udp', 2).
+
+The table keeps each attribute's central points as the three arrays
+``partition_modes`` returns, the mode values still typed as the column is;
+``CentralPoint`` objects are spelled from them only when ``entries`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset, Value, is_missing
+from .dataset import Dataset, Value, is_missing
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,18 +36,49 @@ class CentralPoint:
     frequency: int
 
 
-@dataclass(frozen=True)
+class AttributeModes(NamedTuple):
+    """One attribute's central points: the partitions whose slice of the
+    column has a non-missing cell, in increasing order, each one's mode and
+    the mode's count. ``modes`` holds the column's own typed values (float64
+    numbers, or int32 codes into ``vocabulary``)."""
+
+    name: str
+    partitions: np.ndarray
+    modes: np.ndarray
+    counts: np.ndarray
+    vocabulary: tuple[str, ...]  # () for a numeric attribute
+
+    def values(self, at: slice | np.ndarray = slice(None)) -> list[Value]:
+        """The modes at ``at`` (all of them by default) as cell values, each
+        spelled as its own partition's mode, so -0.0 stays -0.0."""
+        values = self.modes[at].tolist()
+        if self.modes.dtype == np.float64:
+            return values
+        return [self.vocabulary[code] for code in values]
+
+
+@dataclass(frozen=True, eq=False)
 class CentralPointsTable:
-    """All central points, ordered by (attribute position, partition index),
-    and the label of each partition.
+    """The central points of every attribute, in attribute order, and the
+    label of each of the p partitions.
 
     An (attribute, partition) pair is absent only when that slice of the
     column is entirely missing.
     """
 
-    entries: tuple[CentralPoint, ...]
+    attributes: tuple[AttributeModes, ...]
     p: int
     labels: tuple[int, ...]  # majority label per partition, exact ties 1 (attack)
+
+    @property
+    def entries(self) -> tuple[CentralPoint, ...]:
+        """Every central point as an object, ordered by (attribute position,
+        partition index)."""
+        return tuple(
+            CentralPoint(a.name, k, value, freq)
+            for a in self.attributes
+            for k, value, freq in zip(a.partitions.tolist(), a.values(), a.counts.tolist())
+        )
 
 
 def partition_count(n_records: int, n_attributes: int) -> int:
@@ -117,15 +153,9 @@ def central_points(dataset: Dataset, p: int) -> CentralPointsTable:
     grouped = np.argsort(dataset.labels, kind="stable")
     ones = np.bincount(partition[dataset.labels[grouped] == 1], minlength=p)
     labels = (2 * ones >= np.bincount(partition, minlength=p)).astype(int).tolist()
-    entries: list[CentralPoint] = []
+    attributes = []
     for attr, column, vocab in zip(dataset.schema, dataset.columns, dataset.vocabularies):
         column = column[grouped]
         groups, firsts, counts = partition_modes(column, p)
-        values = column[firsts].tolist()
-        if attr.kind == CATEGORICAL:
-            values = [vocab[code] for code in values]
-        entries.extend(
-            CentralPoint(attr.name, k, value, freq)
-            for k, value, freq in zip(groups.tolist(), values, counts.tolist())
-        )
-    return CentralPointsTable(tuple(entries), p, tuple(labels))
+        attributes.append(AttributeModes(attr.name, groups, column[firsts], counts, vocab))
+    return CentralPointsTable(tuple(attributes), p, tuple(labels))

@@ -117,8 +117,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     check_output_path(manifest_path)
     dataset, manifest = synth_dataset(args.records, args.noise, args.signal, args.seed)
     write_csv(dataset, out)
-    with atomic_open(manifest_path) as fh:
-        fh.write(manifest.to_json() + "\n")
+    try:
+        with atomic_open(manifest_path) as fh:
+            fh.write(manifest.to_json() + "\n")
+    except BaseException:
+        manifest_path.unlink(missing_ok=True)  # it describes the data.csv just replaced
+        raise
     print(f"wrote {dataset.n_records} records x {dataset.n_attributes} attributes to {out}")
     print(f"manifest: {manifest_path}")
     return EXIT_OK

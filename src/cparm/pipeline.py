@@ -13,6 +13,7 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -328,8 +329,9 @@ def _dump_centres(table: CentralPointsTable, path: str | Path) -> None:
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["attribute", "partition", "value", "frequency"])
-        for cp in table.entries:
-            writer.writerow([cp.attribute, cp.partition_index, format_cell(cp.value), cp.frequency])
+        for a in table.attributes:
+            writer.writerows(zip(repeat(a.name), a.partitions.tolist(),
+                                 map(format_cell, a.values()), a.counts.tolist()))
 
 
 def _dump_rules(rules, path: str | Path) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cparm.arm import Item, Transaction
+from cparm.arm import Item, Transaction, Transactions
 from cparm.engines import em
 from cparm.dataset import ATTACK_LABEL_TOKENS, NORMAL_LABEL_TOKENS, AttributeSchema, Dataset
 from cparm.errors import (
@@ -253,6 +253,39 @@ def brute_force_rules(transactions, minsup, minconf):
                        value_key(r[0].value), value_key(r[1].value))
     )
     return rules
+
+
+def transactions_reference(table):
+    """One transaction per partition from the table's central-point objects,
+    labelled with the partition's label. Equal items are one shared object,
+    spelled as the first entry holding it."""
+    per_partition = [[] for _ in range(table.p)]
+    shared = {}
+    for cp in table.entries:
+        item = Item(cp.attribute, cp.value)
+        per_partition[cp.partition_index].append(shared.setdefault(item, item))
+    return [
+        Transaction(frozenset(items), label)
+        for items, label in zip(per_partition, table.labels)
+    ]
+
+
+def coded_transactions(transactions):
+    """A hand-built list of transactions as the miner's code matrix.
+
+    Attributes come in name order and an item is spelled as in the first
+    transaction holding it, so the hash seed cannot reorder anything.
+    """
+    attributes = sorted({item.attribute for t in transactions for item in t.items})
+    column = {a: j for j, a in enumerate(attributes)}
+    codes = np.full((len(transactions), len(attributes)), -1, dtype=np.int64)
+    coders = [{} for _ in attributes]
+    for row, t in enumerate(transactions):
+        for item in t.items:
+            j = column[item.attribute]
+            codes[row, j] = coders[j].setdefault(item.value, len(coders[j]))
+    labels = np.array([t.label for t in transactions], dtype=np.int64)
+    return Transactions(tuple(attributes), tuple(map(tuple, coders)), codes, labels)
 
 
 def mode_of(values):

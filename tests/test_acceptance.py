@@ -27,6 +27,7 @@ from cparm.metrics import ConfusionMatrix, compute_metrics
 from cparm.pipeline import PipelineConfig, SourceSynthetic, dumps_json, run_pipeline
 from oracles import (
     brute_force_rules,
+    coded_transactions,
     dataset,
     mode_of,
     mutual_information_ranking,
@@ -75,7 +76,7 @@ def test_c03_rule_miner_matches_oracle():
         for _ in range(200):
             transactions = random_transactions(rng)
             for threshold in (0.4, 0.6, 0.8):
-                got = generate_rules(transactions, threshold, threshold)
+                got = generate_rules(coded_transactions(transactions), threshold, threshold)
                 want = brute_force_rules(transactions, threshold, threshold)
                 assert len(got) == len(want)
                 for g, w in zip(got, want):

@@ -89,6 +89,30 @@ class TestSynthCommand:
         assert {p.name: p.read_bytes() for p in synth_csv.parent.iterdir()} == before
 
 
+    def test_failed_manifest_write_leaves_no_stale_manifest(self, synth_csv, monkeypatch,
+                                                            capsys):
+        # the new CSV is in place when the manifest's replace fails: the
+        # earlier manifest, which no longer describes it, is removed
+        replace, calls = os.replace, []
+
+        def second_call_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_call_fails)
+        code = main(["synth", "--out", str(synth_csv), "--records", "700", "--noise", "4",
+                     "--signal", "2", "--seed", "1"])
+        assert code == 4
+        assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+        monkeypatch.setattr(os, "replace", replace)
+        assert [p.name for p in synth_csv.parent.iterdir()] == ["data.csv"]
+        expected = synth_csv.parent / "expected.csv"
+        assert main(["synth", "--out", str(expected), "--records", "700", "--noise", "4",
+                     "--signal", "2", "--seed", "1"]) == 0
+        assert synth_csv.read_bytes() == expected.read_bytes()
+
 class TestInspectCommand:
     def test_prints_schema_and_partitions(self, synth_csv, capsys):
         assert main(["inspect", str(synth_csv)]) == 0

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from cparm import dataset as loader
 from cparm.dataset import (
+    NUMERIC,
     AttributeSchema,
     SynthManifest,
+    _Column,
     _plain_numbers,
     conform,
     load_csv,
@@ -480,6 +482,23 @@ class TestStageProperties:
         else:
             numbers = np.array([float(t) for t in tokens])
             assert parsed.view(np.uint64).tolist() == numbers.view(np.uint64).tolist()
+
+    @settings(max_examples=300)
+    @example(["1.5", "?", "2", "?"])  # every non-number fails the character check
+    @example(["1.5", "?", "1e", ".", "1e400", ""])  # some pass it and make no number
+    @given(st.lists(
+        st.sampled_from(["?", "1e", ".", "1e400", "", "-", "tcp"]) | FINITE.map(repr),
+        min_size=1, max_size=12,
+    ))
+    def test_a_numeric_chunk_blanks_each_non_number(self, tokens):
+        # under a numeric kind, a chunk holding a non-number keeps every
+        # number and makes every other token missing
+        column = _Column(NUMERIC)
+        column.add(tokens)
+        typed, _, kind = column.typed()
+        assert kind == NUMERIC
+        want = [float(t) if is_finite_number(t) else math.nan for t in tokens]
+        assert typed.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
     @settings(deadline=None)
     @given(st.data())

@@ -1,9 +1,11 @@
+import importlib
 import json
 
+import numpy as np
 import pytest
 
 from cparm.arm import Item, Rule
-from cparm.central_points import CentralPoint, CentralPointsTable
+from cparm.central_points import AttributeModes, CentralPointsTable
 from cparm.dataset import split, synth_dataset, write_csv
 from cparm.errors import (
     ConfigError,
@@ -202,6 +204,21 @@ class TestRunPipeline:
         models = json.loads((tmp_path / "models.json").read_text())
         assert "lr" in models and "weights" in models["lr"]
 
+    def test_builds_no_central_point_or_transaction_object(self, tmp_path, monkeypatch):
+        # central points and transactions stay a code matrix from the modes
+        # to the rules, the centres dump included
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a per-entry object")
+
+        expected = run_pipeline(synthetic_config(engines=("nb",)))
+        # the package's central_points function hides the module's name
+        for module, name in (("cparm.central_points", "CentralPoint"), ("cparm.arm", "Transaction")):
+            monkeypatch.setattr(importlib.import_module(module), name, refuse)
+        report = run_pipeline(synthetic_config(engines=("nb",)))
+        assert report == expected and report.selected_features
+        run_pipeline(synthetic_config(engines=("nb",), dump_centres=str(tmp_path / "c.csv")))
+        assert (tmp_path / "c.csv").stat().st_size > 0
+
 
 class TestSerialization:
     def test_float_format_round_trips(self):
@@ -230,12 +247,12 @@ class TestSerialization:
             engines={"nb": object()}, timings_ms={},
         )
         rule = Rule(Item("a", 1.0), Item("b", "x"), 0.5, 0.5, 0.5, label=1)
-        centre = CentralPoint("a", 0, 1.0, 3)
+        modes = AttributeModes("a", np.array([0]), np.array([1.0]), np.array([3]), ())
         # each fails while serializing, the dumps after their first row
         attempts = [
             (lambda path: emit_report(report, path), TypeError),
             (lambda path: _dump_rules([rule, None], path), AttributeError),
-            (lambda path: _dump_centres(CentralPointsTable((centre, None), 1, (0,)), path),
+            (lambda path: _dump_centres(CentralPointsTable((modes, None), 1, (0,)), path),
              AttributeError),
         ]
         for write, error in attempts:

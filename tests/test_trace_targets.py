@@ -35,12 +35,24 @@ def test_every_traced_target_resolves(monkeypatch):
 
 
 def test_properties_read_by_the_hooks_exist():
-    from cparm.arm import Transaction
+    from cparm.arm import Transaction, build_transactions
+    from cparm.central_points import central_points
     from cparm.dataset import synth_dataset
 
     ds, _ = synth_dataset(4, 1, 1, seed=0)
     assert (ds.n_records, ds.n_attributes) == (4, 2)
     assert Transaction(frozenset(), 0).items == frozenset()
+
+    # the central-point and mining hooks read table.p, len(table.entries) and
+    # len(t.items) for each transaction generate_rules is given
+    ds, _ = synth_dataset(300, 4, 2, seed=0)
+    table = central_points(ds, 30)
+    assert table.p == 30
+    transactions = build_transactions(table)
+    present = int((transactions.codes >= 0).sum())
+    assert present > 0
+    assert len(table.entries) == present
+    assert sum(len(t.items) for t in transactions) == present
 
 
 # Runs in a fresh interpreter, so the wrappers layers.install puts on cparm's
