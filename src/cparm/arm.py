@@ -211,11 +211,12 @@ def select_features(rules: Sequence[Rule], limit: int, label: int) -> Ranking:
 
 
 def run_threshold_sweep(
-    transactions: Sequence[Transaction],
+    transactions: Transactions,
     limit: int,
     thresholds: Sequence[float] = (0.4, 0.6, 0.8),
 ) -> SweepResult:
-    """Rank at each threshold (minsup = minconf), lowest first.
+    """Rank at each threshold (minsup = minconf), lowest first, mining the
+    code matrix of ``build_transactions`` (a ``Transaction`` list will not do).
 
     Rules are mined once, at the lowest threshold. Support and confidence do
     not depend on the threshold, so each higher threshold's rules are that

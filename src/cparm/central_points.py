@@ -4,7 +4,7 @@ The training rows are grouped by class (every label-0 row before every
 label-1 row, each class in row order), so partitions are class-homogeneous
 except at the class boundary. ``partition_index`` then maps each grouped row
 to one of p contiguous partitions: the first p-1 hold n // p rows each and
-the last takes the remainder. A partition's label is its majority label.
+the last takes the remainder. A partition's label is its mode label.
 
 The central point of an attribute within a partition is its mode: the most
 frequent non-missing value in that contiguous row slice. Numeric and
@@ -145,17 +145,16 @@ def _row_modes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def central_points(dataset: Dataset, p: int) -> CentralPointsTable:
-    """Mode of every attribute and the majority label within every one of p
+    """Mode of every attribute and of the label within every one of p
     equal partitions of the rows grouped by class."""
-    partition = partition_index(dataset.n_records, p)
     # every label-0 row, then every label-1 row, each class in row order;
     # one column at a time is gathered in this order
     grouped = np.argsort(dataset.labels, kind="stable")
-    ones = np.bincount(partition[dataset.labels[grouped] == 1], minlength=p)
-    labels = (2 * ones >= np.bincount(partition, minlength=p)).astype(int).tolist()
+    labels = dataset.labels[grouped]
+    _, modal, _ = partition_modes(labels, p)  # 1 comes after 0, so a tie is 1
     attributes = []
     for attr, column, vocab in zip(dataset.schema, dataset.columns, dataset.vocabularies):
         column = column[grouped]
         groups, firsts, counts = partition_modes(column, p)
         attributes.append(AttributeModes(attr.name, groups, column[firsts], counts, vocab))
-    return CentralPointsTable(tuple(attributes), p, tuple(labels))
+    return CentralPointsTable(tuple(attributes), p, tuple(labels[modal].tolist()))

@@ -412,7 +412,7 @@ def write_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -
         for start in range(0, dataset.n_records, rows):
             block = slice(start, start + rows)
             text = [
-                _column_text(col[block], vocab)
+                column_text(col[block], vocab)
                 for col, vocab in zip(dataset.columns, dataset.vocabularies)
             ]
             writer.writerows(zip(*text, dataset.labels[block].tolist()))
@@ -437,7 +437,8 @@ def atomic_open(path: str | Path):
         raise
 
 
-def _column_text(column: np.ndarray, vocabulary: tuple[str, ...]) -> list[str]:
+def column_text(column: np.ndarray, vocabulary: tuple[str, ...]) -> list[str]:
+    """Each cell's CSV text: repr of a number, a code's token, "" if missing."""
     if column.dtype == np.float64:
         return [repr(x) if x == x else "" for x in column.tolist()]  # NaN != NaN
     return list(map((*vocabulary, "").__getitem__, column.tolist()))
@@ -457,7 +458,7 @@ def conform(dataset: Dataset, schema: Sequence[AttributeSchema]) -> Dataset:
     for j, (have, want) in enumerate(zip(dataset.schema, ref)):
         if have.kind != want.kind:
             column = _Column(want.kind)
-            column.add(_column_text(columns[j], vocabularies[j]))
+            column.add(column_text(columns[j], vocabularies[j]))
             columns[j], vocabularies[j], _ = column.typed()
     return Dataset(ref, columns, vocabularies, dataset.labels)
 

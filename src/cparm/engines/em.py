@@ -6,10 +6,11 @@ claims. The log-likelihood trace is kept per iteration; EM guarantees it
 never decreases.
 
 The E-step's per-row terms (component log-densities, responsibilities and
-log-likelihoods) are evaluated once per distinct encoded row and gathered
-back to the rows. The M-step's sums, the log-likelihood total and the seeded
-choice of starting means still run over all rows in row order, so the
-fitted model is bit-identical to evaluating every row.
+log-likelihoods) are evaluated once per distinct (encoded row, label) pair,
+as in logistic regression, and gathered back to the rows; they depend on the
+cells alone, so labels only split groups. The M-step's sums, the total
+log-likelihood and the seeded starting means still run over all rows in row
+order, so the fitted model is bit-identical to evaluating every row.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TooFewRowsError
-from .encoding import FeatureMatrix, distinct_rows
+from .encoding import FeatureMatrix, distinct_rows, require_width
 
 VARIANCE_FLOOR = 1e-9
 K = 2                 # components
@@ -135,12 +136,12 @@ def em_fit(matrix: FeatureMatrix, seed: int = 0) -> EMModel:
     """Best of ``RESTARTS`` EM runs seeded by ``seed``, judged by final
     log-likelihood, with each cluster mapped to a training label.
 
-    The labels play no part in the fit; they only name its clusters.
+    The labels only split the E-step's row groups and name the clusters.
     """
     x = matrix.rows
     if x.shape[0] < 2 * K:
         raise TooFewRowsError(f"EM with k={K} needs at least {2 * K} rows")
-    first, inverse = distinct_rows(x)
+    first, inverse = distinct_rows(x, matrix.labels)
     runs = (_fit_once(x, first, inverse, seed, r) for r in range(RESTARTS))
     # max keeps the first of equal final log-likelihoods
     weights, means, variances, trace = max(runs, key=lambda run: run[3][-1])
@@ -169,7 +170,7 @@ def map_clusters(hard: np.ndarray, labels: np.ndarray) -> tuple[int, ...]:
 
 def em_predict(model: EMModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(labels, class-1 probability) for each row, via the cluster mapping."""
-    resp = responsibilities(model, x)
+    resp = responsibilities(model, require_width(x, model.means.shape[1]))
     mapping = np.asarray(model.cluster_labels)
     labels = mapping[resp.argmax(axis=1)]
     prob_1 = resp[:, mapping == 1].sum(axis=1)

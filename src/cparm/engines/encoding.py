@@ -15,7 +15,7 @@ import numpy as np
 
 from ..central_points import partition_modes
 from ..dataset import CATEGORICAL, NUMERIC, Dataset, Value, require_schema
-from ..errors import NonFiniteStatisticError
+from ..errors import NonFiniteStatisticError, SchemaMismatchError
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,11 @@ class ColumnSpec:
     impute: Value = None                   # training-column mode
 
     @property
-    def width(self) -> int:
-        return len(self.categories) if self.kind == CATEGORICAL else 1
+    def names(self) -> tuple[str, ...]:
+        """Encoded column names: the attribute, or ``attribute=token`` per category."""
+        if self.kind == CATEGORICAL:
+            return tuple(f"{self.attribute}={tok}" for tok in self.categories)
+        return (self.attribute,)
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class FeatureEncoder:
         """Encode every row; the dataset's columns must be the fitted ones,
         with the same names and kinds in the same order."""
         require_schema(dataset, [(c.attribute, c.kind) for c in self.columns])
-        out = np.zeros((dataset.n_records, sum(c.width for c in self.columns)), dtype=np.float64)
+        out = np.zeros((dataset.n_records, sum(len(c.names) for c in self.columns)))
         offset = 0
         for spec, column, vocab in zip(self.columns, dataset.columns, dataset.vocabularies):
             if spec.kind == NUMERIC:
@@ -71,27 +74,31 @@ class FeatureEncoder:
                 hot = lookup[column]
                 seen = np.flatnonzero(hot >= 0)
                 out[seen, offset + hot[seen]] = 1.0
-            offset += spec.width
+            offset += len(spec.names)
         return FeatureMatrix(self.columns, out, dataset.labels)
 
 
-def distinct_rows(
-    rows: np.ndarray, labels: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse): the rows grouped by equal content, so that
-    ``rows[first][inverse]`` is ``rows``.
+def require_width(x: np.ndarray, width: int) -> np.ndarray:
+    """``x`` as a float64 matrix, refused unless it is 2-d and ``width`` wide."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise SchemaMismatchError(f"matrix shape {x.shape} does not match model width {width}")
+    return x
 
-    Two rows are equal when every cell has the same float bit pattern, so
-    0.0 and -0.0 stay apart; with ``labels``, rows with different labels
-    are never equal. One stable ``np.lexsort`` over the rows' int64 bit
-    patterns (and labels) puts equal rows next to each other, earliest
-    first, and a group starts where a sorted row differs from the one
-    before. The groups come in that sorted order, and ``first[g]`` is the
-    earliest row of group g.
+
+def distinct_rows(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse): the rows grouped by equal content and label, so
+    that ``rows[first][inverse]`` is ``rows``.
+
+    Rows are equal when every cell has the same float bit pattern, so 0.0
+    and -0.0 stay apart; labels only split groups. One stable ``np.lexsort``
+    over the rows' int64 bit patterns and labels puts equal rows next to
+    each other, earliest first, and a group starts where a sorted row
+    differs from the one before. The groups come in that sorted order, and
+    ``first[g]`` is the earliest row of group g.
     """
     keys = [*np.ascontiguousarray(rows, dtype=np.float64).view(np.int64).T]  # one per column
-    if labels is not None:
-        keys.append(np.asarray(labels, dtype=np.int64))
+    keys.append(np.asarray(labels, dtype=np.int64))
     order = np.lexsort(keys)
     starts = np.ones(order.size, dtype=bool)
     # a difference of two int64 is 0 only between equal values, even where it wraps

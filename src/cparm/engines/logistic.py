@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SchemaMismatchError, SingleClassTrainingError
-from .encoding import FeatureMatrix, distinct_rows
+from ..errors import SingleClassTrainingError
+from .encoding import FeatureMatrix, distinct_rows, require_width
 
 
 LEARNING_RATE = 0.1
@@ -105,21 +105,11 @@ def lr_fit(matrix: FeatureMatrix) -> LRModel:
             loss = new_loss
             break
         loss = new_loss
-    names: list[str] = []
-    for c in matrix.columns:
-        if c.categories:
-            names.extend(f"{c.attribute}={tok}" for tok in c.categories)
-        else:
-            names.append(c.attribute)
-    return LRModel(w, b, iterations, loss, tuple(names))
+    return LRModel(w, b, iterations, loss, tuple(n for c in matrix.columns for n in c.names))
 
 
 def lr_predict(model: LRModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(labels, class-1 probabilities) for every row of ``x``; 0.5 predicts 1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.weights.shape[0]:
-        raise SchemaMismatchError(
-            f"matrix shape {x.shape} does not match model width {model.weights.shape[0]}"
-        )
+    x = require_width(x, model.weights.shape[0])
     p = _sigmoid(x @ model.weights + model.bias)
     return (p >= 0.5).astype(np.int64), p

@@ -23,6 +23,7 @@ from .dataset import (
     Dataset,
     atomic_open,
     check_seed_and_fraction,
+    column_text,
     format_cell,
     load_csv,
     project,
@@ -331,7 +332,7 @@ def _dump_centres(table: CentralPointsTable, path: str | Path) -> None:
         writer.writerow(["attribute", "partition", "value", "frequency"])
         for a in table.attributes:
             writer.writerows(zip(repeat(a.name), a.partitions.tolist(),
-                                 map(format_cell, a.values()), a.counts.tolist()))
+                                 column_text(a.modes, a.vocabulary), a.counts.tolist()))
 
 
 def _dump_rules(rules, path: str | Path) -> None:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cparm.dataset import AttributeSchema, project
-from cparm.engines import encode
+from cparm.engines import encode, lr_fit
 from cparm.engines.encoding import distinct_rows
 from cparm.errors import NonFiniteStatisticError, SchemaMismatchError
 from oracles import dataset, distinct_rows_reference
@@ -71,6 +71,15 @@ def test_column_order_follows_request():
     assert matrix.width == 3  # 2 one-hot + 1 numeric
 
 
+def test_column_names_follow_the_one_hot_layout():
+    ds = two_column_dataset([0.0, 2.0, 1.0], ["tcp", "udp", "icmp"], [0, 1, 0])
+    matrix, _ = encode(ds)
+    names = [c.names for c in matrix.columns]
+    assert names == [("num",), ("cat=icmp", "cat=tcp", "cat=udp")]
+    assert sum(map(len, names)) == matrix.width
+    assert lr_fit(matrix).column_names == names[0] + names[1]
+
+
 def test_transform_refuses_other_columns():
     # the fitted columns in another order, with one kind changed, and with an
     # extra column: each is refused, though every fitted column is there
@@ -107,34 +116,35 @@ class TestDistinctRows:
         rng = np.random.default_rng(4)
         rows = rng.integers(-2, 3, size=(500, 3)).astype(float) / 2
         rows[rng.random(500) < 0.3, 1] = -0.0
-        first, inverse = distinct_rows(rows)
+        first, inverse = distinct_rows(rows, np.zeros(500, int))
         assert rows[first][inverse].tobytes() == rows.tobytes()
         assert len(first) == len({r.tobytes() for r in rows})
 
     def test_groups_equal_rows_under_their_earliest_row(self):
         rows = np.array([[2.0], [1.0], [2.0], [3.0], [1.0]])
-        assert grouping(*distinct_rows(rows)) == ([0, 1, 3], [0, 1, 0, 2, 1])
+        assert grouping(*distinct_rows(rows, np.zeros(5, int))) == ([0, 1, 3], [0, 1, 0, 2, 1])
 
     def test_all_distinct_rows_are_groups_of_one(self):
         # told apart by one column, and only by the columns together
         for rows in ([[3.0, 0.0], [1.0, 0.0], [2.0, 5.0]], [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]):
-            assert grouping(*distinct_rows(np.array(rows))) == ([0, 1, 2], [0, 1, 2])
+            first, inverse = distinct_rows(np.array(rows), np.zeros(3, int))
+            assert grouping(first, inverse) == ([0, 1, 2], [0, 1, 2])
 
     def test_signed_zeros_are_separate_groups(self):
         rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
-        assert grouping(*distinct_rows(rows)) == ([0, 1], [0, 1, 0])
+        assert grouping(*distinct_rows(rows, np.zeros(3, int))) == ([0, 1], [0, 1, 0])
 
     def test_labels_split_groups(self):
         rows = np.ones((4, 2))
         assert grouping(*distinct_rows(rows, np.array([1, 0, 1, 0]))) == ([0, 1], [0, 1, 0, 1])
-        assert distinct_rows(rows)[0].tolist() == [0]
+        assert distinct_rows(rows, np.ones(4, int))[0].tolist() == [0]
 
     def test_wide_rows_group_by_content(self):
         # 70 columns of 2 values each: more combinations than an int64 holds
         rng = np.random.default_rng(5)
         rows = rng.integers(0, 2, size=(300, 70)).astype(float)
         rows[150:] = rows[:150]
-        first, inverse = distinct_rows(rows)
+        first, inverse = distinct_rows(rows, np.zeros(300, int))
         assert rows[first][inverse].tobytes() == rows.tobytes()
         assert len(first) == len({r.tobytes() for r in rows}) == 150
 
@@ -142,7 +152,7 @@ class TestDistinctRows:
     @given(st.data())
     def test_equals_the_reference(self, data):
         # duplicated rows up to 80 cells wide, twins that differ only in the
-        # signs of their zeros, with and without labels
+        # signs of their zeros, with labels that are all equal or mixed
         width = data.draw(st.integers(1, 80))
         cell = st.sampled_from([0.0, -0.0, 1.0, -1.5, 5e-324, 1e300])
         pool = data.draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1,
@@ -151,6 +161,6 @@ class TestDistinctRows:
         n = rows.shape[0]
         flip = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         rows[flip] = np.where(rows[flip] == 0, -rows[flip], rows[flip])
-        labels = data.draw(st.none() | st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        labels = None if labels is None else np.array(labels)
+        same = st.just([0] * n)
+        labels = np.array(data.draw(same | st.lists(st.integers(0, 1), min_size=n, max_size=n)))
         assert grouping(*distinct_rows(rows, labels)) == distinct_rows_reference(rows, labels)

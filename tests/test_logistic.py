@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cparm.engines import logistic
+from cparm.engines.em import EMModel, em_predict
 from cparm.engines.encoding import ColumnSpec, FeatureMatrix
 from cparm.engines.logistic import (
     LRModel,
@@ -137,6 +138,15 @@ class TestPredict:
         for x in (np.array([1.0])[None], np.zeros(2), np.zeros((3, 3))):
             with pytest.raises(SchemaMismatchError):
                 lr_predict(model, x)
+
+    def test_em_width_mismatch(self):
+        # EM's predict shares LR's width check: a one-column matrix must not
+        # broadcast against a two-column model
+        model = EMModel(np.full(2, 0.5), np.zeros((2, 2)), np.ones((2, 2)), (0.0,), (0, 1))
+        for x in (np.ones((3, 1)), np.zeros(2), np.zeros((3, 3))):
+            with pytest.raises(SchemaMismatchError):
+                em_predict(model, x)
+        assert em_predict(model, np.zeros((3, 2)))[0].shape == (3,)
 
 
 class TestGradient:
