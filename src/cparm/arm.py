@@ -21,6 +21,7 @@ import numpy as np
 
 from .central_points import CentralPointsTable
 from .dataset import Value
+from .metrics import majority_label
 
 
 class Item(NamedTuple):
@@ -160,13 +161,13 @@ def generate_rules(transactions: Transactions, minsup: float, minconf: float) ->
             pairs, inverse, together = np.unique(keys, return_inverse=True, return_counts=True)
             attacks = np.bincount(inverse[labels[rows] == 1], minlength=len(pairs))
             frequent = together / n >= minsup
-            for key, pair, pair_attacks in zip(
-                pairs[frequent].tolist(), together[frequent].tolist(), attacks[frequent].tolist()
+            for key, pair, label in zip(
+                pairs[frequent].tolist(), together[frequent].tolist(),
+                majority_label(attacks, together)[frequent].tolist(),
             ):
                 code1, code2 = divmod(key, len(values2))
                 item1, item2 = Item(attribute1, values1[code1]), Item(attribute2, values2[code2])
                 sup = pair / n
-                label = 1 if 2 * pair_attacks >= pair else 0
                 for antecedent, consequent, count in (
                     (item1, item2, int(counts1[code1])), (item2, item1, int(counts2[code2]))
                 ):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, Value, is_missing
+from .dataset import Dataset, Value, column_values, is_missing
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,10 +51,7 @@ class AttributeModes(NamedTuple):
     def values(self, at: slice | np.ndarray = slice(None)) -> list[Value]:
         """The modes at ``at`` (all of them by default) as cell values, each
         spelled as its own partition's mode, so -0.0 stays -0.0."""
-        values = self.modes[at].tolist()
-        if self.modes.dtype == np.float64:
-            return values
-        return [self.vocabulary[code] for code in values]
+        return column_values(self.modes[at], self.vocabulary)
 
 
 @dataclass(frozen=True, eq=False)

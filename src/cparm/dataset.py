@@ -30,7 +30,7 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -198,6 +198,9 @@ def _read(
     """One read of the file: its column names, typed columns and labels."""
     with closing(_read_chunks(path)) as chunks:
         header = next(chunks)
+        twice = next((h for j, h in enumerate(header) if h in header[:j]), None)
+        if twice is not None:
+            raise SchemaMismatchError(f"{path} names column {twice!r} twice")
         if label_column not in header:
             raise UnknownLabelColumnError(label_column, header)
         label_idx = header.index(label_column)
@@ -390,32 +393,32 @@ def _sorted_codes(codes: np.ndarray, tokens: list[str]) -> tuple[np.ndarray, tup
     return renumber[codes], tuple(tokens[j] for j in order)
 
 
-def format_cell(value: Value) -> str:
-    """A cell's CSV text: repr round-trips floats exactly."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -> None:
     """Serialize so that load_csv reads back an identical dataset.
 
-    Rows are written a block of about ``_BLOCK_CELLS`` cells at a time, so
+    Rows are spelled a block of about ``_BLOCK_CELLS`` cells at a time, so
     the text of the whole table never exists at once.
     """
-    rows = max(1, _BLOCK_CELLS // (dataset.n_attributes + 1))
+    step = max(1, _BLOCK_CELLS // (dataset.n_attributes + 1))
+    blocks = (slice(start, start + step) for start in range(0, dataset.n_records, step))
+    rows = chain.from_iterable(
+        zip(*map(column_values, [c[block] for c in dataset.columns], dataset.vocabularies),
+            dataset.labels[block].tolist())
+        for block in blocks
+    )
+    write_rows(path, [*dataset.attribute_names(), label_column], rows)
+
+
+def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as CSV lines ended by "\\n", through
+    ``atomic_open``: every CSV file the program writes goes through here.
+    ``csv.writer`` spells a float with ``repr``, which round-trips, any other
+    non-string with ``str()`` and None as an empty cell, so cells are Python
+    values: a numpy scalar's ``repr`` names its type."""
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(dataset.attribute_names()) + [label_column])
-        for start in range(0, dataset.n_records, rows):
-            block = slice(start, start + rows)
-            text = [
-                column_text(col[block], vocab)
-                for col, vocab in zip(dataset.columns, dataset.vocabularies)
-            ]
-            writer.writerows(zip(*text, dataset.labels[block].tolist()))
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @contextmanager
@@ -437,11 +440,11 @@ def atomic_open(path: str | Path):
         raise
 
 
-def column_text(column: np.ndarray, vocabulary: tuple[str, ...]) -> list[str]:
-    """Each cell's CSV text: repr of a number, a code's token, "" if missing."""
+def column_values(column: np.ndarray, vocabulary: tuple[str, ...]) -> list[Value]:
+    """Each cell as a value: its float, its code's token, None if missing."""
     if column.dtype == np.float64:
-        return [repr(x) if x == x else "" for x in column.tolist()]  # NaN != NaN
-    return list(map((*vocabulary, "").__getitem__, column.tolist()))
+        return [x if x == x else None for x in column.tolist()]  # NaN != NaN
+    return list(map((*vocabulary, None).__getitem__, column.tolist()))
 
 
 def conform(dataset: Dataset, schema: Sequence[AttributeSchema]) -> Dataset:
@@ -458,7 +461,8 @@ def conform(dataset: Dataset, schema: Sequence[AttributeSchema]) -> Dataset:
     for j, (have, want) in enumerate(zip(dataset.schema, ref)):
         if have.kind != want.kind:
             column = _Column(want.kind)
-            column.add(column_text(columns[j], vocabularies[j]))
+            values = column_values(columns[j], vocabularies[j])
+            column.add(["" if v is None else str(v) for v in values])
             columns[j], vocabularies[j], _ = column.typed()
     return Dataset(ref, columns, vocabularies, dataset.labels)
 

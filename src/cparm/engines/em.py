@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TooFewRowsError
-from .encoding import FeatureMatrix, distinct_rows, require_width
+from ..metrics import majority_label
+from .encoding import FeatureMatrix, require_width
 
 VARIANCE_FLOOR = 1e-9
 K = 2                 # components
@@ -141,7 +142,7 @@ def em_fit(matrix: FeatureMatrix, seed: int = 0) -> EMModel:
     x = matrix.rows
     if x.shape[0] < 2 * K:
         raise TooFewRowsError(f"EM with k={K} needs at least {2 * K} rows")
-    first, inverse = distinct_rows(x, matrix.labels)
+    first, inverse = matrix.groups
     runs = (_fit_once(x, first, inverse, seed, r) for r in range(RESTARTS))
     # max keeps the first of equal final log-likelihoods
     weights, means, variances, trace = max(runs, key=lambda run: run[3][-1])
@@ -157,13 +158,11 @@ def map_clusters(hard: np.ndarray, labels: np.ndarray) -> tuple[int, ...]:
     If every cluster lands on the same label, the cluster with the largest
     attack fraction takes label 1 and the others label 0.
     """
-    attack_fraction = np.empty(K, dtype=np.float64)
-    for j in range(K):
-        members = labels[hard == j]
-        attack_fraction[j] = members.mean() if members.size else 0.0
-    mapping = [1 if f >= 0.5 else 0 for f in attack_fraction]  # exact tie -> attack
+    rows = np.bincount(hard, minlength=K)
+    attacks = np.bincount(hard[labels == 1], minlength=K)
+    mapping = majority_label(attacks, rows).tolist()
     if len(set(mapping)) == 1:
-        hottest = int(attack_fraction.argmax())
+        hottest = int((attacks / np.maximum(rows, 1)).argmax())  # an empty cluster's is 0
         mapping = [int(j == hottest) for j in range(K)]
     return tuple(mapping)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,11 @@ class FeatureMatrix:
     @property
     def width(self) -> int:
         return int(self.rows.shape[1])
+
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """``distinct_rows(rows, labels)``, sorted once however many engines read it."""
+        return distinct_rows(self.rows, self.labels)
 
 
 class FeatureEncoder:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SingleClassTrainingError
-from .encoding import FeatureMatrix, distinct_rows, require_width
+from .encoding import FeatureMatrix, require_width
 
 
 LEARNING_RATE = 0.1
@@ -87,7 +87,7 @@ def lr_fit(matrix: FeatureMatrix) -> LRModel:
     if y.min() == y.max():
         raise SingleClassTrainingError()
     x = matrix.rows
-    first, inverse = distinct_rows(x, matrix.labels)
+    first, inverse = matrix.groups
     xg, yg = x[first], y[first]
     w = np.zeros(matrix.width, dtype=np.float64)
     b = 0.0

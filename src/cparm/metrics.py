@@ -47,6 +47,11 @@ def confusion(
     return ConfusionMatrix(int(tp), int(tn), int(fp), int(fn))
 
 
+def majority_label(attacks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each group's 0/1 majority label: an exact tie is 1 (attack), no rows 0."""
+    return ((rows > 0) & (2 * attacks >= rows)).astype(np.int64)
+
+
 def _ratio(num: int, den: int) -> float | None:
     return num / den if den else None
 

@@ -8,12 +8,11 @@ fixed config; only the timing fields vary between runs.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from . import __version__
@@ -23,12 +22,11 @@ from .dataset import (
     Dataset,
     atomic_open,
     check_seed_and_fraction,
-    column_text,
-    format_cell,
     load_csv,
     project,
     split,
     synth_dataset,
+    write_rows,
 )
 from .engines import (
     em_fit,
@@ -327,31 +325,18 @@ def _write_json(obj, path: str | Path) -> None:
 
 
 def _dump_centres(table: CentralPointsTable, path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["attribute", "partition", "value", "frequency"])
-        for a in table.attributes:
-            writer.writerows(zip(repeat(a.name), a.partitions.tolist(),
-                                 column_text(a.modes, a.vocabulary), a.counts.tolist()))
+    rows = chain.from_iterable(
+        zip(repeat(a.name), a.partitions.tolist(), a.values(), a.counts.tolist())
+        for a in table.attributes
+    )
+    write_rows(path, ["attribute", "partition", "value", "frequency"], rows)
 
 
 def _dump_rules(rules, path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "antecedent_attr", "antecedent_value", "consequent_attr",
-                "consequent_value", "support", "confidence", "importance", "label",
-            ]
-        )
-        for r in rules:
-            writer.writerow(
-                [
-                    r.antecedent.attribute, format_cell(r.antecedent.value),
-                    r.consequent.attribute, format_cell(r.consequent.value),
-                    repr(r.support), repr(r.confidence), repr(r.importance), r.label,
-                ]
-            )
+    rows = ((*r.antecedent, *r.consequent, r.support, r.confidence, r.importance, r.label)
+            for r in rules)
+    write_rows(path, ["antecedent_attr", "antecedent_value", "consequent_attr", "consequent_value",
+                      "support", "confidence", "importance", "label"], rows)
 
 
 def render_metrics_table(report: EvaluationReport) -> str:

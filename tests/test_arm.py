@@ -19,7 +19,7 @@ from cparm.arm import (
     select_features,
 )
 from cparm.central_points import central_points
-from cparm.dataset import AttributeSchema, format_cell
+from cparm.dataset import AttributeSchema
 from cparm.pipeline import _dump_centres
 from oracles import (
     brute_force_rules,
@@ -192,7 +192,8 @@ def centres_dump_reference(table, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["attribute", "partition", "value", "frequency"])
         for cp in table.entries:
-            writer.writerow([cp.attribute, cp.partition_index, format_cell(cp.value), cp.frequency])
+            value = repr(cp.value) if isinstance(cp.value, float) else cp.value
+            writer.writerow([cp.attribute, cp.partition_index, value, cp.frequency])
 
 
 class TestCodeMatrix:

@@ -325,6 +325,11 @@ def _unknown_label(rows):
     return rows
 
 
+def _label_twice(rows):
+    """The label column repeated as the last column, header included."""
+    return [row + row[-1:] for row in rows]
+
+
 def _single_class(rows):
     return [rows[0]] + [row for row in rows[1:] if row[-1] == "0"]
 
@@ -418,6 +423,10 @@ FAULTS = [
     ("label_column_only", _input(lambda rows: [row[-1:] for row in rows]), 3, EmptyDatasetError),
     ("unknown_label", _input(_unknown_label), 3, UnmappableLabelError),
     ("unknown_label_column", _unknown_label_column, 3, UnknownLabelColumnError),
+    ("label_column_twice", _input(_label_twice), 3, SchemaMismatchError),
+    # a header fault is reported before a bad data row
+    ("label_column_twice_and_unknown_label", _input(lambda rows: _label_twice(_unknown_label(rows))),
+     3, SchemaMismatchError),
     ("one_data_row", _input(lambda rows: rows[:2]), 3, TooFewRecordsError),
     ("three_train_rows", _three_train_rows, 3, TooFewRowsError),
     ("input_is_a_directory", _directory("--input"), 3, UnreadableCsvError),

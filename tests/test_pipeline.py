@@ -1,10 +1,12 @@
+import csv
 import importlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from cparm.arm import Item, Rule
+from cparm.arm import Item, Rule, build_transactions, generate_rules
 from cparm.central_points import AttributeModes, CentralPointsTable
 from cparm.dataset import split, synth_dataset, write_csv
 from cparm.errors import (
@@ -219,6 +221,16 @@ class TestRunPipeline:
         run_pipeline(synthetic_config(engines=("nb",), dump_centres=str(tmp_path / "c.csv")))
         assert (tmp_path / "c.csv").stat().st_size > 0
 
+    def test_em_and_lr_group_rows_once(self, monkeypatch):
+        # both fits read the training matrix's one grouping
+        encoding = importlib.import_module("cparm.engines.encoding")
+        calls, distinct_rows = [], encoding.distinct_rows
+        monkeypatch.setattr(
+            encoding, "distinct_rows", lambda *args: calls.append(1) or distinct_rows(*args)
+        )
+        report = run_pipeline(synthetic_config(engines=("em", "lr")))
+        assert len(calls) == 1 and list(report.engines) == ["em", "lr"]
+
 
 class TestSerialization:
     def test_float_format_round_trips(self):
@@ -267,6 +279,37 @@ class TestSerialization:
             emit_report(report, old)
         assert list(tmp_path.iterdir()) == [old]
         assert old.read_text(encoding="utf-8") == "previous\n"
+
+    def test_dumps_spell_floats_as_repr(self, tmp_path):
+        floats = [-0.0, 5e-324, 1e22, 0.1 + 0.2]
+        modes = [
+            AttributeModes(name, np.arange(4), np.array(floats), np.array([3, 2, 1, 5]), ())
+            for name in ("a", "b")
+        ]
+        table = CentralPointsTable(tuple(modes), 4, (0, 1, 0, 1))
+        # each pair of items meets in one of the 4 partitions: support 0.25
+        rules = generate_rules(build_transactions(table), 0.25, 0.25)
+        assert len(rules) == 8
+        _dump_centres(table, tmp_path / "centres.csv")
+        _dump_rules(rules, tmp_path / "rules.csv")
+
+        text = (tmp_path / "centres.csv").read_text(encoding="utf-8")
+        assert "np." not in text
+        cells = list(csv.reader(io.StringIO(text)))[1:]
+        assert [row[2] for row in cells] == [repr(x) for x in floats] * 2
+        assert cells[0][2] == "-0.0"
+
+        text = (tmp_path / "rules.csv").read_text(encoding="utf-8")
+        assert "np." not in text
+        cells = list(csv.reader(io.StringIO(text)))[1:]
+        assert [
+            (row[1], row[3], row[4], row[5], row[6]) for row in cells
+        ] == [
+            tuple(map(repr, (r.antecedent.value, r.consequent.value, r.support, r.confidence,
+                             r.importance)))
+            for r in rules
+        ]
+        assert {row[1] for row in cells} == {repr(x) for x in floats}
 
     def test_undefined_metric_serializes_to_null(self):
         text = dumps_json({"precision": None})
