@@ -2,7 +2,7 @@
 
 from .encoding import ColumnSpec, FeatureEncoder, FeatureMatrix, encode
 from .naive_bayes import NBModel, nb_fit, nb_predict
-from .logistic import LRModel, lr_fit, lr_predict, nll_gradient, nll_loss
+from .logistic import LRModel, lr_fit, lr_predict
 from .em import EMModel, em_fit, em_predict, map_clusters, responsibilities
 
 __all__ = [
@@ -16,8 +16,6 @@ __all__ = [
     "LRModel",
     "lr_fit",
     "lr_predict",
-    "nll_gradient",
-    "nll_loss",
     "EMModel",
     "em_fit",
     "em_predict",

@@ -5,12 +5,13 @@ labels, then maps each cluster to the majority training label of the rows it
 claims. The log-likelihood trace is kept per iteration; EM guarantees it
 never decreases.
 
-The E-step's per-row terms (component log-densities, responsibilities and
-log-likelihoods) are evaluated once per distinct (encoded row, label) pair,
-as in logistic regression, and gathered back to the rows; they depend on the
-cells alone, so labels only split groups. The M-step's sums, the total
-log-likelihood and the seeded starting means still run over all rows in row
-order, so the fitted model is bit-identical to evaluating every row.
+Both steps run over the distinct encoded rows, each weighted by the number
+of rows it stands for: the E-step's terms (component log-densities,
+responsibilities and log-likelihoods) are evaluated once per distinct row,
+and the M-step's sums and the total log-likelihood are count-weighted sums
+over those rows, in the order ``distinct_rows`` sorts them. Only the seeded
+starting means are drawn from all rows. The rows are grouped without their
+labels, so not one bit of the fitted model depends on them.
 """
 
 from __future__ import annotations
@@ -106,12 +107,12 @@ def _init_means(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _fit_once(
-    x: np.ndarray, first: np.ndarray, inverse: np.ndarray, seed: int, restart: int
+    x: np.ndarray, distinct: np.ndarray, counts: np.ndarray, seed: int, restart: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
-    """One seeded EM run: (weights, means, variances, ll_trace). The E-step
-    sees only the rows ``x[first]``."""
-    n, width = x.shape
-    distinct = x[first]
+    """One seeded EM run: (weights, means, variances, ll_trace). The starting
+    means are drawn from the rows ``x``; both steps see only their distinct
+    rows ``distinct``, row g standing for ``counts[g]`` rows of ``x``."""
+    width = x.shape[1]
     rng = np.random.default_rng([seed, restart])
     means = _init_means(x, rng)
     variances = np.ones((K, width), dtype=np.float64)
@@ -120,15 +121,15 @@ def _fit_once(
     trace: list[float] = []
     for _ in range(MAX_ITERATIONS):
         resp, row_ll = _normalize_log(_log_densities(distinct, weights, means, variances))
-        resp = np.take(resp, inverse, axis=0)  # faster than resp[inverse]
-        trace.append(float(row_ll[inverse].sum()))
+        resp = resp * counts[:, None]
+        trace.append(float(counts @ row_ll))
         if len(trace) >= 2 and trace[-1] - trace[-2] < TOLERANCE:
             break
         nk = np.maximum(resp.sum(axis=0), 1e-12)
         weights = nk / nk.sum()
-        means = (resp.T @ x) / nk[:, None]
+        means = (resp.T @ distinct) / nk[:, None]
         for j in range(K):
-            variances[j] = resp[:, j] @ (x - means[j]) ** 2 / nk[j]
+            variances[j] = resp[:, j] @ (distinct - means[j]) ** 2 / nk[j]
         variances = np.maximum(variances, VARIANCE_FLOOR)
     return weights, means, variances, tuple(trace)
 
@@ -137,17 +138,24 @@ def em_fit(matrix: FeatureMatrix, seed: int = 0) -> EMModel:
     """Best of ``RESTARTS`` EM runs seeded by ``seed``, judged by final
     log-likelihood, with each cluster mapped to a training label.
 
-    The labels only split the E-step's row groups and name the clusters.
+    The labels only name the clusters.
     """
     x = matrix.rows
     if x.shape[0] < 2 * K:
         raise TooFewRowsError(f"EM with k={K} needs at least {2 * K} rows")
     first, inverse = matrix.groups
-    runs = (_fit_once(x, first, inverse, seed, r) for r in range(RESTARTS))
+    # a row's (row, label) groups are adjacent: merge them into one group
+    distinct = x[first]
+    bits = distinct.view(np.int64)
+    starts = np.ones(first.size, dtype=bool)
+    starts[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    merged = np.cumsum(starts) - 1  # the row group of each (row, label) group
+    distinct, counts = distinct[starts], np.bincount(merged, weights=np.bincount(inverse))
+    runs = (_fit_once(x, distinct, counts, seed, r) for r in range(RESTARTS))
     # max keeps the first of equal final log-likelihoods
     weights, means, variances, trace = max(runs, key=lambda run: run[3][-1])
-    resp, _ = _normalize_log(_log_densities(x[first], weights, means, variances))
-    hard = resp.argmax(axis=1)[inverse]
+    resp, _ = _normalize_log(_log_densities(distinct, weights, means, variances))
+    hard = resp.argmax(axis=1)[merged][inverse]
     return EMModel(weights, means, variances, trace, map_clusters(hard, matrix.labels))
 
 

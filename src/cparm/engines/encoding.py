@@ -98,13 +98,15 @@ def distinct_rows(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
 
     Rows are equal when every cell has the same float bit pattern, so 0.0
     and -0.0 stay apart; labels only split groups. One stable ``np.lexsort``
-    over the rows' int64 bit patterns and labels puts equal rows next to
+    over the labels and the rows' int64 bit patterns (the label the least
+    significant key, the last column the most) puts equal rows next to
     each other, earliest first, and a group starts where a sorted row
-    differs from the one before. The groups come in that sorted order, and
-    ``first[g]`` is the earliest row of group g.
+    differs from the one before. The groups come in that sorted order, so
+    the groups of one row are adjacent, and ``first[g]`` is the earliest
+    row of group g.
     """
-    keys = [*np.ascontiguousarray(rows, dtype=np.float64).view(np.int64).T]  # one per column
-    keys.append(np.asarray(labels, dtype=np.int64))
+    keys = [np.asarray(labels, dtype=np.int64)]
+    keys += [*np.ascontiguousarray(rows, dtype=np.float64).view(np.int64).T]  # one per column
     order = np.lexsort(keys)
     starts = np.ones(order.size, dtype=bool)
     # a difference of two int64 is 0 only between equal values, even where it wraps

@@ -4,12 +4,13 @@ Loss is the mean negative log-likelihood plus an L2 penalty on the weights
 (bias unpenalized). Weights start at zero, so a zero-iteration fit predicts
 0.5 everywhere.
 
-The per-row terms of each iteration (logit, residual, loss) are evaluated
-once per distinct (encoded row, label) pair and gathered back to the rows;
-the gradient's ``x.T @ residual`` and the means still run over all rows in
-row order, so the fitted model is bit-identical to evaluating every row.
-The encoder's columns are finite (a standardized one within ±√n) and every
-residual lies in [-1, 1], so each step, the weights and the loss stay finite.
+Each iteration runs over the distinct (encoded row, label) groups, each
+weighted by its share of the rows: the logits, residuals and losses are
+evaluated once per group, and the gradient and the mean loss are
+count-weighted sums over the groups, in the order ``distinct_rows`` sorts
+them. The encoder's columns are finite (a standardized one within ±√n) and
+every residual lies in [-1, 1] before its weighting, so each step, the
+weights and the loss stay finite.
 """
 
 from __future__ import annotations
@@ -52,33 +53,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-# The loss and its gradient from per-row terms, which lr_fit evaluates once
-# per distinct row and gathers back to the rows.
-def _row_losses(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """log(1 + e^z) - y*z for the logits z, via logaddexp for stability."""
-    return np.logaddexp(0.0, z) - y * z
-
-
-def _loss(row_losses: np.ndarray, w: np.ndarray, l2: float) -> float:
-    return float(row_losses.mean() + 0.5 * l2 * np.dot(w, w))
-
-
-def _gradient(
-    residual: np.ndarray, w: np.ndarray, x: np.ndarray, l2: float
-) -> tuple[np.ndarray, float]:
-    return x.T @ residual / x.shape[0] + l2 * w, float(residual.mean())
-
-
-def nll_loss(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float) -> float:
-    """Mean negative log-likelihood + (l2/2)*||w||^2, computed without overflow."""
-    return _loss(_row_losses(x @ w + b, y), w, l2)
-
-
-def nll_gradient(
-    w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float
-) -> tuple[np.ndarray, float]:
-    """Analytic gradient of nll_loss with respect to (w, b)."""
-    return _gradient(_sigmoid(x @ w + b) - y, w, x, l2)
+def _loss(z: np.ndarray, y: np.ndarray, share: np.ndarray, w: np.ndarray) -> float:
+    """The ``share``-weighted mean of log(1 + e^z) - y*z over the logits z
+    (logaddexp keeps it finite), plus (L2/2)*||w||^2."""
+    return float(share @ (np.logaddexp(0.0, z) - y * z) + 0.5 * L2 * np.dot(w, w))
 
 
 def lr_fit(matrix: FeatureMatrix) -> LRModel:
@@ -89,17 +67,18 @@ def lr_fit(matrix: FeatureMatrix) -> LRModel:
     x = matrix.rows
     first, inverse = matrix.groups
     xg, yg = x[first], y[first]
+    share = np.bincount(inverse) / x.shape[0]  # of the rows, per group
     w = np.zeros(matrix.width, dtype=np.float64)
     b = 0.0
     iterations = 0
     z = xg @ w + b
-    loss = _loss(_row_losses(z, yg)[inverse], w, L2)
+    loss = _loss(z, yg, share, w)
     for _ in range(MAX_ITERATIONS):
-        grad_w, grad_b = _gradient((_sigmoid(z) - yg)[inverse], w, x, L2)
-        w = w - LEARNING_RATE * grad_w
-        b = b - LEARNING_RATE * grad_b
+        residual = (_sigmoid(z) - yg) * share
+        w = w - LEARNING_RATE * (xg.T @ residual + L2 * w)
+        b = b - LEARNING_RATE * float(residual.sum())
         z = xg @ w + b
-        new_loss = _loss(_row_losses(z, yg)[inverse], w, L2)
+        new_loss = _loss(z, yg, share, w)
         iterations += 1
         if abs(loss - new_loss) < TOLERANCE:
             loss = new_loss

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
-Nothing here imports pipeline internals beyond the public data types and
-EM's fixed settings; the arithmetic is redone from scratch so the tests and
-the implementation can only agree by computing the same thing.
+Nothing here imports pipeline internals beyond the public data types, EM's
+fixed settings, and ``synth_dataset`` and ``encode`` to build test matrices;
+the arithmetic is written out anew, so the tests and the implementation
+can only agree by computing the same thing.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ import numpy as np
 
 from cparm.arm import Item, Transaction, Transactions
 from cparm.engines import em
-from cparm.dataset import ATTACK_LABEL_TOKENS, NORMAL_LABEL_TOKENS, AttributeSchema, Dataset
+from cparm.engines.encoding import ColumnSpec, FeatureMatrix, encode
+from cparm.dataset import (
+    ATTACK_LABEL_TOKENS,
+    NORMAL_LABEL_TOKENS,
+    AttributeSchema,
+    Dataset,
+    synth_dataset,
+)
 from cparm.errors import (
     EmptyDatasetError,
     MalformedCsvError,
@@ -387,24 +395,50 @@ def mutual_information_ranking(dataset):
     return [name for _, name in scored]
 
 
-def em_fit_reference(x, seed):
-    """EM evaluated on every row, restart by restart: ((weights, means,
-    variances, ll_trace) of the best restart, its index, and each row's
-    cluster under the best restart's final parameters).
+def sorted_groups_reference(rows, labels=None):
+    """distinct_rows_reference's groups in the order distinct_rows sorts
+    them: by their rows' int64 bit patterns compared from the last column to
+    the first, then by label. Returns (first, counts, inverse) lists."""
+    first, inverse = distinct_rows_reference(rows, labels)
+    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.int64)
 
-    The E-step, the M-step and the seeded choice of starting means are
-    written out with the same NumPy operations in the same order as
-    ``cparm.engines.em``, so a fit that evaluates each distinct row once
-    must agree with this one bit for bit. The settings are that module's
+    def key(g):
+        label = () if labels is None else (int(labels[first[g]]),)
+        return (*bits[first[g]][::-1].tolist(), *label)
+
+    order = sorted(range(len(first)), key=key)
+    rank = {g: i for i, g in enumerate(order)}
+    counts = Counter(inverse)
+    return [first[g] for g in order], [counts[g] for g in order], [rank[g] for g in inverse]
+
+
+def em_fit_reference(x, seed, grouped=False):
+    """EM restart by restart: ((weights, means, variances, ll_trace) of the
+    best restart, its index, and each row's cluster under the best restart's
+    final parameters).
+
+    By default both steps run over every row with plain sums. With
+    ``grouped``, they run over the distinct rows in the order distinct_rows
+    sorts them (``sorted_groups_reference``), and the M-step's sums and the
+    total log-likelihood weight each distinct row by its count. Either way
+    the seeded starting means are drawn from every row. The E-step, the
+    M-step and that draw are written out with the same NumPy operations in
+    the same order as ``cparm.engines.em``, so with ``grouped`` the package's
+    fit must agree with this one bit for bit. The settings are that module's
     constants, read at call time, so a test that patches them patches both.
     """
     n, width = x.shape
     k = em.K
+    if grouped:
+        first, counts, inverse = sorted_groups_reference(x)
+        rows, counts = x[first], np.array(counts)
+    else:
+        rows, inverse = x, np.arange(n)
 
     def e_step(weights, means, variances):
-        scores = np.empty((n, k), dtype=np.float64)
+        scores = np.empty((len(rows), k), dtype=np.float64)
         for j in range(k):
-            diff2 = (x - means[j]) ** 2 / variances[j]
+            diff2 = (rows - means[j]) ** 2 / variances[j]
             scores[:, j] = (
                 np.log(weights[j])
                 - 0.5 * (width * np.log(2.0 * np.pi) + np.log(variances[j]).sum())
@@ -413,7 +447,7 @@ def em_fit_reference(x, seed):
         m = scores.max(axis=1, keepdims=True)
         shifted = np.exp(scores - m)
         norm = shifted.sum(axis=1, keepdims=True)
-        return shifted / norm, (m[:, 0] + np.log(norm[:, 0])).sum()
+        return shifted / norm, m[:, 0] + np.log(norm[:, 0])
 
     best = None
     for restart in range(em.RESTARTS):
@@ -431,17 +465,83 @@ def em_fit_reference(x, seed):
         weights = np.full(k, 1.0 / k, dtype=np.float64)
         trace = []
         for _ in range(em.MAX_ITERATIONS):
-            resp, ll = e_step(weights, means, variances)
-            trace.append(float(ll))
+            resp, row_ll = e_step(weights, means, variances)
+            if grouped:
+                resp = resp * counts[:, None]
+                trace.append(float(counts @ row_ll))
+            else:
+                trace.append(float(row_ll.sum()))
             if len(trace) >= 2 and trace[-1] - trace[-2] < em.TOLERANCE:
                 break
             nk = np.maximum(resp.sum(axis=0), 1e-12)
             weights = nk / nk.sum()
-            means = (resp.T @ x) / nk[:, None]
+            means = (resp.T @ rows) / nk[:, None]
             for j in range(k):
-                variances[j] = resp[:, j] @ (x - means[j]) ** 2 / nk[j]
+                variances[j] = resp[:, j] @ (rows - means[j]) ** 2 / nk[j]
             variances = np.maximum(variances, 1e-9)
         if best is None or trace[-1] > best[0][3][-1]:
             best = ((weights, means, variances, tuple(trace)), restart)
-    hard = e_step(*best[0][:3])[0].argmax(axis=1)
+    hard = e_step(*best[0][:3])[0].argmax(axis=1)[inverse]
     return best[0], best[1], hard
+
+
+def sigmoid(z):
+    """The logistic function, written as cparm's logistic regression writes
+    it: exp only sees -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def nll_loss(w, b, x, y, l2):
+    """Logistic regression's loss over every row: the mean negative
+    log-likelihood + (l2/2)*||w||^2, computed without overflow."""
+    z = x @ w + b
+    return float((np.logaddexp(0.0, z) - y * z).mean() + 0.5 * l2 * np.dot(w, w))
+
+
+def nll_gradient(w, b, x, y, l2):
+    """Analytic gradient of nll_loss with respect to (w, b)."""
+    residual = sigmoid(x @ w + b) - y
+    return x.T @ residual / x.shape[0] + l2 * w, float(residual.mean())
+
+
+def counted_nll_loss(w, b, xg, yg, share, l2):
+    """nll_loss with row g of ``xg`` (label ``yg[g]``) standing for the
+    share ``share[g]`` of the rows, as lr_fit sums it."""
+    z = xg @ w + b
+    return float(share @ (np.logaddexp(0.0, z) - yg * z) + 0.5 * l2 * np.dot(w, w))
+
+
+def counted_nll_gradient(w, b, xg, yg, share, l2):
+    """nll_gradient over the rows ``xg`` weighted by ``share``, as lr_fit
+    sums it."""
+    residual = (sigmoid(xg @ w + b) - yg) * share
+    return xg.T @ residual + l2 * w, float(residual.sum())
+
+
+def two_blobs(seed=0, n=100, centers=(-5.0, 5.0), sigma=0.5):
+    """(x, labels): n rows of one column around each centre, labelled 0 and 1."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(centers[0], sigma, size=(n, 1))
+    b = rng.normal(centers[1], sigma, size=(n, 1))
+    return np.vstack([a, b]), np.array([0] * n + [1] * n)
+
+
+def fixed_matrices():
+    """(matrix, seed) pairs with well-separated EM restarts, on which a
+    count-weighted fit and an all-row fit differ in their last digits only:
+    two_blobs seeds 0-9, and the 2,000 x 20 synthetic set of acceptance
+    criterion c08, encoded, seeds 0-4."""
+    for seed in range(10):
+        x, labels = two_blobs(seed)
+        columns = (ColumnSpec("x0", "numeric"),)
+        yield FeatureMatrix(columns, x, labels), seed
+    for seed in range(5):
+        yield encode(synth_dataset(2000, 16, 4, seed)[0])[0], seed
+
+
+def agrees(got, want):
+    """Every value of ``got`` within 1e-12 * max(1, |want|) of ``want``: a
+    count-weighted sum's distance from the all-row sum on ``fixed_matrices``."""
+    want = np.asarray(want, dtype=np.float64)
+    return bool(np.all(np.abs(np.asarray(got) - want) <= 1e-12 * np.maximum(1.0, np.abs(want))))

@@ -21,7 +21,6 @@ from cparm.dataset import AttributeSchema, synth_dataset
 from cparm.engines import em
 from cparm.engines.em import em_fit, em_predict, responsibilities
 from cparm.engines.encoding import ColumnSpec, FeatureMatrix
-from cparm.engines.logistic import nll_gradient, nll_loss
 from cparm.engines.naive_bayes import CategoricalLikelihood, NBModel, nb_predict
 from cparm.metrics import ConfusionMatrix, compute_metrics
 from cparm.pipeline import PipelineConfig, SourceSynthetic, dumps_json, run_pipeline
@@ -32,6 +31,8 @@ from oracles import (
     mode_of,
     mutual_information_ranking,
     nb_test_set,
+    nll_gradient,
+    nll_loss,
     random_transactions,
     transpose,
 )

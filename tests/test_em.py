@@ -15,7 +15,7 @@ from cparm.engines.em import (
 )
 from cparm.engines.encoding import ColumnSpec, FeatureMatrix
 from cparm.errors import TooFewRowsError
-from oracles import em_fit_reference
+from oracles import agrees, em_fit_reference, fixed_matrices, two_blobs
 
 
 def matrix_from(x, labels=None):
@@ -23,15 +23,6 @@ def matrix_from(x, labels=None):
     columns = tuple(ColumnSpec(f"x{i}", "numeric") for i in range(x.shape[1]))
     lab = np.zeros(len(x), dtype=int) if labels is None else np.asarray(labels, dtype=int)
     return FeatureMatrix(columns, np.asarray(x, dtype=float), lab)
-
-
-def two_blobs(seed=0, n=100, centers=(-5.0, 5.0), sigma=0.5):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(centers[0], sigma, size=(n, 1))
-    b = rng.normal(centers[1], sigma, size=(n, 1))
-    x = np.vstack([a, b])
-    labels = np.array([0] * n + [1] * n)
-    return x, labels
 
 
 class TestFit:
@@ -122,6 +113,16 @@ def em_cases(draw):
     return matrix_from(x, labels), seed, max_iterations, restarts
 
 
+def assert_restart_chosen(model, matrix, seed, restart):
+    """em_fit chose restart ``restart``: it beats every earlier restart and
+    no later one replaces it."""
+    with patch.object(em, "RESTARTS", restart + 1):
+        assert em_fit(matrix, seed).ll_trace == model.ll_trace
+    if restart:
+        with patch.object(em, "RESTARTS", restart):
+            assert em_fit(matrix, seed).ll_trace[-1] < model.ll_trace[-1]
+
+
 class TestReference:
     @settings(deadline=None, max_examples=150)
     @given(em_cases())
@@ -132,21 +133,26 @@ class TestReference:
         with patch.object(em, "MAX_ITERATIONS", max_iterations):
             with patch.object(em, "RESTARTS", restarts):
                 model = em_fit(matrix, seed)
-                best, restart, hard = em_fit_reference(matrix.rows, seed)
+                best, restart, hard = em_fit_reference(matrix.rows, seed, grouped=True)
             weights, means, variances, trace = best
             assert model.weights.tobytes() == weights.tobytes()
             assert model.means.tobytes() == means.tobytes()
             assert model.variances.tobytes() == variances.tobytes()
             assert np.array(model.ll_trace).tobytes() == np.array(trace).tobytes()
-            # the restart chosen: em_fit picks restart `restart` of the
-            # reference, so it beats every earlier restart and no later one
-            # replaces it
-            with patch.object(em, "RESTARTS", restart + 1):
-                assert em_fit(matrix, seed).ll_trace == model.ll_trace
-            if restart:
-                with patch.object(em, "RESTARTS", restart):
-                    assert em_fit(matrix, seed).ll_trace[-1] < trace[-1]
+            assert_restart_chosen(model, matrix, seed, restart)
         assert model.cluster_labels == map_clusters(hard, matrix.labels)
+
+    def test_agrees_with_the_all_row_fit(self):
+        # count-weighted sums differ from the all-row sums in their last
+        # digits; on restarts that are not near-tied the fits agree
+        for matrix, seed in fixed_matrices():
+            model = em_fit(matrix, seed)
+            (weights, means, variances, trace), restart, hard = em_fit_reference(matrix.rows, seed)
+            assert len(model.ll_trace) == len(trace)
+            assert_restart_chosen(model, matrix, seed, restart)
+            assert model.cluster_labels == map_clusters(hard, matrix.labels)
+            assert agrees(model.weights, weights) and agrees(model.means, means)
+            assert agrees(model.variances, variances) and agrees(model.ll_trace, trace)
 
 
 class TestClusterMapping:

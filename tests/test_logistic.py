@@ -6,20 +6,38 @@ import pytest
 from cparm.engines import logistic
 from cparm.engines.em import EMModel, em_predict
 from cparm.engines.encoding import ColumnSpec, FeatureMatrix
-from cparm.engines.logistic import (
-    LRModel,
-    lr_fit,
-    lr_predict,
+from cparm.engines.logistic import LRModel, lr_fit, lr_predict
+from cparm.errors import SchemaMismatchError, SingleClassTrainingError
+from oracles import (
+    agrees,
+    counted_nll_gradient,
+    counted_nll_loss,
+    fixed_matrices,
     nll_gradient,
     nll_loss,
+    sorted_groups_reference,
 )
-from cparm.errors import SchemaMismatchError, SingleClassTrainingError
 
 
 def matrix_1d(x, y):
     columns = (ColumnSpec("x", "numeric"),)
     return FeatureMatrix(columns, np.asarray(x, dtype=float).reshape(-1, 1),
                          np.asarray(y, dtype=int))
+
+
+def descend(loss, gradient, x, *args):
+    """Gradient descent from the zero model, with logistic's settings read
+    at call time, on ``loss(w, b, x, *args)`` and its ``gradient``:
+    (w, b, final loss, iterations)."""
+    w, b = np.zeros(x.shape[1]), 0.0
+    value, iterations = loss(w, b, x, *args), 0
+    for iterations in range(1, logistic.MAX_ITERATIONS + 1):
+        grad_w, grad_b = gradient(w, b, x, *args)
+        w, b = w - logistic.LEARNING_RATE * grad_w, b - logistic.LEARNING_RATE * grad_b
+        value, previous = loss(w, b, x, *args), value
+        if abs(previous - value) < logistic.TOLERANCE:
+            break
+    return w, b, value, iterations
 
 
 def separable_matrix():
@@ -62,18 +80,16 @@ class TestFit:
             assert later <= earlier + 1e-12
 
     def test_equals_gradient_descent_on_the_reference_functions(self, monkeypatch):
-        # lr_fit evaluates its per-row terms once per distinct (row, label)
-        # and shares one x @ w + b between a loss and the next gradient; the
-        # result must be bit-identical to calling nll_gradient and nll_loss,
-        # on rows that repeat as much as encoded synthetic features do and
-        # on rows that never repeat
+        # lr_fit sums over the distinct (row, label) groups, each weighted
+        # by its share of the rows, and shares one x @ w + b between a loss
+        # and the next gradient; the result must be bit-identical to calling
+        # counted_nll_gradient and counted_nll_loss on the groups in
+        # distinct_rows' order, on rows that repeat as much as encoded
+        # synthetic features do and on rows that never repeat
         rng = np.random.default_rng(3)
         n = 200
         monkeypatch.setattr(logistic, "MAX_ITERATIONS", 2000)
         monkeypatch.setattr(logistic, "TOLERANCE", 1e-5)
-        rate, cap, l2, tolerance = (
-            logistic.LEARNING_RATE, logistic.MAX_ITERATIONS, logistic.L2, logistic.TOLERANCE
-        )
 
         def one_hot_and_count(count):
             # a one-hot block and a standardized integer-valued numeric
@@ -91,19 +107,24 @@ class TestFit:
             columns = tuple(ColumnSpec(f"x{i}", "numeric") for i in range(4))
             model = lr_fit(FeatureMatrix(columns, x, y))
 
-            yf = y.astype(float)
-            assert model.final_loss == nll_loss(model.weights, model.bias, x, yf, l2)
-            w, b = np.zeros(4), 0.0
-            loss = nll_loss(w, b, x, yf, l2)
-            for iterations in range(1, cap + 1):
-                grad_w, grad_b = nll_gradient(w, b, x, yf, l2)
-                w, b = w - rate * grad_w, b - rate * grad_b
-                loss, previous = nll_loss(w, b, x, yf, l2), loss
-                if abs(previous - loss) < tolerance:
-                    break
-            assert 0 < model.iterations == iterations < cap
+            first, counts, _ = sorted_groups_reference(x, y)
+            groups = (x[first], y[first].astype(float), np.array(counts) / n, logistic.L2)
+            assert model.final_loss == counted_nll_loss(model.weights, model.bias, *groups)
+            w, b, loss, iterations = descend(counted_nll_loss, counted_nll_gradient, *groups)
+            assert 0 < model.iterations == iterations < logistic.MAX_ITERATIONS
             assert model.weights.tobytes() == w.tobytes()
             assert model.bias == b and model.final_loss == loss
+
+    def test_agrees_with_the_all_row_descent(self):
+        # count-weighted sums differ from the all-row sums in their last digits
+        for matrix, _ in fixed_matrices():
+            model = lr_fit(matrix)
+            w, b, loss, iterations = descend(
+                nll_loss, nll_gradient, matrix.rows, matrix.labels.astype(float), logistic.L2
+            )
+            assert model.iterations == iterations
+            assert agrees(model.weights, w) and agrees(model.bias, b)
+            assert agrees(model.final_loss, loss)
 
     def test_deterministic(self):
         a = lr_fit(separable_matrix())
