@@ -10,8 +10,8 @@ of rows it stands for: the E-step's terms (component log-densities,
 responsibilities and log-likelihoods) are evaluated once per distinct row,
 and the M-step's sums and the total log-likelihood are count-weighted sums
 over those rows, in the order ``distinct_rows`` sorts them. Only the seeded
-starting means are drawn from all rows. The rows are grouped without their
-labels, so not one bit of the fitted model depends on them.
+starting means are drawn from all rows. ``distinct_rows`` groups the rows
+without their labels, so not one bit of the fitted model depends on them.
 """
 
 from __future__ import annotations
@@ -144,18 +144,12 @@ def em_fit(matrix: FeatureMatrix, seed: int = 0) -> EMModel:
     if x.shape[0] < 2 * K:
         raise TooFewRowsError(f"EM with k={K} needs at least {2 * K} rows")
     first, inverse = matrix.groups
-    # a row's (row, label) groups are adjacent: merge them into one group
-    distinct = x[first]
-    bits = distinct.view(np.int64)
-    starts = np.ones(first.size, dtype=bool)
-    starts[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-    merged = np.cumsum(starts) - 1  # the row group of each (row, label) group
-    distinct, counts = distinct[starts], np.bincount(merged, weights=np.bincount(inverse))
+    distinct, counts = x[first], np.bincount(inverse)
     runs = (_fit_once(x, distinct, counts, seed, r) for r in range(RESTARTS))
     # max keeps the first of equal final log-likelihoods
     weights, means, variances, trace = max(runs, key=lambda run: run[3][-1])
     resp, _ = _normalize_log(_log_densities(distinct, weights, means, variances))
-    hard = resp.argmax(axis=1)[merged][inverse]
+    hard = resp.argmax(axis=1)[inverse]
     return EMModel(weights, means, variances, trace, map_clusters(hard, matrix.labels))
 
 

@@ -48,8 +48,9 @@ class FeatureMatrix:
 
     @cached_property
     def groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """``distinct_rows(rows, labels)``, sorted once however many engines read it."""
-        return distinct_rows(self.rows, self.labels)
+        """``distinct_rows(rows)``, sorted once however many engines read it;
+        the labels play no part in it."""
+        return distinct_rows(self.rows)
 
 
 class FeatureEncoder:
@@ -92,21 +93,18 @@ def require_width(x: np.ndarray, width: int) -> np.ndarray:
     return x
 
 
-def distinct_rows(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse): the rows grouped by equal content and label, so
-    that ``rows[first][inverse]`` is ``rows``.
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse): the rows grouped by equal content, so that
+    ``rows[first][inverse]`` is ``rows``.
 
     Rows are equal when every cell has the same float bit pattern, so 0.0
-    and -0.0 stay apart; labels only split groups. One stable ``np.lexsort``
-    over the labels and the rows' int64 bit patterns (the label the least
-    significant key, the last column the most) puts equal rows next to
-    each other, earliest first, and a group starts where a sorted row
-    differs from the one before. The groups come in that sorted order, so
-    the groups of one row are adjacent, and ``first[g]`` is the earliest
-    row of group g.
+    and -0.0 stay apart. One stable ``np.lexsort`` over the rows' int64 bit
+    patterns (the last column the most significant key) puts equal rows
+    next to each other, earliest first, and a group starts where a sorted
+    row differs from the one before. The groups come in that sorted order,
+    and ``first[g]`` is the earliest row of group g.
     """
-    keys = [np.asarray(labels, dtype=np.int64)]
-    keys += [*np.ascontiguousarray(rows, dtype=np.float64).view(np.int64).T]  # one per column
+    keys = np.ascontiguousarray(rows, dtype=np.float64).view(np.int64).T  # one per column
     order = np.lexsort(keys)
     starts = np.ones(order.size, dtype=bool)
     # a difference of two int64 is 0 only between equal values, even where it wraps

@@ -4,13 +4,14 @@ Loss is the mean negative log-likelihood plus an L2 penalty on the weights
 (bias unpenalized). Weights start at zero, so a zero-iteration fit predicts
 0.5 everywhere.
 
-Each iteration runs over the distinct (encoded row, label) groups, each
+Each iteration runs over the (encoded row, label) pairs that occur, each
 weighted by its share of the rows: the logits, residuals and losses are
-evaluated once per group, and the gradient and the mean loss are
-count-weighted sums over the groups, in the order ``distinct_rows`` sorts
-them. The encoder's columns are finite (a standardized one within ±√n) and
-every residual lies in [-1, 1] before its weighting, so each step, the
-weights and the loss stay finite.
+evaluated once per pair, and the gradient and the mean loss are
+count-weighted sums over the pairs. The pairs split each row group of
+``distinct_rows`` by label, so they come in that function's order of the
+rows, label 0 first. The encoder's columns are finite (a standardized one
+within ±√n) and every residual lies in [-1, 1] before its weighting, so
+each step, the weights and the loss stay finite.
 """
 
 from __future__ import annotations
@@ -61,13 +62,16 @@ def _loss(z: np.ndarray, y: np.ndarray, share: np.ndarray, w: np.ndarray) -> flo
 
 def lr_fit(matrix: FeatureMatrix) -> LRModel:
     """Gradient-descend the penalized NLL until ``TOLERANCE`` or ``MAX_ITERATIONS``."""
-    y = matrix.labels.astype(np.float64)
-    if y.min() == y.max():
+    labels = matrix.labels
+    if labels.min() == labels.max():
         raise SingleClassTrainingError()
     x = matrix.rows
     first, inverse = matrix.groups
-    xg, yg = x[first], y[first]
-    share = np.bincount(inverse) / x.shape[0]  # of the rows, per group
+    # the (row group, label) pairs that occur, label 0 first within a row group
+    pairs = np.bincount(2 * inverse + labels)
+    kept = np.flatnonzero(pairs)
+    xg, yg = x[first[kept // 2]], (kept % 2).astype(np.float64)
+    share = pairs[kept] / x.shape[0]  # of the rows, per pair
     w = np.zeros(matrix.width, dtype=np.float64)
     b = 0.0
     iterations = 0

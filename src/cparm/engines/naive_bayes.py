@@ -119,22 +119,23 @@ def _fit_tokens(codes: np.ndarray, vocab: tuple[str, ...], labels: np.ndarray) -
 def _fit_gaussian(name: str, x: np.ndarray, labels: np.ndarray) -> GaussianLikelihood:
     """Per-class mean and floored variance of the non-missing cells.
 
-    The sums run left to right over Python floats, squaring with ``**``:
-    numpy's pairwise sum and exact square can differ in the last bit, and the
-    model dump is compared byte for byte. A sum that overflows float64 raises
+    Both sums run left to right (the last entry of ``np.cumsum``) over exact
+    squares, whatever the interpreter: numpy's pairwise sum and Python's
+    compensated ``sum`` (3.12 on) can differ in the last bit, and the model
+    dump is compared byte for byte. A sum that overflows float64 raises
     NonFiniteStatisticError naming the column.
     """
     means = []
     variances = []
     valid = ~np.isnan(x)
     for cls in (0, 1):
-        vals = x[valid & (labels == cls)].tolist()
-        if vals:
-            mu = sum(vals) / len(vals)
-            try:
-                var = sum((v - mu) ** 2 for v in vals) / len(vals)
-            except OverflowError:  # float ** raises where a sum of floats gives inf
-                var = math.inf
+        vals = x[valid & (labels == cls)]
+        if vals.size:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                # + 0.0: a sum from 0, so cells all -0.0 have mean 0.0
+                mu = float(np.cumsum(vals)[-1] + 0.0) / vals.size
+                d = vals - mu
+                var = float(np.cumsum(d * d)[-1] / vals.size)
             if not math.isfinite(var):  # an overflowed mu makes var inf or nan too
                 raise NonFiniteStatisticError(name)
         else:

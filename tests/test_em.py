@@ -82,6 +82,21 @@ class TestFit:
         assert a.variances.tobytes() == b.variances.tobytes()
         assert a.cluster_labels == tuple(1 - c for c in b.cluster_labels)
 
+        # eight rows, each repeated under both labels in unequal numbers:
+        # grouping by (row, label) would give other groups for other labels
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(8, 2))[np.arange(120) % 8]
+        labels = (rng.random(120) < 0.3).astype(int)
+        assert {(r.tobytes(), y) for r, y in zip(x, labels)} == {
+            (r.tobytes(), y) for r in x for y in (0, 1)
+        }
+        a = em_fit(matrix_from(x, labels), 12)
+        for other in (1 - labels, rng.permutation(labels)):
+            b = em_fit(matrix_from(x, other), 12)
+            assert a.ll_trace == b.ll_trace
+            assert a.means.tobytes() == b.means.tobytes()
+            assert a.variances.tobytes() == b.variances.tobytes()
+
 
 @st.composite
 def em_cases(draw):

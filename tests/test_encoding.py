@@ -116,35 +116,30 @@ class TestDistinctRows:
         rng = np.random.default_rng(4)
         rows = rng.integers(-2, 3, size=(500, 3)).astype(float) / 2
         rows[rng.random(500) < 0.3, 1] = -0.0
-        first, inverse = distinct_rows(rows, np.zeros(500, int))
+        first, inverse = distinct_rows(rows)
         assert rows[first][inverse].tobytes() == rows.tobytes()
         assert len(first) == len({r.tobytes() for r in rows})
 
     def test_groups_equal_rows_under_their_earliest_row(self):
         rows = np.array([[2.0], [1.0], [2.0], [3.0], [1.0]])
-        assert grouping(*distinct_rows(rows, np.zeros(5, int))) == ([0, 1, 3], [0, 1, 0, 2, 1])
+        assert grouping(*distinct_rows(rows)) == ([0, 1, 3], [0, 1, 0, 2, 1])
 
     def test_all_distinct_rows_are_groups_of_one(self):
         # told apart by one column, and only by the columns together
         for rows in ([[3.0, 0.0], [1.0, 0.0], [2.0, 5.0]], [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]):
-            first, inverse = distinct_rows(np.array(rows), np.zeros(3, int))
+            first, inverse = distinct_rows(np.array(rows))
             assert grouping(first, inverse) == ([0, 1, 2], [0, 1, 2])
 
     def test_signed_zeros_are_separate_groups(self):
         rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
-        assert grouping(*distinct_rows(rows, np.zeros(3, int))) == ([0, 1], [0, 1, 0])
-
-    def test_labels_split_groups(self):
-        rows = np.ones((4, 2))
-        assert grouping(*distinct_rows(rows, np.array([1, 0, 1, 0]))) == ([0, 1], [0, 1, 0, 1])
-        assert distinct_rows(rows, np.ones(4, int))[0].tolist() == [0]
+        assert grouping(*distinct_rows(rows)) == ([0, 1], [0, 1, 0])
 
     def test_wide_rows_group_by_content(self):
         # 70 columns of 2 values each: more combinations than an int64 holds
         rng = np.random.default_rng(5)
         rows = rng.integers(0, 2, size=(300, 70)).astype(float)
         rows[150:] = rows[:150]
-        first, inverse = distinct_rows(rows, np.zeros(300, int))
+        first, inverse = distinct_rows(rows)
         assert rows[first][inverse].tobytes() == rows.tobytes()
         assert len(first) == len({r.tobytes() for r in rows}) == 150
 
@@ -152,7 +147,7 @@ class TestDistinctRows:
     @given(st.data())
     def test_equals_the_reference(self, data):
         # duplicated rows up to 80 cells wide, twins that differ only in the
-        # signs of their zeros, with labels that are all equal or mixed
+        # signs of their zeros
         width = data.draw(st.integers(1, 80))
         cell = st.sampled_from([0.0, -0.0, 1.0, -1.5, 5e-324, 1e300])
         pool = data.draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1,
@@ -161,6 +156,4 @@ class TestDistinctRows:
         n = rows.shape[0]
         flip = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         rows[flip] = np.where(rows[flip] == 0, -rows[flip], rows[flip])
-        same = st.just([0] * n)
-        labels = np.array(data.draw(same | st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-        assert grouping(*distinct_rows(rows, labels)) == distinct_rows_reference(rows, labels)
+        assert grouping(*distinct_rows(rows)) == distinct_rows_reference(rows)

@@ -7,9 +7,12 @@ engine, one- and three-value threshold sweeps, and --dump-rules. The model
 dump comes from a second run of each config with --dump-model added, so the
 report golden keeps its ``dump_model: null`` echo; it locks the Naive Bayes
 Gaussian parameters and token tables and, through the LR and EM weights,
-the encoder's means, standard deviations and impute values. Regenerate the
-files only for a change that alters output on purpose, and say why in
-CHANGES.md:
+the encoder's means, standard deviations and impute values. The Naive Bayes
+fields are left-to-right sums of exact products, the same under every Python
+version; the EM and LR floats go through numpy's exp and log and through
+BLAS, so their last digits may differ on another CPU or float library (see
+README). Regenerate the files only for a change that alters output on
+purpose, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """

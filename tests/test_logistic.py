@@ -115,6 +115,23 @@ class TestFit:
             assert model.weights.tobytes() == w.tobytes()
             assert model.bias == b and model.final_loss == loss
 
+    def test_rows_under_both_labels_split_into_label_groups(self):
+        # every distinct row occurs under both labels, in unequal numbers,
+        # so lr_fit must split each row group into its two labels, label 0
+        # first, as the (row, label) groups in distinct_rows' row order
+        rng = np.random.default_rng(8)
+        n = 120
+        x = rng.normal(size=(6, 3))[np.arange(n) % 6]
+        y = (rng.random(n) < 0.4).astype(int)
+        first, counts, _ = sorted_groups_reference(x, y)
+        assert len(first) == 12 and len(set(counts)) > 2
+        model = lr_fit(FeatureMatrix(tuple(ColumnSpec(f"x{i}", "numeric") for i in range(3)), x, y))
+        groups = (x[first], y[first].astype(float), np.array(counts) / n, logistic.L2)
+        w, b, loss, iterations = descend(counted_nll_loss, counted_nll_gradient, *groups)
+        assert model.iterations == iterations
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias == b and model.final_loss == loss
+
     def test_agrees_with_the_all_row_descent(self):
         # count-weighted sums differ from the all-row sums in their last digits
         for matrix, _ in fixed_matrices():

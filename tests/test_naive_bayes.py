@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cparm.dataset import AttributeSchema, Dataset, project
 from cparm.engines.naive_bayes import (
@@ -22,6 +24,31 @@ def labeled_dataset(columns, kinds, labels):
         AttributeSchema(f"f{i}", kind) for i, kind in enumerate(kinds)
     )
     return dataset(schema, columns, tuple(labels))
+
+
+def sequential_gaussian(values, labels, cls):
+    """(mean, floored variance) of class ``cls``'s non-missing cells, each a
+    sum from 0 run left to right; (0.0, the floor) when there are none."""
+    vals = [v for v, y in zip(values, labels) if y == cls and v is not None]
+    if not vals:
+        return 0.0, VARIANCE_FLOOR
+    mu = 0
+    for v in vals:
+        mu += v
+    mu /= len(vals)
+    var = 0
+    for v in vals:
+        var += (v - mu) * (v - mu)
+    var /= len(vals)
+    return mu, max(var, VARIANCE_FLOOR)
+
+
+def long_column():
+    """2,000 (label, cell) pairs with cells of many magnitudes, one in 20 missing."""
+    rng = random.Random(3)
+    labels = [rng.randint(0, 1) for _ in range(2000)]
+    return [(y, None if rng.random() < 0.05 else rng.uniform(-1e3, 1e3) * rng.random())
+            for y in labels]
 
 
 class TestFit:
@@ -48,27 +75,20 @@ class TestFit:
         with pytest.raises(SingleClassTrainingError):
             nb_fit(ds)
 
-    def test_gaussian_fit_is_the_sequential_sum(self):
+    @settings(deadline=None)
+    @example(long_column())
+    @given(st.lists(st.tuples(st.integers(0, 1), st.none() | st.just(-0.0) | st.floats(-1e100, 1e100)),
+                    min_size=1, max_size=30).filter(lambda pairs: {y for y, _ in pairs} == {0, 1}))
+    def test_gaussian_fit_is_the_sequential_sum(self, pairs):
         # mean and variance are the left-to-right float sums of the cells,
-        # bit for bit; a pairwise sum or an exact square can differ in the
-        # last bit
-        rng = random.Random(3)
-        labels = [rng.randint(0, 1) for _ in range(2000)]
-        values = [None if rng.random() < 0.05 else rng.uniform(-1e3, 1e3) * rng.random()
-                  for _ in labels]
-        model = nb_fit(labeled_dataset([values], ["numeric"], labels))
-        lik = model.likelihoods[0]
+        # squared exactly, bit for bit; a pairwise or compensated sum can
+        # differ in the last bit
+        labels = [y for y, _ in pairs]
+        values = [v for _, v in pairs]
+        lik = nb_fit(labeled_dataset([values], ["numeric"], labels)).likelihoods[0]
         for cls in (0, 1):
-            vals = [v for v, y in zip(values, labels) if y == cls and v is not None]
-            mu = 0
-            for v in vals:
-                mu += v
-            mu /= len(vals)
-            var = 0
-            for v in vals:
-                var += (v - mu) ** 2
-            var /= len(vals)
-            assert (lik.means[cls], lik.variances[cls]) == (mu, var)
+            fitted = (lik.means[cls], lik.variances[cls])
+            assert list(map(repr, fitted)) == list(map(repr, sequential_gaussian(values, labels, cls)))
 
     @pytest.mark.parametrize("values", [[1e308, 1.0, 1e308, 2.0], [1e200, 1.0, -1e200, 2.0]],
                              ids=["mean", "variance"])
