@@ -144,7 +144,7 @@ def _exit_code_for(exc: Exception) -> int:
         return _exit_code_for(exc.cause)
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
-    if isinstance(exc, (DataError, FileNotFoundError)):
+    if isinstance(exc, DataError):
         return EXIT_DATA
     return EXIT_RUNTIME
 

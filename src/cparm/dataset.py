@@ -35,8 +35,8 @@ from typing import Iterable, Iterator, Literal, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyDatasetError,
-    InvalidSpecError,
     MalformedCsvError,
     SchemaMismatchError,
     TooFewRecordsError,
@@ -142,12 +142,12 @@ def is_missing(column: np.ndarray) -> np.ndarray:
 
 
 def check_seed_and_fraction(seed: int, fraction: float | None = None) -> None:
-    """Raise InvalidSpecError unless ``seed`` is an unsigned 64-bit integer
+    """Raise ConfigError unless ``seed`` is an unsigned 64-bit integer
     and ``fraction``, if given, a training fraction in (0, 1)."""
     if not (0 <= seed < 2**64):
-        raise InvalidSpecError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
     if fraction is not None and not (0.0 < fraction < 1.0):
-        raise InvalidSpecError(f"split fraction must be in (0, 1), got {fraction}")
+        raise ConfigError(f"split fraction must be in (0, 1), got {fraction}")
 
 
 _LABEL_CODES = {**dict.fromkeys(ATTACK_LABEL_TOKENS, 1), **dict.fromkeys(NORMAL_LABEL_TOKENS, 0)}
@@ -240,9 +240,7 @@ def _read_chunks(path: Path) -> Iterator:
     """
     try:
         fh = path.open(newline="", encoding="utf-8-sig")  # drops a leading BOM
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no such file: {path}") from None
-    except OSError as exc:  # such as a directory, or a name too long
+    except OSError as exc:  # such as a missing file, a directory, or a name too long
         raise UnreadableCsvError(f"cannot read {path}: {exc.strerror}") from None
     with fh:
         reader, before = csv.reader(fh), 0  # before: the file's lines ahead of reader's
@@ -564,11 +562,11 @@ def synth_dataset(
     names the signal columns.
     """
     if n_signal_features < 1:
-        raise InvalidSpecError("need at least one signal feature")
+        raise ConfigError("need at least one signal feature")
     if n_records < 4:
-        raise InvalidSpecError("need at least 4 records")
+        raise ConfigError("need at least 4 records")
     if n_noise_features < 0:
-        raise InvalidSpecError("noise feature count cannot be negative")
+        raise ConfigError("noise feature count cannot be negative")
     check_seed_and_fraction(seed)
 
     r = random.Random(seed)

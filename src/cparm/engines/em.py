@@ -9,9 +9,10 @@ Both steps run over the distinct encoded rows, each weighted by the number
 of rows it stands for: the E-step's terms (component log-densities,
 responsibilities and log-likelihoods) are evaluated once per distinct row,
 and the M-step's sums and the total log-likelihood are count-weighted sums
-over those rows, in the order ``distinct_rows`` sorts them. Only the seeded
-starting means are drawn from all rows. ``distinct_rows`` groups the rows
-without their labels, so not one bit of the fitted model depends on them.
+over those rows, in the order ``distinct_rows`` sorts them. The seeding
+draws pick from all rows, each row's distance computed once per group, so
+they are those of a pick over the rows themselves. ``distinct_rows`` groups
+the rows without their labels, so not one bit of the model depends on them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TooFewRowsError
+from ..errors import TooFewRecordsError
 from ..metrics import majority_label
 from .encoding import FeatureMatrix, require_width
 
@@ -90,31 +91,34 @@ def responsibilities(model: EMModel, x: np.ndarray) -> np.ndarray:
     return resp
 
 
-def _init_means(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Seeded distance-weighted pick of K distinct rows as starting means."""
-    n = x.shape[0]
+def _init_means(distinct: np.ndarray, inverse: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Seeded distance-weighted pick of K rows as starting means, drawn over
+    the rows ``distinct[inverse]``. Each squared distance is computed once
+    per group and spread to the group's rows, so every draw is the one a
+    pick over those rows themselves makes."""
+    n = inverse.size
     chosen = [int(rng.integers(n))]
     for _ in range(K - 1):
         d2 = np.min(
-            [((x - x[i]) ** 2).sum(axis=1) for i in chosen], axis=0
-        )
+            [((distinct - distinct[inverse[i]]) ** 2).sum(axis=1) for i in chosen], axis=0
+        )[inverse]
         total = d2.sum()
         if total == 0.0:
             chosen.append((chosen[-1] + 1) % n)
         else:
             chosen.append(int(rng.choice(n, p=d2 / total)))
-    return x[chosen].copy()
+    return distinct[inverse[chosen]]
 
 
 def _fit_once(
-    x: np.ndarray, distinct: np.ndarray, counts: np.ndarray, seed: int, restart: int
+    distinct: np.ndarray, inverse: np.ndarray, counts: np.ndarray, seed: int, restart: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
-    """One seeded EM run: (weights, means, variances, ll_trace). The starting
-    means are drawn from the rows ``x``; both steps see only their distinct
-    rows ``distinct``, row g standing for ``counts[g]`` rows of ``x``."""
-    width = x.shape[1]
+    """One seeded EM run: (weights, means, variances, ll_trace) over the rows
+    ``distinct[inverse]``, row group g standing for ``counts[g]`` of them.
+    Both steps see only the group rows ``distinct``."""
+    width = distinct.shape[1]
     rng = np.random.default_rng([seed, restart])
-    means = _init_means(x, rng)
+    means = _init_means(distinct, inverse, rng)
     variances = np.ones((K, width), dtype=np.float64)
     weights = np.full(K, 1.0 / K, dtype=np.float64)
 
@@ -140,12 +144,11 @@ def em_fit(matrix: FeatureMatrix, seed: int = 0) -> EMModel:
 
     The labels only name the clusters.
     """
-    x = matrix.rows
-    if x.shape[0] < 2 * K:
-        raise TooFewRowsError(f"EM with k={K} needs at least {2 * K} rows")
-    first, inverse = matrix.groups
-    distinct, counts = x[first], np.bincount(inverse)
-    runs = (_fit_once(x, distinct, counts, seed, r) for r in range(RESTARTS))
+    if matrix.labels.size < 2 * K:
+        raise TooFewRecordsError(f"EM with k={K} needs at least {2 * K} rows")
+    distinct, inverse = matrix.groups
+    counts = np.bincount(inverse)
+    runs = (_fit_once(distinct, inverse, counts, seed, r) for r in range(RESTARTS))
     # max keeps the first of equal final log-likelihoods
     weights, means, variances, trace = max(runs, key=lambda run: run[3][-1])
     resp, _ = _normalize_log(_log_densities(distinct, weights, means, variances))

@@ -48,9 +48,11 @@ class FeatureMatrix:
 
     @cached_property
     def groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """``distinct_rows(rows)``, sorted once however many engines read it;
-        the labels play no part in it."""
-        return distinct_rows(self.rows)
+        """(distinct, inverse): one row per group of ``distinct_rows(rows)``
+        and each row's group, so ``distinct[inverse]`` is ``rows``. Sorted
+        once however many engines read it; the labels play no part in it."""
+        first, inverse = distinct_rows(self.rows)
+        return self.rows[first], inverse
 
 
 class FeatureEncoder:

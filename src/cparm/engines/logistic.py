@@ -65,13 +65,12 @@ def lr_fit(matrix: FeatureMatrix) -> LRModel:
     labels = matrix.labels
     if labels.min() == labels.max():
         raise SingleClassTrainingError()
-    x = matrix.rows
-    first, inverse = matrix.groups
+    distinct, inverse = matrix.groups
     # the (row group, label) pairs that occur, label 0 first within a row group
     pairs = np.bincount(2 * inverse + labels)
     kept = np.flatnonzero(pairs)
-    xg, yg = x[first[kept // 2]], (kept % 2).astype(np.float64)
-    share = pairs[kept] / x.shape[0]  # of the rows, per pair
+    xg, yg = distinct[kept // 2], (kept % 2).astype(np.float64)
+    share = pairs[kept] / inverse.size  # of the rows, per pair
     w = np.zeros(matrix.width, dtype=np.float64)
     b = 0.0
     iterations = 0

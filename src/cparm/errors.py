@@ -49,11 +49,7 @@ class EmptyDatasetError(DataError):
 
 
 class TooFewRecordsError(DataError):
-    pass
-
-
-class InvalidSpecError(ConfigError):
-    pass
+    """Too few rows to split, or to fit EM's components."""
 
 
 class SchemaMismatchError(DataError):
@@ -71,10 +67,6 @@ class NoFeaturesSelectedError(DataError):
 class SingleClassTrainingError(DataError):
     def __init__(self):
         super().__init__("training data contains only one class; need both 0 and 1")
-
-
-class TooFewRowsError(DataError):
-    pass
 
 
 class NonFiniteStatisticError(DataError):

@@ -126,7 +126,7 @@ def load_csv_reference(path, label_column, schema=None):
     """
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
+        raise UnreadableCsvError(f"cannot read {path}: No such file or directory")
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -421,11 +421,14 @@ def em_fit_reference(x, seed, grouped=False):
     ``grouped``, they run over the distinct rows in the order distinct_rows
     sorts them (``sorted_groups_reference``), and the M-step's sums and the
     total log-likelihood weight each distinct row by its count. Either way
-    the seeded starting means are drawn from every row. The E-step, the
-    M-step and that draw are written out with the same NumPy operations in
-    the same order as ``cparm.engines.em``, so with ``grouped`` the package's
-    fit must agree with this one bit for bit. The settings are that module's
-    constants, read at call time, so a test that patches them patches both.
+    the seeded starting means are drawn from every row, with each row's
+    seeding distance computed from that row itself, where the package
+    computes it once per row group. The E-step and the M-step are written
+    out with the same NumPy operations in the same order as
+    ``cparm.engines.em``, so with ``grouped`` the package's fit, its seeding
+    draws included, must agree with this one bit for bit. The settings are
+    that module's constants, read at call time, so a test that patches them
+    patches both.
     """
     n, width = x.shape
     k = em.K

@@ -12,13 +12,11 @@ from cparm.cli import main
 from cparm.errors import (
     ConfigError,
     EmptyDatasetError,
-    InvalidSpecError,
     MalformedCsvError,
     NoFeaturesSelectedError,
     SchemaMismatchError,
     SingleClassTrainingError,
     TooFewRecordsError,
-    TooFewRowsError,
     UnknownLabelColumnError,
     UnmappableLabelError,
     UnreadableCsvError,
@@ -124,6 +122,8 @@ class TestInspectCommand:
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "nope.csv")]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot read {tmp_path / 'nope.csv'}: No such file or directory" in err
 
     def test_directory_exits_3(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path)]) == 3
@@ -406,6 +406,11 @@ def _unknown_label_column(good, work):
     return ["--input", str(good), "--label-column", "nope"]
 
 
+def _missing_input(good, work):
+    """--input of a file that does not exist."""
+    return ["--input", str(work / "absent.csv")]
+
+
 def _three_train_rows(good, work):
     """Two normal rows and one attack as train, under every engine: both
     classes, but fewer rows than EM's two components need."""
@@ -428,7 +433,8 @@ FAULTS = [
     ("label_column_twice_and_unknown_label", _input(lambda rows: _label_twice(_unknown_label(rows))),
      3, SchemaMismatchError),
     ("one_data_row", _input(lambda rows: rows[:2]), 3, TooFewRecordsError),
-    ("three_train_rows", _three_train_rows, 3, TooFewRowsError),
+    ("three_train_rows", _three_train_rows, 3, TooFewRecordsError),
+    ("input_missing", _missing_input, 3, UnreadableCsvError),
     ("input_is_a_directory", _directory("--input"), 3, UnreadableCsvError),
     ("single_class", _input(_single_class), 3, SingleClassTrainingError),
     ("renamed_test_columns", _files(_renamed_columns), 3, SchemaMismatchError),
@@ -443,7 +449,7 @@ FAULTS = [
     ("model_is_a_directory", _directory("--dump-model"), 2, ConfigError),
     ("report_over_input", _report_over_input, 2, ConfigError),
     ("rules_over_report", _rules_over_report, 2, ConfigError),
-    ("split_ratio_of_one", _split_ratio("1.0"), 2, InvalidSpecError),
+    ("split_ratio_of_one", _split_ratio("1.0"), 2, ConfigError),
     ("no_rule_passes", _diffuse, 3, NoFeaturesSelectedError),
 ]
 
@@ -622,15 +628,19 @@ def test_module_entrypoint_smoke(tmp_path):
     assert "cparm" in result.stdout
 
 
-def test_failed_write_exits_4_and_leaves_no_file(synth_csv, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("error, code", [(OSError, errno.ENOSPC), (FileNotFoundError, errno.ENOENT)],
+                         ids=["full_disk", "target_gone"])
+def test_failed_write_exits_4_and_leaves_no_file(synth_csv, tmp_path, monkeypatch, capsys,
+                                                 error, code):
     # a failed write is the one failure left to exit 4, and no input causes
-    # one, so os.replace fails here as on a full disk
-    def full_disk(src, dst):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    # one, so os.replace fails here as on a full disk or a vanished
+    # directory; whatever its errno, it is not a data error
+    def failed_write(src, dst):
+        raise error(code, os.strerror(code))
 
     work = tmp_path / "work"
     work.mkdir()
-    monkeypatch.setattr(os, "replace", full_disk)
+    monkeypatch.setattr(os, "replace", failed_write)
     assert _run(["--input", str(synth_csv)], work / "report.json") == 4
-    assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert f"error: [Errno {code}] {os.strerror(code)}" in capsys.readouterr().err
     assert not list(work.iterdir())  # neither the report nor its temp file

@@ -30,14 +30,15 @@ from cparm.dataset import (
     write_csv,
 )
 from cparm.errors import (
+    ConfigError,
     CparmError,
     EmptyDatasetError,
-    InvalidSpecError,
     MalformedCsvError,
     SchemaMismatchError,
     TooFewRecordsError,
     UnknownLabelColumnError,
     UnmappableLabelError,
+    UnreadableCsvError,
 )
 from oracles import (
     STRICT_NUMBER,
@@ -108,7 +109,7 @@ class TestLoadCsv:
         assert err.value.token == "weird"
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(UnreadableCsvError):
             load_csv(tmp_path / "absent.csv", "label")
 
     def test_quoted_fields(self, tmp_path):
@@ -228,7 +229,7 @@ class TestSplit:
     def test_bad_fraction_rejected(self):
         # split checks its own arguments, a bad seed too
         for fraction, seed in [(1.0, 0), (0.0, 0), (0.5, -1), (0.5, 2**64)]:
-            with pytest.raises(InvalidSpecError):
+            with pytest.raises(ConfigError):
                 split(make_dataset(10), fraction, seed)
 
 
@@ -259,11 +260,11 @@ class TestSynthDataset:
         assert manifest.signal_features == (ds.schema[0].name,)
 
     def test_invalid_specs(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(ConfigError):
             synth_dataset(100, 5, 0, seed=0)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(ConfigError):
             synth_dataset(3, 5, 1, seed=0)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(ConfigError):
             synth_dataset(100, 5, 1, seed=-3)
 
     def test_bit_identical_across_runs(self):

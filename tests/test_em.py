@@ -14,7 +14,7 @@ from cparm.engines.em import (
     responsibilities,
 )
 from cparm.engines.encoding import ColumnSpec, FeatureMatrix
-from cparm.errors import TooFewRowsError
+from cparm.errors import TooFewRecordsError
 from oracles import agrees, em_fit_reference, fixed_matrices, two_blobs
 
 
@@ -63,7 +63,7 @@ class TestFit:
         assert abs(float(model.weights.sum()) - 1.0) < 1e-12
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRowsError):
+        with pytest.raises(TooFewRecordsError):
             em_fit(matrix_from(np.zeros((3, 1))))
 
     def test_deterministic_per_seed(self):
@@ -105,7 +105,7 @@ def em_cases(draw):
     that holds both 0.0 and -0.0; the last two values stand in for the EM
     module's constants."""
     n = draw(st.integers(4, 40))
-    width = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 12))
     cell = st.integers(-3, 3).map(float)
     layout = draw(st.sampled_from(["duplicated", "distinct", "identical"]))
     if layout == "duplicated":
