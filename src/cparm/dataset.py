@@ -28,7 +28,7 @@ import random
 import re
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -86,7 +86,7 @@ class AttributeSchema:
 class Dataset:
     """Immutable labeled table, one typed array per attribute.
 
-    ``vocabularies`` holds one tuple per column: the sorted tokens a
+    ``vocabularies`` holds one tuple per column: the sorted, distinct tokens a
     categorical column's codes index (it may hold tokens no cell uses, as
     after a split), and ``()`` for a numeric column.
     """
@@ -123,6 +123,8 @@ class Dataset:
                 raise SchemaMismatchError(
                     f"categorical column {attr.name!r} must be int32 codes into its vocabulary"
                 )
+            if any(not isinstance(t, str) for t in vocab) or list(vocab) != sorted(set(vocab)):
+                raise SchemaMismatchError(f"{attr.name!r}: vocabulary not sorted, distinct strings")
 
     @property
     def n_records(self) -> int:
@@ -419,6 +421,9 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
         writer.writerows(rows)
 
 
+_TEMP_IDS = count()
+
+
 @contextmanager
 def atomic_open(path: str | Path):
     """A text file that replaces ``path`` only once the block completes.
@@ -426,9 +431,11 @@ def atomic_open(path: str | Path):
     It is written as a temp file in the target's directory and moved over
     ``path`` with os.replace, so a failure leaves neither a partial file nor
     the temp file behind, and an older file at ``path`` stays as it was.
+    The temp name does not grow with the target's, so any name the file
+    system accepts can be written; a counter keeps a process's writes apart.
     """
     target = Path(path)
-    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
+    tmp = target.parent / f".cparm-{os.getpid()}-{next(_TEMP_IDS)}.tmp"
     try:
         with tmp.open("w", newline="", encoding="utf-8") as fh:
             yield fh

@@ -48,7 +48,7 @@ class LRModel:
         }
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: exp only sees -|z|."""
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
@@ -77,7 +77,7 @@ def lr_fit(matrix: FeatureMatrix) -> LRModel:
     z = xg @ w + b
     loss = _loss(z, yg, share, w)
     for _ in range(MAX_ITERATIONS):
-        residual = (_sigmoid(z) - yg) * share
+        residual = (sigmoid(z) - yg) * share
         w = w - LEARNING_RATE * (xg.T @ residual + L2 * w)
         b = b - LEARNING_RATE * float(residual.sum())
         z = xg @ w + b
@@ -93,5 +93,5 @@ def lr_fit(matrix: FeatureMatrix) -> LRModel:
 def lr_predict(model: LRModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(labels, class-1 probabilities) for every row of ``x``; 0.5 predicts 1."""
     x = require_width(x, model.weights.shape[0])
-    p = _sigmoid(x @ model.weights + model.bias)
+    p = sigmoid(x @ model.weights + model.bias)
     return (p >= 0.5).astype(np.int64), p

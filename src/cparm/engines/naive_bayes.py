@@ -16,7 +16,7 @@ import numpy as np
 
 from ..dataset import CATEGORICAL, NUMERIC, Dataset, require_schema
 from ..errors import NonFiniteStatisticError, SingleClassTrainingError
-from .logistic import _sigmoid
+from .logistic import sigmoid
 
 VARIANCE_FLOOR = 1e-9
 LAPLACE_ALPHA = 1.0
@@ -39,7 +39,7 @@ class CategoricalLikelihood:
         return table[:, codes]
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "tables": [dict(sorted(t.items())) for t in self.tables]}
+        return {"kind": self.kind, "tables": list(self.tables)}
 
 
 @dataclass(frozen=True)
@@ -160,4 +160,4 @@ def nb_predict(model: NBModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
     for column, vocab, lik in zip(test.columns, test.vocabularies, model.likelihoods):
         logs += lik.log_likelihoods(column, vocab)
     logs[:, np.isneginf(logs).all(axis=0)] = 0.0  # both classes -inf: a tie
-    return (logs[1] >= logs[0]).astype(np.int64), _sigmoid(logs[1] - logs[0])
+    return (logs[1] >= logs[0]).astype(np.int64), sigmoid(logs[1] - logs[0])

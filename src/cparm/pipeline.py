@@ -28,15 +28,10 @@ from .dataset import (
     synth_dataset,
     write_rows,
 )
-from .engines import (
-    em_fit,
-    em_predict,
-    encode,
-    lr_fit,
-    lr_predict,
-    nb_fit,
-    nb_predict,
-)
+from .engines.em import em_fit, em_predict
+from .engines.encoding import encode
+from .engines.logistic import lr_fit, lr_predict
+from .engines.naive_bayes import nb_fit, nb_predict
 from .errors import (
     ConfigError,
     NoFeaturesSelectedError,

@@ -644,3 +644,14 @@ def test_failed_write_exits_4_and_leaves_no_file(synth_csv, tmp_path, monkeypatc
     assert _run(["--input", str(synth_csv)], work / "report.json") == 4
     assert f"error: [Errno {code}] {os.strerror(code)}" in capsys.readouterr().err
     assert not list(work.iterdir())  # neither the report nor its temp file
+
+
+def test_longest_report_name_is_written(synth_csv, tmp_path):
+    # 250 characters plus ".json" is the 255 bytes a file name may hold; the
+    # temp file it is written through must not be longer
+    work = tmp_path / "work"
+    work.mkdir()
+    report = work / f"{'r' * 250}.json"
+    assert _run(["--input", str(synth_csv)], report) == 0
+    assert json.loads(report.read_text())["selected_features"]
+    assert [p.name for p in work.iterdir()] == [report.name]

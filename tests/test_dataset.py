@@ -19,6 +19,7 @@ from cparm import dataset as loader
 from cparm.dataset import (
     NUMERIC,
     AttributeSchema,
+    Dataset,
     SynthManifest,
     _Column,
     _plain_numbers,
@@ -177,6 +178,15 @@ class TestDatasetInvariants:
         schema = (AttributeSchema("a", "numeric"),)
         with pytest.raises(SchemaMismatchError, match="labels must be 0 or 1"):
             dataset(schema, transpose(((1.0,), (2.0,))), labels)
+
+    @pytest.mark.parametrize("vocabulary", [("x", "x"), ("y", "x"), ("x", 1)],
+                             ids=["duplicate", "out_of_order", "not_a_string"])
+    def test_vocabulary_is_sorted_distinct_strings(self, vocabulary):
+        # a second code for one token would be a second value to the central
+        # points, a second one-hot column and a second NB table entry
+        codes = np.array([0, 1], dtype=np.int32)
+        with pytest.raises(SchemaMismatchError, match="vocabulary not sorted, distinct strings"):
+            Dataset([AttributeSchema("a", "categorical")], [codes], [vocabulary], [0, 1])
 
 
 def make_dataset(n):

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cparm.dataset import AttributeSchema, project
-from cparm.engines import encode, lr_fit
-from cparm.engines.encoding import distinct_rows
+from cparm.engines.encoding import distinct_rows, encode
+from cparm.engines.logistic import lr_fit
 from cparm.errors import NonFiniteStatisticError, SchemaMismatchError
 from oracles import dataset, distinct_rows_reference
 

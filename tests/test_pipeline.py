@@ -213,7 +213,6 @@ class TestRunPipeline:
             raise AssertionError("built a per-entry object")
 
         expected = run_pipeline(synthetic_config(engines=("nb",)))
-        # the package's central_points function hides the module's name
         for module, name in (("cparm.central_points", "CentralPoint"), ("cparm.arm", "Transaction")):
             monkeypatch.setattr(importlib.import_module(module), name, refuse)
         report = run_pipeline(synthetic_config(engines=("nb",)))
