@@ -212,9 +212,7 @@ def select_features(rules: Sequence[Rule], limit: int, label: int) -> Ranking:
 
 
 def run_threshold_sweep(
-    transactions: Transactions,
-    limit: int,
-    thresholds: Sequence[float] = (0.4, 0.6, 0.8),
+    transactions: Transactions, limit: int, thresholds: Sequence[float]
 ) -> SweepResult:
     """Rank at each threshold (minsup = minconf), lowest first, mining the
     code matrix of ``build_transactions`` (a ``Transaction`` list will not do).

@@ -2,9 +2,9 @@
 
 The training rows are grouped by class (every label-0 row before every
 label-1 row, each class in row order), so partitions are class-homogeneous
-except at the class boundary. ``partition_index`` then maps each grouped row
-to one of p contiguous partitions: the first p-1 hold n // p rows each and
-the last takes the remainder. A partition's label is its mode label.
+except at the class boundary. ``partition_modes`` then cuts the grouped rows
+into p contiguous partitions: the first p-1 hold n // p rows each and the
+last takes the remainder. A partition's label is its mode label.
 
 The central point of an attribute within a partition is its mode: the most
 frequent non-missing value in that contiguous row slice. Numeric and
@@ -31,7 +31,7 @@ from .dataset import Dataset, Value, column_values, is_missing
 @dataclass(frozen=True, slots=True)
 class CentralPoint:
     attribute: str
-    partition_index: int
+    partition: int
     value: Value
     frequency: int
 
@@ -85,27 +85,18 @@ def partition_count(n_records: int, n_attributes: int) -> int:
     return max(1, n_records // n_attributes)
 
 
-def partition_index(n_records: int, p: int) -> np.ndarray:
-    """Every row's partition: the first p-1 get n // p rows, the last the rest."""
-    return np.minimum(np.arange(n_records) // _partition_size(n_records, p), p - 1)
-
-
-def _partition_size(n_records: int, p: int) -> int:
-    """n // p, the rows of each partition but the last."""
-    if not 1 <= p <= n_records:
-        raise ValueError(f"cannot split {n_records} records into {p} partitions")
-    return n_records // p
-
-
 def partition_modes(column: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mode of ``column`` within each of its p equal partitions (as laid
-    out by ``partition_index``) that has a non-missing cell.
+    """The mode of ``column`` within each of its p equal partitions that has
+    a non-missing cell: the first p-1 partitions hold n // p rows each and
+    the last the rest, for 1 <= p <= n.
 
     Returns three arrays in increasing partition order: the partition, the
     row where its mode first occurs (so the value kept is the first one seen:
     0.0 and -0.0 are one value), and the mode's count.
     """
-    size = _partition_size(len(column), p)
+    if not 1 <= p <= len(column):
+        raise ValueError(f"cannot split {len(column)} records into {p} partitions")
+    size = len(column) // p
     cut = (p - 1) * size
     # the first p-1 partitions as the rows of one block, the last on its own
     head = _row_modes(column[:cut].reshape(p - 1, size))

@@ -393,11 +393,15 @@ def _sorted_codes(codes: np.ndarray, tokens: list[str]) -> tuple[np.ndarray, tup
     return renumber[codes], tuple(tokens[j] for j in order)
 
 
-def write_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -> None:
-    """Serialize so that load_csv reads back an identical dataset.
+def write_csv(dataset: Dataset, path: str | Path) -> None:
+    """Serialize with the labels in a last column named "label".
 
-    Rows are spelled a block of about ``_BLOCK_CELLS`` cells at a time, so
-    the text of the whole table never exists at once.
+    ``load_csv(path, "label")`` reads back an identical dataset only if no
+    token is empty (one reads back missing), every categorical column holds
+    a token that is no number and no numeric cell is infinite (else the
+    kind flips), and no attribute is named "label". Rows are spelled a block
+    of about ``_BLOCK_CELLS`` cells at a time, so the text of the whole
+    table never exists at once.
     """
     step = max(1, _BLOCK_CELLS // (dataset.n_attributes + 1))
     blocks = (slice(start, start + step) for start in range(0, dataset.n_records, step))
@@ -406,7 +410,7 @@ def write_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -
             dataset.labels[block].tolist())
         for block in blocks
     )
-    write_rows(path, [*dataset.attribute_names(), label_column], rows)
+    write_rows(path, [*dataset.attribute_names(), "label"], rows)
 
 
 def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dataset import Dataset
 from ..errors import TooFewRecordsError
 from ..metrics import majority_label
-from .encoding import FeatureMatrix, require_width
+from .encoding import FeatureEncoder, FeatureMatrix
 
 VARIANCE_FLOOR = 1e-9
 K = 2                 # components
@@ -39,6 +40,7 @@ class EMModel:
     variances: np.ndarray                 # (k, width), floored
     ll_trace: tuple[float, ...]
     cluster_labels: tuple[int, ...]       # (k,) training label of each cluster
+    encoder: FeatureEncoder               # the training set's, for predict; not dumped
 
     def to_dict(self) -> dict:
         return {
@@ -153,7 +155,8 @@ def em_fit(matrix: FeatureMatrix, seed: int = 0) -> EMModel:
     weights, means, variances, trace = max(runs, key=lambda run: run[3][-1])
     resp, _ = _normalize_log(_log_densities(distinct, weights, means, variances))
     hard = resp.argmax(axis=1)[inverse]
-    return EMModel(weights, means, variances, trace, map_clusters(hard, matrix.labels))
+    return EMModel(weights, means, variances, trace, map_clusters(hard, matrix.labels),
+                   FeatureEncoder(matrix.columns))
 
 
 def map_clusters(hard: np.ndarray, labels: np.ndarray) -> tuple[int, ...]:
@@ -172,9 +175,9 @@ def map_clusters(hard: np.ndarray, labels: np.ndarray) -> tuple[int, ...]:
     return tuple(mapping)
 
 
-def em_predict(model: EMModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, class-1 probability) for each row, via the cluster mapping."""
-    resp = responsibilities(model, require_width(x, model.means.shape[1]))
+def em_predict(model: EMModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, class-1 probability) for each row of ``test``, via the cluster mapping."""
+    resp = responsibilities(model, model.encoder.transform(test).rows)
     mapping = np.asarray(model.cluster_labels)
     labels = mapping[resp.argmax(axis=1)]
     prob_1 = resp[:, mapping == 1].sum(axis=1)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..central_points import partition_modes
 from ..dataset import CATEGORICAL, NUMERIC, Dataset, Value, require_schema
-from ..errors import NonFiniteStatisticError, SchemaMismatchError
+from ..errors import NonFiniteStatisticError
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,12 @@ class FeatureMatrix:
         return self.rows[first], inverse
 
 
+@dataclass(frozen=True)
 class FeatureEncoder:
     """Fitted on training data once, then reusable on any dataset with the
-    training set's columns."""
+    training set's columns; encoders with equal columns are equal."""
 
-    def __init__(self, columns: tuple[ColumnSpec, ...]):
-        self.columns = columns
+    columns: tuple[ColumnSpec, ...]
 
     def transform(self, dataset: Dataset) -> FeatureMatrix:
         """Encode every row; the dataset's columns must be the fitted ones,
@@ -85,14 +85,6 @@ class FeatureEncoder:
                 out[seen, offset + hot[seen]] = 1.0
             offset += len(spec.names)
         return FeatureMatrix(self.columns, out, dataset.labels)
-
-
-def require_width(x: np.ndarray, width: int) -> np.ndarray:
-    """``x`` as a float64 matrix, refused unless it is 2-d and ``width`` wide."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != width:
-        raise SchemaMismatchError(f"matrix shape {x.shape} does not match model width {width}")
-    return x
 
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

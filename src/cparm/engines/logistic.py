@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dataset import Dataset
 from ..errors import SingleClassTrainingError
-from .encoding import FeatureMatrix, require_width
+from .encoding import FeatureEncoder, FeatureMatrix
 
 
 LEARNING_RATE = 0.1
@@ -36,7 +37,7 @@ class LRModel:
     bias: float
     iterations: int
     final_loss: float
-    column_names: tuple[str, ...]
+    encoder: FeatureEncoder                # the training set's, for predict
 
     def to_dict(self) -> dict:
         return {
@@ -44,7 +45,7 @@ class LRModel:
             "bias": float(self.bias),
             "iterations": self.iterations,
             "final_loss": float(self.final_loss),
-            "columns": list(self.column_names),
+            "columns": [name for c in self.encoder.columns for name in c.names],
         }
 
 
@@ -87,11 +88,10 @@ def lr_fit(matrix: FeatureMatrix) -> LRModel:
             loss = new_loss
             break
         loss = new_loss
-    return LRModel(w, b, iterations, loss, tuple(n for c in matrix.columns for n in c.names))
+    return LRModel(w, b, iterations, loss, FeatureEncoder(matrix.columns))
 
 
-def lr_predict(model: LRModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, class-1 probabilities) for every row of ``x``; 0.5 predicts 1."""
-    x = require_width(x, model.weights.shape[0])
-    p = sigmoid(x @ model.weights + model.bias)
+def lr_predict(model: LRModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, class-1 probabilities) for every row of ``test``; 0.5 predicts 1."""
+    p = sigmoid(model.encoder.transform(test).rows @ model.weights + model.bias)
     return (p >= 0.5).astype(np.int64), p

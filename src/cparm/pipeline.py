@@ -131,17 +131,13 @@ class PipelineConfig:
         }
 
     def to_dict(self) -> dict:
-        return {
+        """Every field in declaration order, ``report_path`` spelled "report"."""
+        echo = asdict(self)
+        echo["report"] = echo.pop("report_path")
+        return echo | {
             "source": self.source_echo(),
-            "label_column": self.label_column,
             "thresholds": list(self.thresholds),
-            "num_features": self.num_features,
             "engines": [e for e in ENGINE_ORDER if e in self.engines],
-            "seed": self.seed,
-            "dump_centres": self.dump_centres,
-            "dump_rules": self.dump_rules,
-            "dump_model": self.dump_model,
-            "report": self.report_path,
         }
 
 
@@ -239,24 +235,20 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
     requested = [e for e in ENGINE_ORDER if e in config.engines]
     if "em" in requested or "lr" in requested:
         with _stage("encode", timings):
-            matrix, encoder = encode(train)
-            test_x = encoder.transform(test).rows
+            matrix, _ = encode(train)  # both fits read it; each model encodes the test set
 
     engine_results: dict = {}
     model_dumps: dict = {}
     for engine in requested:
         with _stage(f"fit_{engine}", timings):
             if engine == "nb":
-                model = nb_fit(train)
-                predict, test_input = nb_predict, test
+                model, predict = nb_fit(train), nb_predict
             elif engine == "lr":
-                model = lr_fit(matrix)
-                predict, test_input = lr_predict, test_x
+                model, predict = lr_fit(matrix), lr_predict
             else:
-                model = em_fit(matrix, config.seed)
-                predict, test_input = em_predict, test_x
+                model, predict = em_fit(matrix, config.seed), em_predict
         with _stage(f"predict_{engine}", timings):
-            labels, _ = predict(model, test_input)
+            labels, _ = predict(model, test)
         cm = confusion(labels, test.labels)
         engine_results[engine] = {
             "confusion": asdict(cm),

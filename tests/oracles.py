@@ -19,7 +19,7 @@ import numpy as np
 
 from cparm.arm import Item, Transaction, Transactions
 from cparm.engines import em
-from cparm.engines.encoding import ColumnSpec, FeatureMatrix, encode
+from cparm.engines.encoding import ColumnSpec, FeatureEncoder, FeatureMatrix, encode
 from cparm.dataset import (
     ATTACK_LABEL_TOKENS,
     NORMAL_LABEL_TOKENS,
@@ -271,7 +271,7 @@ def transactions_reference(table):
     shared = {}
     for cp in table.entries:
         item = Item(cp.attribute, cp.value)
-        per_partition[cp.partition_index].append(shared.setdefault(item, item))
+        per_partition[cp.partition].append(shared.setdefault(item, item))
     return [
         Transaction(frozenset(items), label)
         for items, label in zip(per_partition, table.labels)
@@ -294,6 +294,12 @@ def coded_transactions(transactions):
             codes[row, j] = coders[j].setdefault(item.value, len(coders[j]))
     labels = np.array([t.label for t in transactions], dtype=np.int64)
     return Transactions(tuple(attributes), tuple(map(tuple, coders)), codes, labels)
+
+
+def partition_index(n_records, p):
+    """Every row's partition, the reference layout: the first p-1 get
+    n // p rows each and the last the rest."""
+    return np.minimum(np.arange(n_records) // (n_records // p), p - 1)
 
 
 def mode_of(values):
@@ -528,6 +534,29 @@ def two_blobs(seed=0, n=100, centers=(-5.0, 5.0), sigma=0.5):
     a = rng.normal(centers[0], sigma, size=(n, 1))
     b = rng.normal(centers[1], sigma, size=(n, 1))
     return np.vstack([a, b]), np.array([0] * n + [1] * n)
+
+
+def identity_encoder(width):
+    """An encoder of the numeric columns x0, x1, ... that encodes each cell
+    as itself (mean 0, std 1, a missing cell 0.0)."""
+    return FeatureEncoder(tuple(ColumnSpec(f"x{i}", "numeric", impute=0.0) for i in range(width)))
+
+
+def identity_matrix(x, labels=None):
+    """The rows ``x`` as a matrix of ``identity_encoder``'s columns, so a
+    model fitted on it predicts ``numeric_dataset(x)`` from the very rows
+    ``x``; every label 0 unless ``labels`` are given."""
+    x = np.asarray(x, dtype=np.float64)
+    labels = np.zeros(len(x), dtype=int) if labels is None else np.asarray(labels, dtype=int)
+    return FeatureMatrix(identity_encoder(x.shape[1]).columns, x, labels)
+
+
+def numeric_dataset(x):
+    """The rows ``x`` as a Dataset of the numeric columns x0, x1, ...,
+    labelled 0: what ``identity_encoder`` encodes back into ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    schema = tuple(AttributeSchema(f"x{i}", "numeric") for i in range(x.shape[1]))
+    return Dataset(schema, list(x.T.copy()), [()] * x.shape[1], np.zeros(len(x), dtype=int))
 
 
 def fixed_matrices():

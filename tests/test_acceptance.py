@@ -20,7 +20,6 @@ from cparm.cli import main
 from cparm.dataset import AttributeSchema, synth_dataset
 from cparm.engines import em
 from cparm.engines.em import em_fit, em_predict, responsibilities
-from cparm.engines.encoding import ColumnSpec, FeatureMatrix
 from cparm.engines.naive_bayes import CategoricalLikelihood, NBModel, nb_predict
 from cparm.metrics import ConfusionMatrix, compute_metrics
 from cparm.pipeline import PipelineConfig, SourceSynthetic, dumps_json, run_pipeline
@@ -28,11 +27,13 @@ from oracles import (
     brute_force_rules,
     coded_transactions,
     dataset,
+    identity_matrix,
     mode_of,
     mutual_information_ranking,
     nb_test_set,
     nll_gradient,
     nll_loss,
+    numeric_dataset,
     random_transactions,
     transpose,
 )
@@ -142,8 +143,7 @@ def test_c05_lr_gradient_check():
 
 def _alternating(x):
     """The rows ``x`` labelled 0, 1, 0, ...: EM fits without its labels."""
-    cols = tuple(ColumnSpec(f"x{i}", "numeric") for i in range(x.shape[1]))
-    return FeatureMatrix(cols, x, np.arange(x.shape[0]) % 2)
+    return identity_matrix(x, np.arange(x.shape[0]) % 2)
 
 
 def test_c06_em_guarantees(monkeypatch):
@@ -165,14 +165,12 @@ def test_c06_em_guarantees(monkeypatch):
             [blob_rng.normal(-5.0, 0.5, size=(100, 1)), blob_rng.normal(5.0, 0.5, size=(100, 1))]
         )
         labels = np.array([0] * 100 + [1] * 100)
-        cols = (ColumnSpec("x0", "numeric"),)
-        matrix = FeatureMatrix(cols, x, labels)
-        model = em_fit(matrix, 1)
+        model = em_fit(identity_matrix(x, labels), 1)
         means = sorted(float(m[0]) for m in model.means)
         assert abs(means[0] + 5.0) < 0.3 and abs(means[1] - 5.0) < 0.3
         for w in model.weights:
             assert abs(float(w) - 0.5) < 0.1
-        preds, _ = em_predict(model, x)
+        preds, _ = em_predict(model, numeric_dataset(x))
         assert float((preds == labels).mean()) >= 0.95
 
 

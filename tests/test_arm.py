@@ -193,7 +193,7 @@ def centres_dump_reference(table, path):
         writer.writerow(["attribute", "partition", "value", "frequency"])
         for cp in table.entries:
             value = repr(cp.value) if isinstance(cp.value, float) else cp.value
-            writer.writerow([cp.attribute, cp.partition_index, value, cp.frequency])
+            writer.writerow([cp.attribute, cp.partition, value, cp.frequency])
 
 
 class TestCodeMatrix:
@@ -390,7 +390,7 @@ class TestSelectFeatures:
 class TestThresholdSweep:
     def test_identical_rankings_when_saturated(self):
         transactions = [trans(("a", 1.0), ("b", 2.0))] * 2
-        sweep = run_threshold_sweep(coded_transactions(transactions), 2)
+        sweep = run_threshold_sweep(coded_transactions(transactions), 2, (0.4, 0.6, 0.8))
         rankings = [e.by_class[0] for e in sweep.entries]
         assert rankings[0] == rankings[1] == rankings[2] == (("a", 1.0), ("b", 1.0))
 
@@ -402,7 +402,7 @@ class TestThresholdSweep:
             trans(("a", 1.0), ("b", 3.0)),
         ]
         # (a=1 => b=1) has sup = conf = 0.5 by direct count: present at 0.4 only
-        sweep = run_threshold_sweep(coded_transactions(transactions), 4)
+        sweep = run_threshold_sweep(coded_transactions(transactions), 4, (0.4, 0.6, 0.8))
         per_threshold = {
             e.threshold: [name for name, _ in e.by_class[0]] for e in sweep.entries
         }
@@ -412,7 +412,7 @@ class TestThresholdSweep:
 
     def test_three_entries_regardless(self):
         transactions = [trans(("a", 1.0), ("b", 1.0))] * 3
-        sweep = run_threshold_sweep(coded_transactions(transactions), 2)
+        sweep = run_threshold_sweep(coded_transactions(transactions), 2, (0.4, 0.6, 0.8))
         assert [e.threshold for e in sweep.entries] == [0.4, 0.6, 0.8]
 
     def test_merged_union_truncates_by_importance(self):
@@ -421,7 +421,7 @@ class TestThresholdSweep:
             + [trans(("c", 2.0), ("d", 2.0), label=1)] * 4
             + [trans(("e", 3.0), label=1)]
         )
-        sweep = run_threshold_sweep(coded_transactions(transactions), 2)
+        sweep = run_threshold_sweep(coded_transactions(transactions), 2, (0.4, 0.6, 0.8))
         # class 0 ranks a,b; class 1 ranks c,d; the union keeps the best 2
         assert [name for name, _ in sweep.merged] == ["a", "b"]  # higher support, hence importance
 

@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cparm.central_points import (
-    central_points,
-    partition_count,
-    partition_index,
-    partition_modes,
-)
+from cparm.central_points import central_points, partition_count, partition_modes
 from cparm.dataset import AttributeSchema, Dataset, group_by_label, synth_dataset
-from oracles import dataset, latest_first_occurrence_mode, mode_of
+from oracles import dataset, latest_first_occurrence_mode, mode_of, partition_index
 
 # small pools make ties common; free floats cover exact numeric equality
 CELLS = st.one_of(
@@ -64,34 +59,43 @@ def slices(partition):
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
+def plan(n, p):
+    """The half-open row range of each partition ``partition_modes`` cuts n
+    rows into: in a column of one value, a partition's mode first occurs at
+    its first row and counts its rows."""
+    _, firsts, counts = partition_modes(np.zeros(n), p)
+    return list(zip(firsts.tolist(), (firsts + counts).tolist()))
+
+
 class TestMakePlan:
-    """The partition plan: partition_index gives every row its partition."""
+    """The partition plan: partition_modes cuts the rows into p contiguous
+    partitions, the first p-1 of n // p rows each and the last the rest."""
 
     def test_exact_division(self):
-        assert partition_index(10, 2).tolist() == [0] * 5 + [1] * 5
+        assert plan(10, 2) == [(0, 5), (5, 10)]
 
     def test_remainder_goes_last(self):
-        assert partition_index(10, 3).tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
+        assert plan(10, 3) == [(0, 3), (3, 6), (6, 10)]
 
     def test_singletons(self):
-        assert partition_index(5, 5).tolist() == [0, 1, 2, 3, 4]
+        assert plan(5, 5) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
     def test_too_many_partitions(self):
         with pytest.raises(ValueError, match="cannot split"):
-            partition_index(4, 5)
+            partition_modes(np.zeros(4), 5)
 
     def test_lengths_sum_to_n_for_random_pairs(self):
         rng = random.Random(1)
         for _ in range(200):
             n = rng.randint(1, 500)
             p = rng.randint(1, n)
-            partition = partition_index(n, p)
-            assert len(partition) == n and (np.diff(partition) >= 0).all()
-            assert partition[0] == 0 and partition[-1] == p - 1
-            bounds = slices(partition)
+            bounds = plan(n, p)
             assert len(bounds) == p  # one contiguous run per partition
+            assert bounds[0][0] == 0 and bounds[-1][1] == n
+            assert all(end == start for (_, end), (start, _) in zip(bounds, bounds[1:]))
             sizes = {e - s for s, e in bounds[:-1]}
             assert sizes <= {n // p}  # all but the last share one length
+            assert bounds == slices(partition_index(n, p))  # the reference layout
 
 
 @st.composite
@@ -235,7 +239,7 @@ class TestCentralPoints:
                 if found is not None:
                     want.append((attr.name, k, repr(found[0]), found[1]))
         got = [
-            (e.attribute, e.partition_index, repr(e.value), e.frequency)
+            (e.attribute, e.partition, repr(e.value), e.frequency)
             for e in central_points(ds, p).entries
         ]
         assert got == want
@@ -243,7 +247,7 @@ class TestCentralPoints:
     def test_constant_majority_partitions(self):
         ds = dataset_from_columns([[1.0, 1.0, 2.0, 2.0]])
         table = central_points(ds, 2)
-        assert [(c.attribute, c.partition_index, c.value, c.frequency) for c in table.entries] == [
+        assert [(c.attribute, c.partition, c.value, c.frequency) for c in table.entries] == [
             ("a0", 0, 1.0, 2), ("a0", 1, 2.0, 2),
         ]
 
@@ -258,7 +262,7 @@ class TestCentralPoints:
     def test_all_missing_slice_absent(self):
         ds = dataset_from_columns([[None, None, 1.0, 1.0]])
         table = central_points(ds, 2)
-        assert [(c.partition_index, c.value) for c in table.entries] == [(1, 1.0)]
+        assert [(c.partition, c.value) for c in table.entries] == [(1, 1.0)]
 
     def test_too_many_partitions(self):
         with pytest.raises(ValueError, match="cannot split"):
@@ -298,7 +302,7 @@ class TestCentralPoints:
                         winner, winner_pos = v, pos
                 expected.append((f"a{c}", k, winner, best))
 
-        got = [(e.attribute, e.partition_index, e.value, e.frequency) for e in table.entries]
+        got = [(e.attribute, e.partition, e.value, e.frequency) for e in table.entries]
         assert got == expected
 
     def test_frequency_is_exact_count(self):
@@ -308,7 +312,7 @@ class TestCentralPoints:
         table = central_points(ds, 4)
         bounds = slices(partition_index(30, 4))
         for cp in table.entries:
-            start, end = bounds[cp.partition_index]
+            start, end = bounds[cp.partition]
             assert cp.frequency == cols[0][start:end].count(cp.value)
 
     def test_double_run_identical(self):
@@ -333,7 +337,7 @@ class TestCentralPoints:
     def test_entry_ordering_attribute_major(self):
         ds = dataset_from_columns([[1.0] * 4, ["x"] * 4])
         table = central_points(ds, 2)
-        assert [(e.attribute, e.partition_index) for e in table.entries] == [
+        assert [(e.attribute, e.partition) for e in table.entries] == [
             ("a0", 0), ("a0", 1), ("a1", 0), ("a1", 1),
         ]
 

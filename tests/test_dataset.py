@@ -125,6 +125,18 @@ class TestLoadCsv:
         second = load_csv(tmp_path / "again.csv", "label")
         assert table(first) == table(second)  # name excluded from comparison
 
+    def test_roundtrip_of_number_tokens_is_numeric(self, tmp_path):
+        # write_csv round-trips a categorical column only if it holds a
+        # token that is no number: the tokens "1" and "2" read back as numbers
+        first = dataset((AttributeSchema("a", "categorical"),), (["2", "1", None, "2"],),
+                        (0, 1, 0, 1))
+        assert first.vocabularies == (("1", "2"),)
+        write_csv(first, tmp_path / "again.csv")
+        second = load_csv(tmp_path / "again.csv", "label")
+        assert second.schema == (AttributeSchema("a", "numeric"),)
+        assert second.vocabularies == ((),)
+        np.testing.assert_array_equal(second.columns[0], [2.0, 1.0, math.nan, 2.0])
+
 
 def inferred_kind(tmp_path, *cells):
     """The kind load_csv gives a one-column file holding ``cells``."""

@@ -13,22 +13,21 @@ from cparm.engines.em import (
     map_clusters,
     responsibilities,
 )
-from cparm.engines.encoding import ColumnSpec, FeatureMatrix
 from cparm.errors import TooFewRecordsError
-from oracles import agrees, em_fit_reference, fixed_matrices, two_blobs
-
-
-def matrix_from(x, labels=None):
-    """A matrix of the rows ``x``; every label 0 unless ``labels`` are given."""
-    columns = tuple(ColumnSpec(f"x{i}", "numeric") for i in range(x.shape[1]))
-    lab = np.zeros(len(x), dtype=int) if labels is None else np.asarray(labels, dtype=int)
-    return FeatureMatrix(columns, np.asarray(x, dtype=float), lab)
+from oracles import (
+    agrees,
+    em_fit_reference,
+    fixed_matrices,
+    identity_matrix,
+    numeric_dataset,
+    two_blobs,
+)
 
 
 class TestFit:
     def test_recovers_two_blobs(self):
         x, _ = two_blobs()
-        model = em_fit(matrix_from(x), 3)
+        model = em_fit(identity_matrix(x), 3)
         means = sorted(float(m[0]) for m in model.means)
         assert abs(means[0] - (-5.0)) < 0.3
         assert abs(means[1] - 5.0) < 0.3
@@ -37,7 +36,7 @@ class TestFit:
 
     def test_identical_points_survive(self):
         x = np.full((10, 2), 3.0)
-        model = em_fit(matrix_from(x), 1)
+        model = em_fit(identity_matrix(x), 1)
         assert np.isfinite(model.ll_trace[-1])
         assert np.all(model.variances == VARIANCE_FLOOR)
         assert np.allclose(model.means, 3.0)
@@ -46,37 +45,37 @@ class TestFit:
         rng = np.random.default_rng(8)
         for seed in range(5):
             x = rng.normal(size=(60, 2))
-            model = em_fit(matrix_from(x), seed)
+            model = em_fit(identity_matrix(x), seed)
             trace = np.array(model.ll_trace)
             assert np.all(np.diff(trace) >= -1e-9)
 
     def test_responsibilities_rows_sum_to_one(self):
         x, _ = two_blobs(seed=5)
-        model = em_fit(matrix_from(x), 5)
+        model = em_fit(identity_matrix(x), 5)
         resp = responsibilities(model, x)
         assert np.all(np.abs(resp.sum(axis=1) - 1.0) < 1e-12)
 
     def test_weights_positive_and_normalized(self):
         x, _ = two_blobs(seed=2)
-        model = em_fit(matrix_from(x), 2)
+        model = em_fit(identity_matrix(x), 2)
         assert np.all(model.weights > 0)
         assert abs(float(model.weights.sum()) - 1.0) < 1e-12
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRecordsError):
-            em_fit(matrix_from(np.zeros((3, 1))))
+            em_fit(identity_matrix(np.zeros((3, 1))))
 
     def test_deterministic_per_seed(self):
         x, _ = two_blobs(seed=7)
-        a = em_fit(matrix_from(x), 11)
-        b = em_fit(matrix_from(x), 11)
+        a = em_fit(identity_matrix(x), 11)
+        b = em_fit(identity_matrix(x), 11)
         assert a.ll_trace == b.ll_trace
         assert np.array_equal(a.means, b.means)
 
     def test_labels_play_no_part_in_the_fit(self):
         x, labels = two_blobs(seed=12)
-        a = em_fit(matrix_from(x, labels), 12)
-        b = em_fit(matrix_from(x, 1 - labels), 12)
+        a = em_fit(identity_matrix(x, labels), 12)
+        b = em_fit(identity_matrix(x, 1 - labels), 12)
         assert a.ll_trace == b.ll_trace
         assert a.means.tobytes() == b.means.tobytes()
         assert a.variances.tobytes() == b.variances.tobytes()
@@ -90,9 +89,9 @@ class TestFit:
         assert {(r.tobytes(), y) for r, y in zip(x, labels)} == {
             (r.tobytes(), y) for r in x for y in (0, 1)
         }
-        a = em_fit(matrix_from(x, labels), 12)
+        a = em_fit(identity_matrix(x, labels), 12)
         for other in (1 - labels, rng.permutation(labels)):
-            b = em_fit(matrix_from(x, other), 12)
+            b = em_fit(identity_matrix(x, other), 12)
             assert a.ll_trace == b.ll_trace
             assert a.means.tobytes() == b.means.tobytes()
             assert a.variances.tobytes() == b.variances.tobytes()
@@ -125,7 +124,7 @@ def em_cases(draw):
     max_iterations = draw(st.integers(1, 30))
     restarts = draw(st.integers(1, 4))
     labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    return matrix_from(x, labels), seed, max_iterations, restarts
+    return identity_matrix(x, labels), seed, max_iterations, restarts
 
 
 def assert_restart_chosen(model, matrix, seed, restart):
@@ -173,13 +172,13 @@ class TestReference:
 class TestClusterMapping:
     def test_majority_mapping(self):
         x, labels = two_blobs(seed=4)
-        model = em_fit(matrix_from(x, labels), 4)
+        model = em_fit(identity_matrix(x, labels), 4)
         assert sorted(model.cluster_labels) == [0, 1]
 
     def test_planted_blobs_reach_high_accuracy(self):
         x, labels = two_blobs(seed=6)
-        model = em_fit(matrix_from(x, labels), 6)
-        preds, prob_1 = em_predict(model, x)
+        model = em_fit(identity_matrix(x, labels), 6)
+        preds, prob_1 = em_predict(model, numeric_dataset(x))
         accuracy = float((preds == labels).mean())
         assert accuracy >= 0.95
         assert np.all((prob_1 >= 0) & (prob_1 <= 1))
@@ -188,7 +187,7 @@ class TestClusterMapping:
         # both clusters lean label 0; the one with more attacks must map to 1
         x = np.vstack([np.full((10, 1), -4.0), np.full((10, 1), 4.0)])
         labels = np.array([0] * 9 + [1] + [0] * 6 + [1] * 4)
-        model = em_fit(matrix_from(x, labels), 0)
+        model = em_fit(identity_matrix(x, labels), 0)
         assert sorted(model.cluster_labels) == [0, 1]
         resp = responsibilities(model, x)
         hard = resp.argmax(axis=1)
@@ -199,9 +198,9 @@ class TestClusterMapping:
         # (1e300 - mean) ** 2 overflows float64: every component scores -inf,
         # so the row's responsibilities are equal
         x, labels = two_blobs(seed=13)
-        model = em_fit(matrix_from(x, labels), 13)
+        model = em_fit(identity_matrix(x, labels), 13)
         assert responsibilities(model, np.array([[1e300]])).tolist() == [[0.5, 0.5]]
-        _, prob_1 = em_predict(model, np.array([[1e300], [5.0]]))
+        _, prob_1 = em_predict(model, numeric_dataset([[1e300], [5.0]]))
         assert prob_1[0] == 0.5 and prob_1[1] > 0.99
 
     def test_mapping_rules(self):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cparm.dataset import AttributeSchema, project
-from cparm.engines.encoding import distinct_rows, encode
-from cparm.engines.logistic import lr_fit
+from cparm.dataset import AttributeSchema, load_csv, project
+from cparm.engines.em import em_fit, em_predict, responsibilities
+from cparm.engines.encoding import FeatureEncoder, distinct_rows, encode
+from cparm.engines.logistic import lr_fit, lr_predict, sigmoid
 from cparm.errors import NonFiniteStatisticError, SchemaMismatchError
 from oracles import dataset, distinct_rows_reference
 
@@ -73,11 +74,50 @@ def test_column_order_follows_request():
 
 def test_column_names_follow_the_one_hot_layout():
     ds = two_column_dataset([0.0, 2.0, 1.0], ["tcp", "udp", "icmp"], [0, 1, 0])
-    matrix, _ = encode(ds)
+    matrix, encoder = encode(ds)
     names = [c.names for c in matrix.columns]
     assert names == [("num",), ("cat=icmp", "cat=tcp", "cat=udp")]
     assert sum(map(len, names)) == matrix.width
-    assert lr_fit(matrix).column_names == names[0] + names[1]
+    model = lr_fit(matrix)
+    assert model.encoder == encoder  # a new encoder, equal by its columns
+    assert model.to_dict()["columns"] == [*names[0], *names[1]]
+
+
+def test_models_predict_a_loaded_test_set_as_its_encoded_matrix(tmp_path):
+    # each fitted model encodes the test set with the encoder of its
+    # training matrix: its predict equals the matrix predict (LR's logits,
+    # EM's responsibilities and cluster mapping) on that encoder's transform,
+    # on a test file with an unseen token and a missing cell in each column
+    rng = np.random.default_rng(9)
+    lines = ["num,proto,label"]
+    for _ in range(60):
+        label = int(rng.integers(2))
+        lines.append(f"{rng.integers(4) + 3 * label},{('tcp', 'udp')[label]},{label}")
+    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "test.csv").write_text(
+        "num,proto,label\n1,tcp,0\n5,udp,1\n,udp,1\n2,,0\n4,icmp,1\n7,icmp,0\n"
+    )
+    train = load_csv(tmp_path / "train.csv", "label")
+    test = load_csv(tmp_path / "test.csv", "label", train.schema)
+    assert "icmp" in set(test.vocabularies[1]) - set(train.vocabularies[1])
+    assert np.isnan(test.columns[0]).any() and (test.columns[1] < 0).any()
+
+    matrix, _ = encode(train)
+    x = FeatureEncoder(matrix.columns).transform(test).rows
+    assert x[4, 1:].tolist() == [0.0, 0.0]  # the unseen token's all-zero block
+
+    lr = lr_fit(matrix)
+    p1 = sigmoid(x @ lr.weights + lr.bias)
+    labels, prob = lr_predict(lr, test)
+    assert labels.tolist() == (p1 >= 0.5).astype(int).tolist()
+    assert prob.tobytes() == p1.tobytes()
+
+    em = em_fit(matrix, 3)
+    resp = responsibilities(em, x)
+    mapping = np.asarray(em.cluster_labels)
+    labels, prob = em_predict(em, test)
+    assert labels.tolist() == mapping[resp.argmax(axis=1)].tolist()
+    assert prob.tobytes() == resp[:, mapping == 1].sum(axis=1).tobytes()
 
 
 def test_transform_refuses_other_columns():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cparm.dataset import project
 from cparm.engines import logistic
 from cparm.engines.em import EMModel, em_predict
 from cparm.engines.encoding import ColumnSpec, FeatureMatrix
@@ -13,16 +14,17 @@ from oracles import (
     counted_nll_gradient,
     counted_nll_loss,
     fixed_matrices,
+    identity_encoder,
+    identity_matrix,
     nll_gradient,
     nll_loss,
+    numeric_dataset,
     sorted_groups_reference,
 )
 
 
 def matrix_1d(x, y):
-    columns = (ColumnSpec("x", "numeric"),)
-    return FeatureMatrix(columns, np.asarray(x, dtype=float).reshape(-1, 1),
-                         np.asarray(y, dtype=int))
+    return identity_matrix(np.reshape(x, (-1, 1)), y)
 
 
 def descend(loss, gradient, x, *args):
@@ -50,18 +52,19 @@ class TestFit:
     def test_separable_data_reaches_full_training_accuracy(self):
         matrix = separable_matrix()
         model = lr_fit(matrix)
-        preds = [lr_predict(model, row[None])[0][0] for row in matrix.rows]
+        rows = [numeric_dataset(row[None]) for row in matrix.rows]
+        preds = [lr_predict(model, row)[0][0] for row in rows]
         assert preds == list(matrix.labels)
-        labels, probs = lr_predict(model, matrix.rows)
+        labels, probs = lr_predict(model, numeric_dataset(matrix.rows))
         assert labels.tolist() == preds
-        assert probs.tolist() == [lr_predict(model, row[None])[1][0] for row in matrix.rows]
+        assert probs.tolist() == [lr_predict(model, row)[1][0] for row in rows]
 
     def test_zero_iterations_is_the_zero_model(self, monkeypatch):
         monkeypatch.setattr(logistic, "MAX_ITERATIONS", 0)
         model = lr_fit(separable_matrix())
         assert model.weights.tolist() == [0.0]
         assert model.bias == 0.0
-        (label,), (prob,) = lr_predict(model, np.array([3.0])[None])
+        (label,), (prob,) = lr_predict(model, numeric_dataset([[3.0]]))
         assert prob == 0.5 and label == 1
 
     def test_single_class_rejected(self):
@@ -150,41 +153,50 @@ class TestFit:
         assert a.bias == b.bias and a.final_loss == b.final_loss
 
 
+def other_columns():
+    """Test sets that are not the columns x0, x1 of a two-column model: one
+    column, three columns, and the two in the other order."""
+    return (numeric_dataset(np.ones((3, 1))), numeric_dataset(np.zeros((3, 3))),
+            project(numeric_dataset(np.zeros((3, 2))), ["x1", "x0"]))
+
+
 class TestPredict:
     def test_logistic_of_log_three(self):
-        model = LRModel(np.zeros(1), math.log(3.0), 0, 0.0, ("x",))
-        (label,), (prob,) = lr_predict(model, np.array([0.0])[None])
+        model = LRModel(np.zeros(1), math.log(3.0), 0, 0.0, identity_encoder(1))
+        (label,), (prob,) = lr_predict(model, numeric_dataset([[0.0]]))
         assert abs(prob - 0.75) < 1e-15
         assert label == 1
 
     def test_saturation(self):
-        model = LRModel(np.array([50.0]), 0.0, 0, 0.0, ("x",))
-        _, (prob,) = lr_predict(model, np.array([20.0])[None])
+        model = LRModel(np.array([50.0]), 0.0, 0, 0.0, identity_encoder(1))
+        _, (prob,) = lr_predict(model, numeric_dataset([[20.0]]))
         assert prob > 1 - 1e-12
 
     def test_infinite_cell(self):
         # a test cell past float64 once standardized encodes as +-inf; its
         # logit saturates the probability without a RuntimeWarning
-        model = LRModel(np.array([2.0, -1.0]), 0.5, 0, 0.0, ("a", "b"))
+        model = LRModel(np.array([2.0, -1.0]), 0.5, 0, 0.0, identity_encoder(2))
         x = np.array([[np.inf, 0.0], [-np.inf, 0.0], [0.0, np.inf], [1.0, 1.0]])
-        labels, prob = lr_predict(model, x)
+        labels, prob = lr_predict(model, numeric_dataset(x))
         assert prob[:3].tolist() == [1.0, 0.0, 0.0]
         assert labels.tolist() == [1, 0, 0, 1]
 
     def test_width_mismatch(self):
-        model = LRModel(np.zeros(2), 0.0, 0, 0.0, ("a", "b"))
-        for x in (np.array([1.0])[None], np.zeros(2), np.zeros((3, 3))):
+        # the model's encoder refuses a test set without its columns
+        model = LRModel(np.zeros(2), 0.0, 0, 0.0, identity_encoder(2))
+        for test in other_columns():
             with pytest.raises(SchemaMismatchError):
-                lr_predict(model, x)
+                lr_predict(model, test)
 
     def test_em_width_mismatch(self):
-        # EM's predict shares LR's width check: a one-column matrix must not
-        # broadcast against a two-column model
-        model = EMModel(np.full(2, 0.5), np.zeros((2, 2)), np.ones((2, 2)), (0.0,), (0, 1))
-        for x in (np.ones((3, 1)), np.zeros(2), np.zeros((3, 3))):
+        # EM's predict shares LR's column check: a one-column test set must
+        # not broadcast against a two-column model
+        model = EMModel(np.full(2, 0.5), np.zeros((2, 2)), np.ones((2, 2)), (0.0,), (0, 1),
+                        identity_encoder(2))
+        for test in other_columns():
             with pytest.raises(SchemaMismatchError):
-                em_predict(model, x)
-        assert em_predict(model, np.zeros((3, 2)))[0].shape == (3,)
+                em_predict(model, test)
+        assert em_predict(model, numeric_dataset(np.zeros((3, 2))))[0].shape == (3,)
 
 
 class TestGradient:
