@@ -8,9 +8,10 @@ ASCII digits, sign, period and exponent that float64 holds, so ``nan``,
 ``_plain_numbers`` is the one function that applies that rule. A
 categorical column is int32 codes into the column's vocabulary, a sorted
 tuple of distinct tokens, with -1 for a missing cell. Cells become Python
-values (``float``, ``str`` or ``None``) only at the edges: CSV text, dumps
-and reports. A CSV file is read and typed a block of rows at a time, about
-``_BLOCK_CELLS`` cells whatever its width, so its text never exists whole.
+values (``float``, ``str`` or ``None``) only at the edges, such as reports;
+CSV text is spelled from the typed columns. A CSV file is read and typed,
+or spelled and written, a block of rows at a time, about ``_BLOCK_CELLS``
+cells whatever its width, so its text never exists whole.
 A block with no quote and no blank line is split at its commas;
 ``csv.reader`` reads the header and, from the first block that holds
 either, the rest of the file.
@@ -21,6 +22,7 @@ one more typed read of the whole file, and that read is the one returned.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -399,30 +401,63 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     ``load_csv(path, "label")`` reads back an identical dataset only if no
     token is empty (one reads back missing), every categorical column holds
     a token that is no number and no numeric cell is infinite (else the
-    kind flips), and no attribute is named "label". Rows are spelled a block
-    of about ``_BLOCK_CELLS`` cells at a time, so the text of the whole
-    table never exists at once.
+    kind flips). An attribute named "label" would make a header that
+    ``load_csv`` refuses, so it raises SchemaMismatchError before any file
+    is opened. Rows are spelled a block of about ``_BLOCK_CELLS`` cells at a
+    time, so the text of the whole table never exists at once.
     """
+    if "label" in dataset.attribute_names():
+        raise SchemaMismatchError(f"{path} would name column 'label' twice")
+    spell = Spellings()
     step = max(1, _BLOCK_CELLS // (dataset.n_attributes + 1))
-    blocks = (slice(start, start + step) for start in range(0, dataset.n_records, step))
-    rows = chain.from_iterable(
-        zip(*map(column_values, [c[block] for c in dataset.columns], dataset.vocabularies),
-            dataset.labels[block].tolist())
-        for block in blocks
+    blocks = (
+        [*map(spell.column, [c[start:start + step] for c in dataset.columns], dataset.vocabularies),
+         list(map(str, dataset.labels[start:start + step].tolist()))]
+        for start in range(0, dataset.n_records, step)
     )
-    write_rows(path, [*dataset.attribute_names(), "label"], rows)
+    write_rows(path, [*dataset.attribute_names(), "label"], blocks)
 
 
-def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``header`` and ``rows`` as CSV lines ended by "\\n", through
-    ``atomic_open``: every CSV file the program writes goes through here.
-    ``csv.writer`` spells a float with ``repr``, which round-trips, any other
-    non-string with ``str()`` and None as an empty cell, so cells are Python
-    values: a numpy scalar's ``repr`` names its type."""
+def write_rows(
+    path: str | Path, header: Sequence[str], blocks: Iterable[Sequence[list[str]]]
+) -> None:
+    """Write ``header`` and then each block's rows as CSV lines ended by
+    "\\n", through ``atomic_open``: every CSV file the program writes goes
+    through here. A block is a list of columns of equal length, each a list
+    of cells already spelled as CSV text (``Spellings``), so a row is its
+    cells joined by commas; a row has two or more fields."""
     with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for columns in blocks:
+            fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+
+
+class Spellings(dict):
+    """token -> its text as a field of a CSV row, as the running Python's
+    ``csv.writer`` spells it (quoted or not), spelled the first time it is
+    asked for. A cell is spelled as ``csv.writer`` spells its value: a float
+    with ``repr``, which round-trips, and None as an empty field."""
+
+    def __missing__(self, token: str) -> str:
+        out = io.StringIO()
+        # a row of one empty field is spelled '""', so the token has a second field
+        csv.writer(out, lineterminator="\n").writerow((token, ""))
+        self[token] = text = out.getvalue()[:-2]  # less that field's "," and the "\n"
+        return text
+
+    def column(self, column: np.ndarray, vocabulary: tuple[str, ...]) -> list[str]:
+        """Each cell's text: its float's repr or its code's token; "" if missing."""
+        if column.dtype == np.float64:
+            text = list(map(repr, column.tolist()))
+            for i in np.flatnonzero(np.isnan(column)).tolist():
+                text[i] = ""
+            return text
+        return list(map([*map(self.__getitem__, vocabulary), ""].__getitem__, column.tolist()))
+
+    def values(self, values: Iterable[Value | int]) -> list[str]:
+        """Each value's text: a float's repr; a token, an int or None (an
+        empty field) as ``csv.writer`` spells it."""
+        return [repr(v) if isinstance(v, float) else self[v] for v in values]
 
 
 _TEMP_IDS = count()

@@ -12,7 +12,6 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import chain, repeat
 from pathlib import Path
 
 from . import __version__
@@ -20,6 +19,7 @@ from .arm import SweepResult, build_transactions, run_threshold_sweep
 from .central_points import CentralPointsTable, central_points, partition_count
 from .dataset import (
     Dataset,
+    Spellings,
     atomic_open,
     check_seed_and_fraction,
     load_csv,
@@ -257,12 +257,14 @@ def run_pipeline(config: PipelineConfig) -> EvaluationReport:
         model_dumps[engine] = model.to_dict()
 
     # written only once every engine has run, so a failed run leaves none
-    if config.dump_centres:
-        _dump_centres(table, config.dump_centres)
-    if config.dump_rules:
-        _dump_rules(sweep.rules, config.dump_rules)
-    if config.dump_model:
-        _write_json(model_dumps, config.dump_model)
+    if config.dump_centres or config.dump_rules or config.dump_model:
+        with _stage("dump", timings):
+            if config.dump_centres:
+                _dump_centres(table, config.dump_centres)
+            if config.dump_rules:
+                _dump_rules(sweep.rules, config.dump_rules)
+            if config.dump_model:
+                _write_json(model_dumps, config.dump_model)
 
     return EvaluationReport(
         config=config.to_dict(),
@@ -312,18 +314,22 @@ def _write_json(obj, path: str | Path) -> None:
 
 
 def _dump_centres(table: CentralPointsTable, path: str | Path) -> None:
-    rows = chain.from_iterable(
-        zip(repeat(a.name), a.partitions.tolist(), a.values(), a.counts.tolist())
+    spell = Spellings()
+    blocks = (  # one per attribute
+        [[spell[a.name]] * len(a.partitions), list(map(str, a.partitions.tolist())),
+         spell.column(a.modes, a.vocabulary), list(map(str, a.counts.tolist()))]
         for a in table.attributes
     )
-    write_rows(path, ["attribute", "partition", "value", "frequency"], rows)
+    write_rows(path, ["attribute", "partition", "value", "frequency"], blocks)
 
 
 def _dump_rules(rules, path: str | Path) -> None:
-    rows = ((*r.antecedent, *r.consequent, r.support, r.confidence, r.importance, r.label)
-            for r in rules)
+    spell = Spellings()
+    rows = [(*r.antecedent, *r.consequent, r.support, r.confidence, r.importance, r.label)
+            for r in rules]
     write_rows(path, ["antecedent_attr", "antecedent_value", "consequent_attr", "consequent_value",
-                      "support", "confidence", "importance", "label"], rows)
+                      "support", "confidence", "importance", "label"],
+               [list(map(spell.values, zip(*rows)))])
 
 
 def render_metrics_table(report: EvaluationReport) -> str:

@@ -67,21 +67,54 @@ def nb_test_set(model, columns):
     return dataset(schema, columns, (0,) * len(columns[0]))
 
 
+def plain_cells(column, vocab):
+    """A typed column as a tuple of plain cells (float, str or None)."""
+    if column.dtype == np.float64:
+        return tuple(None if math.isnan(x) else x for x in column.tolist())
+    return tuple(None if c < 0 else vocab[c] for c in column.tolist())
+
+
 def cells(ds):
     """A Dataset's columns as tuples of plain cells (float, str or None)."""
-    out = []
-    for col, vocab in zip(ds.columns, ds.vocabularies):
-        if col.dtype == np.float64:
-            out.append(tuple(None if math.isnan(x) else x for x in col.tolist()))
-        else:
-            out.append(tuple(None if c < 0 else vocab[c] for c in col.tolist()))
-    return tuple(out)
+    return tuple(map(plain_cells, ds.columns, ds.vocabularies))
 
 
 def table(ds):
     """A Dataset's schema, plain cells and labels: two datasets hold the same
     table when these are equal."""
     return ds.schema, cells(ds), tuple(ds.labels.tolist())
+
+
+def csv_writer_reference(path, header, rows):
+    """CSV text as ``csv.writer`` writes rows of Python values: a float with
+    repr, an int with str, a token quoted as needed, None as an empty field."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_csv_reference(ds, path):
+    """write_csv's file: the plain cells of each row, then its label."""
+    rows = zip(*cells(ds), ds.labels.tolist())
+    csv_writer_reference(path, [*ds.attribute_names(), "label"], rows)
+
+
+def centres_dump_rows(table):
+    """The centres dump's rows: attribute, partition, mode and its count."""
+    return [
+        (a.name, k, value, count)
+        for a in table.attributes
+        for k, value, count in zip(
+            a.partitions.tolist(), plain_cells(a.modes, a.vocabulary), a.counts.tolist()
+        )
+    ]
+
+
+def rules_dump_rows(rules):
+    """The rules dump's rows: both items, the three scores and the label."""
+    return [(*r.antecedent, *r.consequent, r.support, r.confidence, r.importance, r.label)
+            for r in rules]
 
 
 # The strict numeric syntax, written out independently of the loader's:

@@ -646,6 +646,21 @@ def test_failed_write_exits_4_and_leaves_no_file(synth_csv, tmp_path, monkeypatc
     assert not list(work.iterdir())  # neither the report nor its temp file
 
 
+def test_failed_dump_write_exits_4_and_leaves_no_file(synth_csv, tmp_path, monkeypatch, capsys):
+    # the dumps are written in the pipeline's "dump" stage, which names
+    # itself in the message; the exit code is still the failed write's
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setattr(os, "replace", full_disk)
+    dumps = ["--dump-centres", str(work / "centres.csv"), "--dump-rules", str(work / "rules.csv")]
+    assert _run(["--input", str(synth_csv), *dumps], work / "report.json") == 4
+    assert "error: stage 'dump' failed: [Errno 28]" in capsys.readouterr().err
+    assert not list(work.iterdir())
+
+
 def test_longest_report_name_is_written(synth_csv, tmp_path):
     # 250 characters plus ".json" is the 255 bytes a file name may hold; the
     # temp file it is written through must not be longer

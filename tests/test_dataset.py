@@ -16,7 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cparm import dataset as loader
+from cparm.arm import build_transactions, generate_rules
+from cparm.central_points import central_points
 from cparm.dataset import (
+    CATEGORICAL,
     NUMERIC,
     AttributeSchema,
     Dataset,
@@ -41,17 +44,22 @@ from cparm.errors import (
     UnmappableLabelError,
     UnreadableCsvError,
 )
+from cparm.pipeline import _dump_centres, _dump_rules
 from oracles import (
     STRICT_NUMBER,
     cells,
+    centres_dump_rows,
+    csv_writer_reference,
     dataset,
     histogram_mutual_information,
     is_finite_number,
     load_csv_reference,
     row_major_synth,
+    rules_dump_rows,
     table,
     transpose,
     typed_text,
+    write_csv_reference,
 )
 
 
@@ -136,6 +144,14 @@ class TestLoadCsv:
         assert second.schema == (AttributeSchema("a", "numeric"),)
         assert second.vocabularies == ((),)
         np.testing.assert_array_equal(second.columns[0], [2.0, 1.0, math.nan, 2.0])
+
+    def test_attribute_named_label_is_refused_before_writing(self, tmp_path):
+        # its header would be "label,x,label", which load_csv refuses
+        names = ("label", "x")
+        ds = dataset(tuple(map(AttributeSchema, names, ("numeric",) * 2)), ([1.0], [2.0]), (0,))
+        with pytest.raises(SchemaMismatchError, match="name column 'label' twice"):
+            write_csv(ds, tmp_path / "data.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 def inferred_kind(tmp_path, *cells):
@@ -866,3 +882,73 @@ class TestChunkedRead:
         monkeypatch.setattr(loader, "_BLOCK_CELLS", budget)
         write_csv(ds, tmp_path / "blocks.csv")
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+# --- the CSV writer: csv.writer's bytes, spelled once per token ---------------
+
+# Cells the writer quotes or leaves bare: QUOTED's quotes, commas and line
+# breaks, spaces at either end, non-ASCII text and the empty token.
+WRITER_TOKENS = QUOTED | st.text(st.sampled_from([" ", "q", "é", "日", "\r", "'"]), max_size=4)
+# Attribute names that need quoting, or not; none is "label".
+WRITER_NAMES = st.lists(
+    st.text(st.sampled_from(['"', ",", "\n", " ", "é", "a"]), max_size=3),
+    min_size=1, max_size=5, unique=True,
+)
+WRITER_FLOATS = st.sampled_from([-0.0, math.nan, 5e-324, 1e22, 0.1 + 0.2]) | st.floats()
+
+
+@st.composite
+def quoted_datasets(draw):
+    """Datasets of 1 to 5 columns whose names, tokens and floats csv.writer
+    spells in every way it has: quoted, bare, empty and repr's edge cases."""
+    names = draw(WRITER_NAMES)
+    n = draw(st.integers(1, 12))
+    kinds, columns = [], []
+    for _ in names:
+        kinds.append(draw(st.sampled_from([NUMERIC, CATEGORICAL])))
+        cell = WRITER_FLOATS if kinds[-1] == NUMERIC else WRITER_TOKENS
+        columns.append(draw(st.lists(st.none() | cell, min_size=n, max_size=n)))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return dataset(tuple(map(AttributeSchema, names, kinds)), columns, tuple(labels))
+
+
+class TestCsvWriter:
+    @settings(deadline=None, max_examples=300)
+    @given(quoted_datasets(), st.sampled_from([1, 7, loader._BLOCK_CELLS]))
+    def test_write_csv_writes_csv_writers_bytes(self, tmp_path_factory, ds, budget):
+        folder = tmp_path_factory.mktemp("writer")
+        with patch.object(loader, "_BLOCK_CELLS", budget):
+            write_csv(ds, folder / "data.csv")
+        write_csv_reference(ds, folder / "reference.csv")
+        assert (folder / "data.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+    @settings(deadline=None, max_examples=100)
+    @given(quoted_datasets(), st.data())
+    def test_dumps_write_csv_writers_bytes(self, tmp_path_factory, ds, data):
+        table = central_points(ds, data.draw(st.integers(1, ds.n_records)))
+        rules = generate_rules(build_transactions(table), 1e-9, 1e-9)
+        folder = tmp_path_factory.mktemp("dumps")
+        _dump_centres(table, folder / "centres.csv")
+        _dump_rules(rules, folder / "rules.csv")
+        csv_writer_reference(folder / "centres.ref", ["attribute", "partition", "value",
+                                                      "frequency"], centres_dump_rows(table))
+        csv_writer_reference(folder / "rules.ref", [
+            "antecedent_attr", "antecedent_value", "consequent_attr", "consequent_value",
+            "support", "confidence", "importance", "label",
+        ], rules_dump_rows(rules))
+        for name in ("centres", "rules"):
+            got = (folder / f"{name}.csv").read_bytes()
+            assert got == (folder / f"{name}.ref").read_bytes()
+
+    def test_csv_writer_runs_once_per_header_and_distinct_token(self, tmp_path, monkeypatch):
+        # 50 rows in blocks of one: two columns share the token "a", so the
+        # header and three tokens make four writers
+        columns = (["a", ",", "b"] * 16 + ["a", "a"], ["a", None] * 25, [float(i) for i in range(50)])
+        names = ("p", "q", "r")
+        ds = dataset(tuple(map(AttributeSchema, names, (CATEGORICAL, CATEGORICAL, NUMERIC))),
+                     columns, (0, 1) * 25)
+        writer, made = csv.writer, []
+        monkeypatch.setattr(csv, "writer", lambda *args, **kw: made.append(1) or writer(*args, **kw))
+        monkeypatch.setattr(loader, "_BLOCK_CELLS", 1)
+        write_csv(ds, tmp_path / "data.csv")
+        assert len(made) == 4

@@ -1,7 +1,9 @@
 import csv
+import errno
 import importlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -110,6 +112,27 @@ class TestRunPipeline:
             "fit_nb", "predict_nb",
         ]
         assert all(v >= 0 for v in report.timings_ms.values())
+
+    @pytest.mark.parametrize("dump", ["dump_centres", "dump_rules", "dump_model"])
+    def test_one_dump_stage_times_the_dumps_asked_for(self, tmp_path, dump):
+        report = run_pipeline(synthetic_config(engines=("nb",), **{dump: str(tmp_path / "out")}))
+        assert list(report.timings_ms) == [
+            "load", "central_points", "arm", "fit_nb", "predict_nb", "dump",
+        ]
+        assert (tmp_path / "out").exists()
+
+    def test_failed_dump_fails_the_dump_stage_and_leaves_no_file(self, tmp_path, monkeypatch):
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        config = synthetic_config(dump_centres=str(tmp_path / "centres.csv"),
+                                  dump_rules=str(tmp_path / "rules.csv"))
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "dump"
+        assert isinstance(err.value.cause, OSError)
+        assert list(tmp_path.iterdir()) == []
 
     def test_selection_ignores_test_set(self, tmp_path):
         # same training file, two different test files: identical selection
@@ -259,7 +282,7 @@ class TestSerialization:
         )
         rule = Rule(Item("a", 1.0), Item("b", "x"), 0.5, 0.5, 0.5, label=1)
         modes = AttributeModes("a", np.array([0]), np.array([1.0]), np.array([3]), ())
-        # each fails while serializing, the dumps after their first row
+        # each fails while serializing, the centres dump after its first block
         attempts = [
             (lambda path: emit_report(report, path), TypeError),
             (lambda path: _dump_rules([rule, None], path), AttributeError),
