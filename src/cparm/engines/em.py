@@ -148,7 +148,7 @@ def em_fit(matrix: FeatureMatrix, seed: int = 0) -> EMModel:
     """
     if matrix.labels.size < 2 * K:
         raise TooFewRecordsError(f"EM with k={K} needs at least {2 * K} rows")
-    distinct, inverse = matrix.groups
+    distinct, inverse = matrix.distinct, matrix.inverse
     counts = np.bincount(inverse)
     runs = (_fit_once(distinct, inverse, counts, seed, r) for r in range(RESTARTS))
     # max keeps the first of equal final log-likelihoods
@@ -156,7 +156,7 @@ def em_fit(matrix: FeatureMatrix, seed: int = 0) -> EMModel:
     resp, _ = _normalize_log(_log_densities(distinct, weights, means, variances))
     hard = resp.argmax(axis=1)[inverse]
     return EMModel(weights, means, variances, trace, map_clusters(hard, matrix.labels),
-                   FeatureEncoder(matrix.columns))
+                   matrix.encoder)
 
 
 def map_clusters(hard: np.ndarray, labels: np.ndarray) -> tuple[int, ...]:
@@ -177,7 +177,7 @@ def map_clusters(hard: np.ndarray, labels: np.ndarray) -> tuple[int, ...]:
 
 def em_predict(model: EMModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """(labels, class-1 probability) for each row of ``test``, via the cluster mapping."""
-    resp = responsibilities(model, model.encoder.transform(test).rows)
+    resp = responsibilities(model, model.encoder.transform(test))
     mapping = np.asarray(model.cluster_labels)
     labels = mapping[resp.argmax(axis=1)]
     prob_1 = resp[:, mapping == 1].sum(axis=1)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,34 +36,15 @@ class ColumnSpec:
 
 
 @dataclass(frozen=True)
-class FeatureMatrix:
-    columns: tuple[ColumnSpec, ...]
-    rows: np.ndarray                       # (n, encoded width) float64
-    labels: np.ndarray                     # (n,) int
-
-    @property
-    def width(self) -> int:
-        return int(self.rows.shape[1])
-
-    @cached_property
-    def groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """(distinct, inverse): one row per group of ``distinct_rows(rows)``
-        and each row's group, so ``distinct[inverse]`` is ``rows``. Sorted
-        once however many engines read it; the labels play no part in it."""
-        first, inverse = distinct_rows(self.rows)
-        return self.rows[first], inverse
-
-
-@dataclass(frozen=True)
 class FeatureEncoder:
     """Fitted on training data once, then reusable on any dataset with the
     training set's columns; encoders with equal columns are equal."""
 
     columns: tuple[ColumnSpec, ...]
 
-    def transform(self, dataset: Dataset) -> FeatureMatrix:
-        """Encode every row; the dataset's columns must be the fitted ones,
-        with the same names and kinds in the same order."""
+    def transform(self, dataset: Dataset) -> np.ndarray:
+        """Encode every row, (n, width) float64; the dataset's columns must be
+        the fitted ones, with the same names and kinds in the same order."""
         require_schema(dataset, [(c.attribute, c.kind) for c in self.columns])
         out = np.zeros((dataset.n_records, sum(len(c.names) for c in self.columns)))
         offset = 0
@@ -84,7 +64,23 @@ class FeatureEncoder:
                 seen = np.flatnonzero(hot >= 0)
                 out[seen, offset + hot[seen]] = 1.0
             offset += len(spec.names)
-        return FeatureMatrix(self.columns, out, dataset.labels)
+        return out
+
+
+@dataclass(frozen=True)
+class FeatureMatrix:
+    """The encoded training set as its row groups: ``distinct[inverse]`` is
+    ``encoder.transform`` of it, row for row, grouped by ``distinct_rows``.
+    The labels play no part in the grouping."""
+
+    encoder: FeatureEncoder
+    distinct: np.ndarray                   # (groups, width) float64, in distinct_rows' order
+    inverse: np.ndarray                    # (n,) each row's group
+    labels: np.ndarray                     # (n,) int
+
+    @property
+    def width(self) -> int:
+        return int(self.distinct.shape[1])
 
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +113,7 @@ def _filled(column: np.ndarray, impute: float) -> np.ndarray:
 
 def encode(train: Dataset) -> tuple[FeatureMatrix, FeatureEncoder]:
     """Fit an encoder on every column of the training set, in order, and
-    return its encoded matrix."""
+    return the training set's row groups under it, with the encoder."""
     specs: list[ColumnSpec] = []
     for attr, column, vocab in zip(train.schema, train.columns, train.vocabularies):
         # the column's mode, with the central points' tie rule
@@ -141,4 +137,6 @@ def encode(train: Dataset) -> tuple[FeatureMatrix, FeatureEncoder]:
             impute = vocab[column[first[0]]] if first.size else ""
             specs.append(ColumnSpec(attr.name, CATEGORICAL, categories=tokens, impute=impute))
     encoder = FeatureEncoder(tuple(specs))
-    return encoder.transform(train), encoder
+    rows = encoder.transform(train)
+    first, inverse = distinct_rows(rows)
+    return FeatureMatrix(encoder, rows[first], inverse, train.labels), encoder

@@ -66,7 +66,7 @@ def lr_fit(matrix: FeatureMatrix) -> LRModel:
     labels = matrix.labels
     if labels.min() == labels.max():
         raise SingleClassTrainingError()
-    distinct, inverse = matrix.groups
+    distinct, inverse = matrix.distinct, matrix.inverse
     # the (row group, label) pairs that occur, label 0 first within a row group
     pairs = np.bincount(2 * inverse + labels)
     kept = np.flatnonzero(pairs)
@@ -88,10 +88,10 @@ def lr_fit(matrix: FeatureMatrix) -> LRModel:
             loss = new_loss
             break
         loss = new_loss
-    return LRModel(w, b, iterations, loss, FeatureEncoder(matrix.columns))
+    return LRModel(w, b, iterations, loss, matrix.encoder)
 
 
 def lr_predict(model: LRModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """(labels, class-1 probabilities) for every row of ``test``; 0.5 predicts 1."""
-    p = sigmoid(model.encoder.transform(test).rows @ model.weights + model.bias)
+    p = sigmoid(model.encoder.transform(test) @ model.weights + model.bias)
     return (p >= 0.5).astype(np.int64), p

@@ -111,7 +111,7 @@ class PipelineConfig:
         outputs = {"the report": self.report_path, "the centres dump": self.dump_centres,
                    "the rules dump": self.dump_rules, "the model dump": self.dump_model}
         for what, path in outputs.items():
-            if path:
+            if path is not None:
                 check_output_path(path)
                 other = taken.setdefault(Path(path).resolve(), what)
                 if other != what:
@@ -287,25 +287,16 @@ def format_float(x: float) -> str:
 
 
 def dumps_json(obj) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-significant-digit floats."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    """Deterministic JSON: insertion-ordered keys, 17-significant-digit floats;
+    ``json.dumps`` spells every other value, or raises TypeError."""
     if isinstance(obj, float):
         return format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {dumps_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps_json(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return json.dumps(obj)
 
 
 def _write_json(obj, path: str | Path) -> None:

@@ -19,7 +19,13 @@ import numpy as np
 
 from cparm.arm import Item, Transaction, Transactions
 from cparm.engines import em
-from cparm.engines.encoding import ColumnSpec, FeatureEncoder, FeatureMatrix, encode
+from cparm.engines.encoding import (
+    ColumnSpec,
+    FeatureEncoder,
+    FeatureMatrix,
+    distinct_rows,
+    encode,
+)
 from cparm.dataset import (
     ATTACK_LABEL_TOKENS,
     NORMAL_LABEL_TOKENS,
@@ -575,13 +581,22 @@ def identity_encoder(width):
     return FeatureEncoder(tuple(ColumnSpec(f"x{i}", "numeric", impute=0.0) for i in range(width)))
 
 
+def matrix_of(encoder, x, labels):
+    """The rows ``x``, taken as ``encoder``'s encoding of a training set
+    labelled ``labels``, grouped into a FeatureMatrix as ``encode`` groups
+    the rows it encodes."""
+    x = np.asarray(x, dtype=np.float64)
+    first, inverse = distinct_rows(x)
+    return FeatureMatrix(encoder, x[first], inverse, np.asarray(labels, dtype=int))
+
+
 def identity_matrix(x, labels=None):
     """The rows ``x`` as a matrix of ``identity_encoder``'s columns, so a
     model fitted on it predicts ``numeric_dataset(x)`` from the very rows
     ``x``; every label 0 unless ``labels`` are given."""
     x = np.asarray(x, dtype=np.float64)
-    labels = np.zeros(len(x), dtype=int) if labels is None else np.asarray(labels, dtype=int)
-    return FeatureMatrix(identity_encoder(x.shape[1]).columns, x, labels)
+    labels = np.zeros(len(x), dtype=int) if labels is None else labels
+    return matrix_of(identity_encoder(x.shape[1]), x, labels)
 
 
 def numeric_dataset(x):
@@ -599,8 +614,7 @@ def fixed_matrices():
     criterion c08, encoded, seeds 0-4."""
     for seed in range(10):
         x, labels = two_blobs(seed)
-        columns = (ColumnSpec("x0", "numeric"),)
-        yield FeatureMatrix(columns, x, labels), seed
+        yield identity_matrix(x, labels), seed
     for seed in range(5):
         yield encode(synth_dataset(2000, 16, 4, seed)[0])[0], seed
 

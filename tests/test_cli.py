@@ -362,6 +362,14 @@ def _directory(flag):
     return build
 
 
+def _empty(flag):
+    """--input of the good CSV, with ``flag`` naming the empty path: the
+    working directory, which the test makes the work directory."""
+    def build(good, work):
+        return ["--input", str(good), flag, ""]
+    return build
+
+
 def _long_report_name(good, work):
     """--input of the good CSV, with --report naming a file whose name is too
     long for the file system."""
@@ -445,6 +453,8 @@ FAULTS = [
     ("report_in_missing_directory", _missing_directory("--report"), 2, ConfigError),
     ("rules_in_missing_directory", _missing_directory("--dump-rules"), 2, ConfigError),
     ("report_is_a_directory", _directory("--report"), 2, ConfigError),
+    ("report_is_empty", _empty("--report"), 2, ConfigError),
+    ("rules_is_empty", _empty("--dump-rules"), 2, ConfigError),
     ("report_name_too_long", _long_report_name, 2, ConfigError),
     ("model_is_a_directory", _directory("--dump-model"), 2, ConfigError),
     ("report_over_input", _report_over_input, 2, ConfigError),
@@ -461,6 +471,7 @@ def test_fault_injection_exit_code_and_no_stray_files(
 ):
     work = tmp_path / "work"
     work.mkdir()
+    monkeypatch.chdir(work)  # where an empty output path points
     report = work / "report.json"
     args = build(synth_csv, work)
     before = _contents(work)

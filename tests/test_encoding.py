@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cparm.dataset import AttributeSchema, load_csv, project
 from cparm.engines.em import em_fit, em_predict, responsibilities
-from cparm.engines.encoding import FeatureEncoder, distinct_rows, encode
+from cparm.engines.encoding import distinct_rows, encode
 from cparm.engines.logistic import lr_fit, lr_predict, sigmoid
 from cparm.errors import NonFiniteStatisticError, SchemaMismatchError
 from oracles import dataset, distinct_rows_reference
@@ -19,34 +19,39 @@ def two_column_dataset(numeric, categorical, labels):
     return dataset(schema, (numeric, categorical), tuple(labels))
 
 
+def rows_of(matrix):
+    """The encoded training rows a matrix groups, in their order."""
+    return matrix.distinct[matrix.inverse]
+
+
 def test_two_point_standardization():
     ds = two_column_dataset([0.0, 2.0], ["a", "a"], [0, 1])
     matrix, _ = encode(project(ds, ["num"]))
-    assert matrix.rows[:, 0].tolist() == [-1.0, 1.0]
+    assert rows_of(matrix)[:, 0].tolist() == [-1.0, 1.0]
 
 
 def test_one_hot_identity():
     ds = two_column_dataset([0.0, 1.0], ["tcp", "udp"], [0, 1])
     matrix, _ = encode(project(ds, ["cat"]))
-    assert matrix.rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert rows_of(matrix).tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_unseen_token_encodes_to_zero_block():
     train = two_column_dataset([0.0, 1.0], ["tcp", "udp"], [0, 1])
     test = two_column_dataset([0.5, 0.5], ["icmp", "tcp"], [0, 1])
     _, encoder = encode(project(train, ["cat"]))
-    rows = encoder.transform(project(test, ["cat"])).rows
+    rows = encoder.transform(project(test, ["cat"]))
     assert rows[0].tolist() == [0.0, 0.0]
     assert rows[1].tolist() == [1.0, 0.0]
 
 
 def test_missing_imputed_with_training_mode():
     train = two_column_dataset([1.0, 1.0, 4.0, None], ["x", "x", "y", None], [0, 0, 1, 1])
-    matrix, encoder = encode(project(train, ["num", "cat"]))
+    rows = rows_of(encode(project(train, ["num", "cat"]))[0])
     # numeric mode is 1.0, so the None row encodes like a 1.0 row
-    assert matrix.rows[3, 0] == matrix.rows[0, 0]
+    assert rows[3, 0] == rows[0, 0]
     # categorical mode is 'x'
-    assert matrix.rows[3, 1:].tolist() == matrix.rows[0, 1:].tolist()
+    assert rows[3, 1:].tolist() == rows[0, 1:].tolist()
 
 
 def test_standardization_invariant():
@@ -54,7 +59,7 @@ def test_standardization_invariant():
     values = [float(v) for v in rng.normal(37.0, 9.0, size=400)]
     ds = two_column_dataset(values, ["a"] * 400, [i % 2 for i in range(400)])
     matrix, _ = encode(project(ds, ["num"]))
-    col = matrix.rows[:, 0]
+    col = rows_of(matrix)[:, 0]
     assert abs(col.mean()) < 1e-9
     assert abs(col.std() - 1.0) < 1e-9
 
@@ -62,24 +67,24 @@ def test_standardization_invariant():
 def test_constant_numeric_column_centers_only():
     ds = two_column_dataset([5.0, 5.0, 5.0], ["a", "b", "a"], [0, 1, 0])
     matrix, _ = encode(project(ds, ["num"]))
-    assert matrix.rows[:, 0].tolist() == [0.0, 0.0, 0.0]
+    assert rows_of(matrix)[:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_column_order_follows_request():
     ds = two_column_dataset([0.0, 2.0], ["tcp", "udp"], [0, 1])
     matrix, _ = encode(project(ds, ["cat", "num"]))
-    assert [c.attribute for c in matrix.columns] == ["cat", "num"]
+    assert [c.attribute for c in matrix.encoder.columns] == ["cat", "num"]
     assert matrix.width == 3  # 2 one-hot + 1 numeric
 
 
 def test_column_names_follow_the_one_hot_layout():
     ds = two_column_dataset([0.0, 2.0, 1.0], ["tcp", "udp", "icmp"], [0, 1, 0])
     matrix, encoder = encode(ds)
-    names = [c.names for c in matrix.columns]
+    names = [c.names for c in encoder.columns]
     assert names == [("num",), ("cat=icmp", "cat=tcp", "cat=udp")]
     assert sum(map(len, names)) == matrix.width
     model = lr_fit(matrix)
-    assert model.encoder == encoder  # a new encoder, equal by its columns
+    assert model.encoder is encoder
     assert model.to_dict()["columns"] == [*names[0], *names[1]]
 
 
@@ -102,8 +107,8 @@ def test_models_predict_a_loaded_test_set_as_its_encoded_matrix(tmp_path):
     assert "icmp" in set(test.vocabularies[1]) - set(train.vocabularies[1])
     assert np.isnan(test.columns[0]).any() and (test.columns[1] < 0).any()
 
-    matrix, _ = encode(train)
-    x = FeatureEncoder(matrix.columns).transform(test).rows
+    matrix, encoder = encode(train)
+    x = encoder.transform(test)
     assert x[4, 1:].tolist() == [0.0, 0.0]  # the unseen token's all-zero block
 
     lr = lr_fit(matrix)
@@ -118,6 +123,39 @@ def test_models_predict_a_loaded_test_set_as_its_encoded_matrix(tmp_path):
     labels, prob = em_predict(em, test)
     assert labels.tolist() == mapping[resp.argmax(axis=1)].tolist()
     assert prob.tobytes() == resp[:, mapping == 1].sum(axis=1).tobytes()
+
+
+def signed_zero_training_set():
+    """Nine rows in five groups: -0.0 and 0.0 standardize to themselves
+    (the mean is 0.0) and so stay apart, and each column has a missing cell."""
+    return two_column_dataset([-0.0, 0.0, 2.0, -2.0, None, -0.0, 2.0, -2.0, 0.0],
+                              ["a", None, "b", "a", "b", "a", "b", None, "a"],
+                              [0, 1, 1, 0, 1, 0, 1, 1, 0])
+
+
+class TestFeatureMatrix:
+    def test_groups_gather_back_to_the_encoded_rows_bitwise(self):
+        train = signed_zero_training_set()
+        matrix, encoder = encode(train)
+        rows = encoder.transform(train)
+        assert matrix.encoder is encoder
+        assert rows_of(matrix).view(np.int64).tolist() == rows.view(np.int64).tolist()
+        assert np.signbit(rows[:, 0]).any() and len(matrix.distinct) == 5 < len(rows)
+        assert matrix.labels.tolist() == train.labels.tolist()
+
+    def test_models_hold_the_matrix_encoder(self):
+        matrix, _ = encode(signed_zero_training_set())
+        assert lr_fit(matrix).encoder is matrix.encoder
+        assert em_fit(matrix, 2).encoder is matrix.encoder
+
+    def test_transform_is_float64_of_the_matrix_width(self):
+        train = signed_zero_training_set()
+        matrix, encoder = encode(train)
+        test = two_column_dataset([1.0, None], ["c", "a"], [0, 1])  # an unseen token
+        for ds in (train, test):
+            x = encoder.transform(ds)
+            assert x.dtype == np.float64 and x.shape == (ds.n_records, matrix.width)
+        assert matrix.width == 3
 
 
 def test_transform_refuses_other_columns():

@@ -6,7 +6,6 @@ import pytest
 from cparm.dataset import project
 from cparm.engines import logistic
 from cparm.engines.em import EMModel, em_predict
-from cparm.engines.encoding import ColumnSpec, FeatureMatrix
 from cparm.engines.logistic import LRModel, lr_fit, lr_predict
 from cparm.errors import SchemaMismatchError, SingleClassTrainingError
 from oracles import (
@@ -16,6 +15,7 @@ from oracles import (
     fixed_matrices,
     identity_encoder,
     identity_matrix,
+    matrix_of,
     nll_gradient,
     nll_loss,
     numeric_dataset,
@@ -52,10 +52,11 @@ class TestFit:
     def test_separable_data_reaches_full_training_accuracy(self):
         matrix = separable_matrix()
         model = lr_fit(matrix)
-        rows = [numeric_dataset(row[None]) for row in matrix.rows]
+        x = matrix.distinct[matrix.inverse]
+        rows = [numeric_dataset(row[None]) for row in x]
         preds = [lr_predict(model, row)[0][0] for row in rows]
         assert preds == list(matrix.labels)
-        labels, probs = lr_predict(model, numeric_dataset(matrix.rows))
+        labels, probs = lr_predict(model, numeric_dataset(x))
         assert labels.tolist() == preds
         assert probs.tolist() == [lr_predict(model, row)[1][0] for row in rows]
 
@@ -107,8 +108,7 @@ class TestFit:
         ):
             assert len(np.unique(x, axis=0)) == distinct
             y = (x @ np.array([1.0, -2.0, 0.5, 1.5]) + rng.normal(size=n) > 0).astype(int)
-            columns = tuple(ColumnSpec(f"x{i}", "numeric") for i in range(4))
-            model = lr_fit(FeatureMatrix(columns, x, y))
+            model = lr_fit(matrix_of(identity_encoder(4), x, y))
 
             first, counts, _ = sorted_groups_reference(x, y)
             groups = (x[first], y[first].astype(float), np.array(counts) / n, logistic.L2)
@@ -128,7 +128,7 @@ class TestFit:
         y = (rng.random(n) < 0.4).astype(int)
         first, counts, _ = sorted_groups_reference(x, y)
         assert len(first) == 12 and len(set(counts)) > 2
-        model = lr_fit(FeatureMatrix(tuple(ColumnSpec(f"x{i}", "numeric") for i in range(3)), x, y))
+        model = lr_fit(matrix_of(identity_encoder(3), x, y))
         groups = (x[first], y[first].astype(float), np.array(counts) / n, logistic.L2)
         w, b, loss, iterations = descend(counted_nll_loss, counted_nll_gradient, *groups)
         assert model.iterations == iterations
@@ -140,7 +140,8 @@ class TestFit:
         for matrix, _ in fixed_matrices():
             model = lr_fit(matrix)
             w, b, loss, iterations = descend(
-                nll_loss, nll_gradient, matrix.rows, matrix.labels.astype(float), logistic.L2
+                nll_loss, nll_gradient, matrix.distinct[matrix.inverse],
+                matrix.labels.astype(float), logistic.L2
             )
             assert model.iterations == iterations
             assert agrees(model.weights, w) and agrees(model.bias, b)

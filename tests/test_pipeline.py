@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cparm.arm import Item, Rule, build_transactions, generate_rules
 from cparm.central_points import AttributeModes, CentralPointsTable
@@ -336,6 +338,18 @@ class TestSerialization:
     def test_undefined_metric_serializes_to_null(self):
         text = dumps_json({"precision": None})
         assert text == '{"precision": null}'
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(),
+        lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    ))
+    def test_float_free_values_are_spelled_as_json_spells_them(self, value):
+        assert dumps_json(value) == json.dumps(value)
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {"a": [np.int64(1)]}])
+    def test_values_json_cannot_spell_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            dumps_json(value)
 
     def test_table_renders_percentages(self):
         report = EvaluationReport(
